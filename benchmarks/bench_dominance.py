@@ -1,25 +1,51 @@
-"""Compare the jitted kernels against their plain fallbacks.
+"""Time the pool dominance matrix and check it against the oracle.
 
-Times the dominance witness scan, relation closure, and the interval /
-negative-transitivity predicates on randomly generated inputs, then times an
-end-to-end non-dominated filter.  The package picks the jitted path at import
-time unless PREFCOMPOSE_NUMBA=0; here both paths are called explicitly so one
-process can report both columns.
+Builds random pools of 8-attribute valuations, times
+``PackedPool(spec, pool).dominance_matrix()`` over all of them (encoding
+included; median of ``REPEATS`` passes), checks every matrix against the
+all-pairs reading of ``oracle.plain_dominates``, and writes the timing, the
+command and the machine facts to a ``BENCH_dominance.json`` file.
 
-Usage: python benchmarks/bench_dominance.py [--pools 200] [--pool-size 40]
+The recorded "before" figure is the pairwise witness scan that the matrix
+replaced, timed with the same pools (commit 820bed8,
+``python benchmarks/bench_dominance.py --pools 50``, 2 cores, NumPy 2.4,
+numba not installed): 80,000 ordered-pair scans, median of six passes.
+
+Usage: python benchmarks/bench_dominance.py [--out BENCH_dominance.json]
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
+import json
+import os
+import platform
+import statistics
+import sys
 import time
 
 import numpy as np
 
-from prefcompose import kernels, nondominated
-from prefcompose.aggregation import SCALAR_TOLERANCE, aggregate, Valuation
-from prefcompose.dominance import pack_valuation, packed_tables
+from prefcompose.aggregation import Valuation, aggregate
+from prefcompose.dominance import PackedPool
+from prefcompose.oracle import plain_dominates
 from prefcompose.simulator import SimConfig, random_spec
+
+POOLS = 50
+POOL_SIZE = 40
+SEED = 11
+REPEATS = 5
+
+BEFORE = {
+    "what": "pairwise witness scan (PackedPool.witness per ordered pair)",
+    "commit": "820bed8",
+    "pools": POOLS,
+    "pool_size": POOL_SIZE,
+    "seed": SEED,
+    "pairs": 80_000,
+    "seconds": 2.007,
+}
 
 
 def build_pools(count, pool_size, seed):
@@ -28,99 +54,72 @@ def build_pools(count, pool_size, seed):
     for _ in range(count):
         config = SimConfig(domain_size=8, attr_count=8, intra_kind="po", importance_kind="io")
         spec = random_spec(config, rng)
-        tables = packed_tables(spec)
-        rows = []
-        vals = []
-        for _ in range(pool_size):
-            values = tuple(
+        vals = [
+            Valuation(tuple(
                 aggregate(attr, [int(v) for v in rng.integers(0, 8, size=3)])
                 for attr in spec.attributes
-            )
-            vals.append(Valuation(values))
-            rows.append(pack_valuation(spec, vals[-1]))
-        pools.append((spec, tables, rows, vals))
+            ))
+            for _ in range(pool_size)
+        ]
+        pools.append((spec, vals))
     return pools
 
 
-def time_witness(pools, fn):
+def time_matrices(pools):
     started = time.perf_counter()
-    sink = 0
-    for _, tables, rows, _ in pools:
-        for umask, uscal in rows:
-            for vmask, vscal in rows:
-                sink += fn(
-                    tables.kinds, tables.nvals, tables.dom_masks, tables.imp,
-                    umask, uscal, vmask, vscal, SCALAR_TOLERANCE,
-                )
-    return time.perf_counter() - started, sink
+    matrices = [PackedPool(spec, vals).dominance_matrix() for spec, vals in pools]
+    return time.perf_counter() - started, matrices
 
 
-def time_matrix_kernels(pools, closure, ferrers, negtrans):
-    rng = np.random.default_rng(7)
-    mats = []
-    for _ in range(len(pools) * 4):
-        n = 24
-        mat = np.triu(rng.random((n, n)) < 0.15, k=1)  # acyclic by construction
-        mats.append(mat)
-    started = time.perf_counter()
-    sink = 0
-    for mat in mats:
-        closed = np.asarray(closure(mat))
-        sink += bool(ferrers(closed)) + bool(negtrans(closed))
-    return time.perf_counter() - started, sink
-
-
-def time_filter(pools):
-    started = time.perf_counter()
-    total = 0
-    for spec, _, _, vals in pools:
-        total += len(nondominated(spec, list(enumerate(vals))))
-    return time.perf_counter() - started, total
+def machine_facts():
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "numba_installed": importlib.util.find_spec("numba") is not None,
+        "machine": platform.machine(),
+    }
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pools", type=int, default=200)
-    parser.add_argument("--pool-size", type=int, default=40)
-    parser.add_argument("--seed", type=int, default=11)
+    parser.add_argument("--out", default="BENCH_dominance.json")
     args = parser.parse_args()
 
-    pools = build_pools(args.pools, args.pool_size, args.seed)
-    pairs = args.pools * args.pool_size**2
+    pools = build_pools(POOLS, POOL_SIZE, SEED)
+    time_matrices(pools[:1])  # warm-up
+    times = []
+    for _ in range(REPEATS):
+        elapsed, matrices = time_matrices(pools)
+        times.append(elapsed)
+    for (spec, vals), matrix in zip(pools, matrices):
+        expected = [[plain_dominates(spec, u, v) for v in vals] for u in vals]
+        if matrix.tolist() != expected:
+            raise SystemExit("dominance matrix disagrees with oracle.plain_dominates")
 
-    # warm the jitted paths before timing
-    time_witness(pools[:1], kernels.dominates_witness)
-    time_matrix_kernels(pools[:1], kernels.transitive_closure,
-                        kernels.ferrers_ok, kernels.negatively_transitive)
-
-    rows = []
-    jit_t, jit_sink = time_witness(pools, kernels.dominates_witness)
-    py_t, py_sink = time_witness(pools, kernels.dominates_witness_py)
-    assert jit_sink == py_sink
-    rows.append(("witness scan", pairs, jit_t, py_t))
-
-    jit_t, a = time_matrix_kernels(
-        pools, kernels.transitive_closure, kernels.ferrers_ok, kernels.negatively_transitive
-    )
-    py_t, b = time_matrix_kernels(
-        pools, kernels.transitive_closure_py, kernels.ferrers_ok_py,
-        kernels.negatively_transitive_py,
-    )
-    assert a == b
-    rows.append(("closure+classify", len(pools) * 4, jit_t, py_t))
-
-    filt_t, kept = time_filter(pools)
-
-    active = "numba" if kernels.USING_NUMBA else "fallback"
-    print(f"active path: {active} (set PREFCOMPOSE_NUMBA=0 to force the fallback)")
-    print(f"{'kernel':<18}{'calls':>10}{'jitted':>12}{'plain':>12}{'speedup':>9}")
-    for name, calls, jit_time, py_time in rows:
-        speedup = py_time / jit_time if jit_time else float("inf")
-        print(f"{name:<18}{calls:>10}{jit_time:>11.3f}s{py_time:>11.3f}s{speedup:>8.1f}x")
-    print(
-        f"non-dominated filter via active path: {filt_t:.3f}s for {args.pools} pools "
-        f"of {args.pool_size} ({kept} survivors)"
-    )
+    after = {
+        "what": "PackedPool(spec, pool).dominance_matrix() per pool",
+        "pools": POOLS,
+        "pool_size": POOL_SIZE,
+        "seed": SEED,
+        "pairs": POOLS * POOL_SIZE**2,
+        "seconds": statistics.median(times),
+        "seconds_all": times,
+        "checked_against": "oracle.plain_dominates, every pair",
+    }
+    report = {
+        "command": "python " + " ".join(sys.argv),
+        "machine": machine_facts(),
+        "before": BEFORE,
+        "after": after,
+        "speedup": BEFORE["seconds"] / after["seconds"],
+    }
+    with open(args.out, "w") as handle:
+        json.dump(report, handle, indent=2)
+        handle.write("\n")
+    print(f"dominance matrix: {after['pairs']} pairs in {after['seconds']:.3f} s "
+          f"(median of {REPEATS}); before: {BEFORE['pairs']} pairs in {BEFORE['seconds']:.3f} s")
+    print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -43,8 +43,7 @@ def _sorted_solutions(comps: Sequence[Composition]) -> list[Composition]:
 
 
 def _filter_dominance(spec: PreferenceSpec, comps: Sequence[Composition]) -> list[Composition]:
-    pool = PackedPool(spec, [c.valuation for c in comps])
-    kept, _ = maximal_set(list(range(len(comps))), pool.comparator())
+    kept = PackedPool(spec, [c.valuation for c in comps]).undominated()
     return [comps[i] for i in kept]
 
 

@@ -138,6 +138,11 @@ class ExplicitProvider(FeasibilityProvider):
         self.components = list(components)
         self.sequences = [tuple(seq) for seq in feasible_sequences]
         self._feasible_keys = {tuple(sorted(seq)) for seq in self.sequences}
+        # Sorted prefix -> next components, in first-seen sequence order.
+        self._next: dict[tuple[int, ...], dict[int, None]] = {}
+        for seq in self.sequences:
+            for depth, nxt in enumerate(seq):
+                self._next.setdefault(tuple(sorted(seq[:depth])), {})[nxt] = None
 
     def root(self) -> Composition:
         return empty_composition(self.spec)
@@ -146,15 +151,7 @@ class ExplicitProvider(FeasibilityProvider):
         return tuple(sorted(comp.members)) in self._feasible_keys
 
     def _next_components(self, members: tuple[int, ...]) -> list[int]:
-        key = tuple(sorted(members))
-        depth = len(members)
-        candidates: list[int] = []
-        for seq in self.sequences:
-            if len(seq) > depth and tuple(sorted(seq[:depth])) == key:
-                nxt = seq[depth]
-                if nxt not in candidates:
-                    candidates.append(nxt)
-        return candidates
+        return list(self._next.get(tuple(sorted(members)), ()))
 
     def extensions(self, comp: Composition) -> list[Composition]:
         self._charge()

@@ -4,29 +4,28 @@ One valuation dominates another when some attribute strictly improves while
 every attribute that is at least as important (strictly more important or
 incomparable, including the witness itself) stays at least as preferred.
 
-Two execution paths compute the same relation: a plain path built on the
-public aggregation comparisons, and a packed path that encodes frontiers as
-bitmasks and runs the witness scan through :mod:`prefcompose.kernels`.  The
-packed path is used whenever every domain fits in a bitmask.
+A :class:`PackedPool` encodes a list of valuations once and evaluates that
+rule for many pairs at a time with boolean matrices: per attribute a
+"strictly preferred" and an "at least as preferred" relation between rows and
+columns of the pool, combined across attributes by the importance order.
+Pairwise queries (:func:`dominates`, :func:`witnesses`) read the same
+relations on a two-row pool, so there is one implementation of the rule.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
-from .aggregation import (
-    SCALAR_TOLERANCE,
-    Valuation,
-    at_least_as_preferred,
-    strictly_preferred,
-)
-from .order import FIRST, NEITHER, SECOND, Comparator, Comparison, maximal_set
-from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
+from .aggregation import SCALAR_TOLERANCE, Valuation
+from .preference import AggKind, PreferenceSpec, SumPolarity
+
+# Pairs evaluated per row block of a dominance matrix; bounds the size of the
+# per-attribute temporaries whatever the pool size.
+BLOCK_PAIRS = 1 << 14
 
 
 class ShapeError(ValueError):
@@ -46,67 +45,6 @@ class DominanceOutcome:
     asymmetry_violation: bool = False
 
 
-@dataclass(frozen=True)
-class PackedTables:
-    """Spec constants in kernel layout; built once per spec."""
-
-    kinds: np.ndarray
-    nvals: np.ndarray
-    dom_masks: np.ndarray
-    imp: np.ndarray
-
-
-def _kind_code(attr: AttributeSchema) -> int:
-    if attr.agg_kind is not AggKind.SUM:
-        return kernels.KIND_FRONTIER
-    if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-        return kernels.KIND_SCALAR_LOW
-    return kernels.KIND_SCALAR_HIGH
-
-
-def packed_tables(spec: PreferenceSpec) -> Optional[PackedTables]:
-    """Kernel tables for the spec, or None when some domain is too large."""
-    if spec._packed is not None:
-        return spec._packed  # type: ignore[return-value]
-    m = spec.attr_count
-    sizes = [len(a.domain) for a in spec.attributes]
-    if any(s > kernels.MAX_PACKED_DOMAIN for s in sizes):
-        return None
-    n_max = max(sizes, default=1) or 1
-    kinds = np.zeros(m, dtype=np.int8)
-    nvals = np.zeros(m, dtype=np.int64)
-    dom_masks = np.zeros((m, n_max), dtype=np.int64)
-    for i, attr in enumerate(spec.attributes):
-        kinds[i] = _kind_code(attr)
-        nvals[i] = len(attr.domain)
-        mat = attr.intra_order.matrix
-        for v in range(len(attr.domain)):
-            mask = 0
-            for u in range(len(attr.domain)):
-                if mat[u, v]:
-                    mask |= 1 << u
-            dom_masks[i, v] = mask
-    tables = PackedTables(kinds=kinds, nvals=nvals, dom_masks=dom_masks, imp=spec.importance.matrix)
-    spec._packed = tables
-    return tables
-
-
-def pack_valuation(spec: PreferenceSpec, valuation: Valuation) -> tuple[np.ndarray, np.ndarray]:
-    """Bitmask/scalar rows of a valuation in kernel layout."""
-    m = spec.attr_count
-    masks = np.zeros(m, dtype=np.int64)
-    scalars = np.zeros(m, dtype=np.float64)
-    for i, value in enumerate(valuation.per_attribute):
-        if value.is_frontier:
-            mask = 0
-            for v in value.frontier:  # type: ignore[union-attr]
-                mask |= 1 << v
-            masks[i] = mask
-        else:
-            scalars[i] = value.scalar  # type: ignore[assignment]
-    return masks, scalars
-
-
 def _check_shape(spec: PreferenceSpec, valuation: Valuation) -> None:
     if len(valuation) != spec.attr_count:
         raise ShapeError(
@@ -114,100 +52,88 @@ def _check_shape(spec: PreferenceSpec, valuation: Valuation) -> None:
         )
 
 
-def _is_witness_plain(spec: PreferenceSpec, u: Valuation, v: Valuation, i: int) -> bool:
-    attrs = spec.attributes
-    if not strictly_preferred(attrs[i], u[i], v[i]):
-        return False
-    imp = spec.importance.matrix
-    for k in range(spec.attr_count):
-        if imp[i, k]:
-            continue
-        if not at_least_as_preferred(attrs[k], u[k], v[k]):
-            return False
-    return True
+class _FrontierColumn:
+    """One frontier attribute of a pool: membership rows and what they beat.
+
+    a strictly beats b when no value of F[b] is left unbeaten by F[a], and
+    F[b] is nonempty.  An empty frontier holds a placeholder value (the last
+    column) that nothing beats, so it is never strictly beaten.  Products
+    count in float64, which is exact for any domain size (no wrap-around as
+    with narrow integer types).
+    """
+
+    def __init__(self, intra: np.ndarray, values: list[frozenset]):
+        n = intra.shape[0] + 1
+        members = np.zeros((len(values), n), dtype=np.float64)
+        members.reshape(-1)[[row * n + x for row, f in enumerate(values) for x in f or (n - 1,)]] = 1.0
+        beats = np.zeros((n, n), dtype=np.float64)
+        beats[:-1, :-1] = intra
+        classes: dict[frozenset, int] = {}
+        self.ids = np.array([classes.setdefault(f, len(classes)) for f in values], dtype=np.int64)
+        self.members = members
+        self.unbeaten = np.where(members @ beats, 0.0, 1.0)
+
+    def strict(self, rows: slice, cols: slice) -> np.ndarray:
+        return self.unbeaten[rows] @ self.members[cols].T == 0
+
+    def equal(self, rows: slice, cols: slice) -> np.ndarray:
+        return self.ids[rows, None] == self.ids[None, cols]
 
 
-def _dominates_plain(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:
-    for i in range(spec.attr_count):
-        if _is_witness_plain(spec, u, v, i):
-            return i
-    return None
+class _ScalarColumn:
+    """One sum attribute of a pool, compared within ``SCALAR_TOLERANCE``."""
 
+    def __init__(self, polarity: SumPolarity, values: list[float]):
+        self.sign = 1.0 if polarity is SumPolarity.LOWER_IS_BETTER else -1.0
+        self.values = np.array(values, dtype=np.float64)
 
-def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:
-    """Lowest-id witness attribute certifying that u dominates v, or None."""
-    _check_shape(spec, u)
-    _check_shape(spec, v)
-    tables = packed_tables(spec)
-    if tables is None:
-        return _dominates_plain(spec, u, v)
-    umask, uscal = pack_valuation(spec, u)
-    vmask, vscal = pack_valuation(spec, v)
-    w = int(
-        kernels.dominates_witness(
-            tables.kinds, tables.nvals, tables.dom_masks, tables.imp,
-            umask, uscal, vmask, vscal, SCALAR_TOLERANCE,
-        )
-    )
-    return w if w >= 0 else None
+    def strict(self, rows: slice, cols: slice) -> np.ndarray:
+        a = self.sign * self.values[rows, None]
+        b = self.sign * self.values[None, cols]
+        return a < b - SCALAR_TOLERANCE
 
-
-def witnesses(spec: PreferenceSpec, u: Valuation, v: Valuation) -> list[int]:
-    """All attributes that certify u dominating v (empty when none)."""
-    _check_shape(spec, u)
-    _check_shape(spec, v)
-    return [i for i in range(spec.attr_count) if _is_witness_plain(spec, u, v, i)]
-
-
-def compare(spec: PreferenceSpec, u: Valuation, v: Valuation) -> DominanceOutcome:
-    """Symmetrized dominance; flags the (theoretically impossible under an
-    interval importance order) case where both directions hold."""
-    forward = dominates(spec, u, v)
-    backward = dominates(spec, v, u)
-    if forward is not None and backward is not None:
-        return DominanceOutcome(Relation.FIRST_DOMINATES, forward, asymmetry_violation=True)
-    if forward is not None:
-        return DominanceOutcome(Relation.FIRST_DOMINATES, forward)
-    if backward is not None:
-        return DominanceOutcome(Relation.SECOND_DOMINATES, backward)
-    return DominanceOutcome(Relation.INDIFFERENT)
+    def equal(self, rows: slice, cols: slice) -> np.ndarray:
+        d = self.values[rows, None] - self.values[None, cols]
+        return (d >= -SCALAR_TOLERANCE) & (d <= SCALAR_TOLERANCE)
 
 
 class PackedPool:
-    """A list of valuations packed once for repeated pairwise tests."""
+    """A list of valuations encoded once for dominance tests among them."""
 
     def __init__(self, spec: PreferenceSpec, valuations: Sequence[Valuation]):
-        self.spec = spec
-        self.tables = packed_tables(spec)
         self.valuations = list(valuations)
-        if self.tables is not None:
-            rows = [pack_valuation(spec, v) for v in self.valuations]
-            self.masks = [r[0] for r in rows]
-            self.scalars = [r[1] for r in rows]
+        for v in self.valuations:
+            _check_shape(spec, v)
+        self.columns: list[_FrontierColumn | _ScalarColumn] = []
+        for i, attr in enumerate(spec.attributes):
+            values = [v[i] for v in self.valuations]
+            if attr.agg_kind is AggKind.SUM:
+                self.columns.append(_ScalarColumn(attr.sum_polarity, [x.scalar for x in values]))
+            else:
+                self.columns.append(_FrontierColumn(attr.intra_order.matrix, [x.frontier for x in values]))
+        # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).
+        self.scope = [
+            [k for k, more in enumerate(row) if not more] for row in spec.importance.matrix.tolist()
+        ]
+
+    def _witness_blocks(self, rows: slice, cols: slice) -> Iterator[tuple[int, np.ndarray]]:
+        """Per attribute i, the pairs (rows x cols) that i witnesses."""
+        strict = [column.strict(rows, cols) for column in self.columns]
+        geq: dict[int, np.ndarray] = {}
+        for i, witnessed in enumerate(strict):
+            if witnessed.any():
+                for k in self.scope[i]:
+                    if k not in geq:
+                        geq[k] = strict[k] | self.columns[k].equal(rows, cols)
+                    witnessed = witnessed & geq[k]
+            yield i, witnessed
 
     def witness(self, a: int, b: int) -> int:
-        """Witness of pool[a] dominating pool[b], or -1."""
-        if self.tables is None:
-            w = _dominates_plain(self.spec, self.valuations[a], self.valuations[b])
-            return -1 if w is None else w
-        t = self.tables
-        return int(
-            kernels.dominates_witness(
-                t.kinds, t.nvals, t.dom_masks, t.imp,
-                self.masks[a], self.scalars[a], self.masks[b], self.scalars[b],
-                SCALAR_TOLERANCE,
-            )
-        )
-
-    def comparator(self) -> Comparator[int]:
-        def cmp(a: int, b: int) -> Comparison:
-            if self.witness(a, b) >= 0:
-                return FIRST
-            if self.witness(b, a) >= 0:
-                return SECOND
-            return NEITHER
-
-        return cmp
+        """Lowest-id witness of pool[a] dominating pool[b], or -1."""
+        for i, witnessed in self._witness_blocks(slice(a, a + 1), slice(b, b + 1)):
+            if witnessed[0, 0]:
+                return i
+        return -1
 
     def dominance_matrix(self) -> np.ndarray:
         """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
@@ -217,28 +143,52 @@ class PackedPool:
         """
         c = len(self.valuations)
         out = np.zeros((c, c), dtype=np.bool_)
-        for a in range(c):
-            for b in range(c):
-                if self.witness(a, b) >= 0:
-                    out[a, b] = True
+        step = max(1, BLOCK_PAIRS // max(c, 1))
+        for start in range(0, c, step):
+            rows = slice(start, start + step)
+            for _, witnessed in self._witness_blocks(rows, slice(None)):
+                out[rows] |= witnessed
         return out
+
+    def undominated(self) -> list[int]:
+        """Pool indices, in order, of the entries nothing in the pool dominates."""
+        return np.flatnonzero(~self.dominance_matrix().any(axis=0)).tolist()
+
+
+def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:
+    """Lowest-id witness attribute certifying that u dominates v, or None."""
+    w = PackedPool(spec, (u, v)).witness(0, 1)
+    return w if w >= 0 else None
+
+
+def witnesses(spec: PreferenceSpec, u: Valuation, v: Valuation) -> list[int]:
+    """All attributes that certify u dominating v (empty when none)."""
+    blocks = PackedPool(spec, (u, v))._witness_blocks(slice(0, 1), slice(1, 2))
+    return [i for i, witnessed in blocks if witnessed[0, 0]]
+
+
+def compare(spec: PreferenceSpec, u: Valuation, v: Valuation) -> DominanceOutcome:
+    """Symmetrized dominance; flags the (theoretically impossible under an
+    interval importance order) case where both directions hold."""
+    pool = PackedPool(spec, (u, v))
+    forward = pool.witness(0, 1)
+    backward = pool.witness(1, 0)
+    if forward >= 0 and backward >= 0:
+        return DominanceOutcome(Relation.FIRST_DOMINATES, forward, asymmetry_violation=True)
+    if forward >= 0:
+        return DominanceOutcome(Relation.FIRST_DOMINATES, forward)
+    if backward >= 0:
+        return DominanceOutcome(Relation.SECOND_DOMINATES, backward)
+    return DominanceOutcome(Relation.INDIFFERENT)
 
 
 def nondominated(
     spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]
 ) -> set:
-    """Ids of the non-dominated valuations (duplicates are all retained)."""
-    for _, v in valuations:
-        _check_shape(spec, v)
-    pool = PackedPool(spec, [v for _, v in valuations])
-    kept, _ = maximal_set(list(range(len(valuations))), pool.comparator())
+    """Ids of the non-dominated valuations (duplicates are all retained).
+
+    Exact for every importance order: an entry is kept when no entry of the
+    pool dominates it, with no reliance on transitivity.
+    """
+    kept = PackedPool(spec, [v for _, v in valuations]).undominated()
     return {valuations[i][0] for i in kept}
-
-
-def nondominated_with_count(
-    spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]
-) -> tuple[set, int]:
-    """Like :func:`nondominated` but also reports the comparison count."""
-    pool = PackedPool(spec, [v for _, v in valuations])
-    kept, comparisons = maximal_set(list(range(len(valuations))), pool.comparator())
-    return {valuations[i][0] for i in kept}, comparisons

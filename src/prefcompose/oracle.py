@@ -1,8 +1,8 @@
 """Ground truth: brute-force references and the property-verification harness.
 
 The brute-force non-dominated filter deliberately avoids both the frontier
-maintenance of :func:`prefcompose.order.maximal_set` and the packed witness
-kernel: it evaluates the dominance definition attribute by attribute through
+maintenance of :func:`prefcompose.order.maximal_set` and the pool dominance
+matrix: it evaluates the dominance definition attribute by attribute through
 the public aggregation comparisons and compares all pairs.
 """
 

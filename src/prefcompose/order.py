@@ -13,8 +13,6 @@ from typing import Callable, Iterable, Literal, Sequence, TypeVar
 
 import numpy as np
 
-from . import kernels
-
 T = TypeVar("T")
 
 FIRST: Literal["first"] = "first"
@@ -79,6 +77,33 @@ class StrictOrder:
         return f"StrictOrder(n={self.universe_size}, edges={self.edges()})"
 
 
+def transitive_closure(mat: np.ndarray) -> np.ndarray:
+    """Warshall closure of a boolean adjacency matrix (returns a new array)."""
+    out = mat.copy()
+    for k in range(out.shape[0]):
+        out |= np.outer(out[:, k], out[k, :])
+    return out
+
+
+def ferrers_ok(mat: np.ndarray) -> bool:
+    """True when the relation satisfies the interval-order (Ferrers) condition.
+
+    Violation means some x>y, z>w exist with neither x>w nor z>y.  With
+    N[x,z] = exists y: x>y and not z>y, that is exactly N[x,z] and N[z,x].
+    The product counts in float64, which no universe size can wrap.
+    """
+    m = mat.astype(np.float64)
+    n = (m @ (1 - m).T) > 0
+    return not bool(np.any(n & n.T))
+
+
+def negatively_transitive(mat: np.ndarray) -> bool:
+    """True when x>y implies x>z or z>y for every z."""
+    notm = (~mat).astype(np.float64)
+    gap = (notm @ notm) > 0  # gap[x,y]: exists z with neither x>z nor z>y
+    return not bool(np.any(mat & gap))
+
+
 def build_order(edges: Iterable[tuple[int, int]], universe_size: int) -> StrictOrder:
     """Transitively close ``edges`` over 0..universe_size-1.
 
@@ -90,7 +115,7 @@ def build_order(edges: Iterable[tuple[int, int]], universe_size: int) -> StrictO
         if not (0 <= x < universe_size and 0 <= y < universe_size):
             raise ValueError(f"edge ({x}, {y}) outside universe of size {universe_size}")
         mat[x, y] = True
-    closed = np.asarray(kernels.transitive_closure(mat))
+    closed = transitive_closure(mat)
     if bool(closed.diagonal().any()):
         cyclic = int(np.nonzero(closed.diagonal())[0][0])
         raise CycleError(f"edges close into a cycle through element {cyclic}")
@@ -101,8 +126,8 @@ def classify(order: StrictOrder) -> OrderClass:
     """Compute the partial/interval/weak/total flags of a strict order."""
     mat = order.matrix
     n = order.universe_size
-    is_interval = bool(kernels.ferrers_ok(mat))
-    is_weak = is_interval and bool(kernels.negatively_transitive(mat))
+    is_interval = ferrers_ok(mat)
+    is_weak = is_interval and negatively_transitive(mat)
     symmetric_cover = mat | mat.T
     is_total = is_weak and bool(symmetric_cover.sum() == n * n - n)
     return OrderClass(is_partial=True, is_interval=is_interval, is_weak=is_weak, is_total=is_total)
@@ -121,7 +146,9 @@ def maximal_set(items: Sequence[T], strictly_better: Comparator) -> tuple[list[T
     it evicts every frontier member it beats and joins.  The frontier is
     always an antichain, so the call count is bounded by 2 * width * len(items).
     ``strictly_better(a, b)`` returns "first" when a beats b, "second" when b
-    beats a, "neither" otherwise.
+    beats a, "neither" otherwise.  It must be transitive: the early exit and
+    the evictions rely on it, so pool dominance under a non-interval importance
+    order is filtered through its matrix instead (see ``dominance``).
     """
     frontier: list[T] = []
     comparisons = 0

@@ -46,7 +46,6 @@ class PreferenceSpec:
     attributes: tuple[AttributeSchema, ...]
     importance: StrictOrder
     importance_class: OrderClass = field(init=False)
-    _packed: object = field(init=False, default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.importance_class = classify(self.importance)

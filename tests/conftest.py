@@ -1,7 +1,7 @@
 """Shared helpers: tiny spec builders and naive reference filters.
 
 The naive filters re-state the definitions directly (all-pairs scans) and are
-kept independent of the package's frontier-maintenance and packed kernels.
+kept independent of the package's frontier maintenance and dominance matrix.
 """
 
 from __future__ import annotations
@@ -16,8 +16,10 @@ from prefcompose import (
     PreferenceSpec,
     SumPolarity,
     Valuation,
+    aggregate,
     build_order,
 )
+from prefcompose.simulator import SimConfig, random_spec
 
 
 def naive_maximal(items, strictly_better):
@@ -71,6 +73,37 @@ def sum_attribute(attr_id, name, numeric, polarity=SumPolarity.LOWER_IS_BETTER):
         numeric_values=tuple(float(v) for v in numeric),
         sum_polarity=polarity,
     )
+
+
+def mixed_spec_and_pool(rng, importance_kind, domain_size=None, pool_size=None):
+    """A random spec with frontier and sum attributes and a pool of its valuations.
+
+    The last attribute is a sum (lower is better), the one before it, when
+    there is one, a sum where higher is better; one pool entry is repeated so
+    that duplicate valuations are always present.
+    """
+    config = SimConfig(
+        domain_size=domain_size or int(rng.integers(2, 7)),
+        attr_count=int(rng.integers(2, 6)),
+        intra_kind=("po", "to")[int(rng.integers(0, 2))],
+        importance_kind=importance_kind,
+    )
+    spec = random_spec(config, rng)
+    numeric = tuple(range(config.domain_size))
+    attrs = list(spec.attributes)
+    attrs[-1] = sum_attribute(len(attrs) - 1, "cost", numeric)
+    if len(attrs) > 2:
+        attrs[-2] = sum_attribute(len(attrs) - 2, "gain", numeric, SumPolarity.HIGHER_IS_BETTER)
+    spec = PreferenceSpec(tuple(attrs), spec.importance)
+    pool = []
+    for _ in range(pool_size or int(rng.integers(2, 9))):
+        values = []
+        for attr in spec.attributes:
+            picks = rng.integers(0, len(attr.domain), size=int(rng.integers(1, 4)))
+            values.append(aggregate(attr, [int(v) for v in picks]))
+        pool.append(Valuation(tuple(values)))
+    pool.append(pool[int(rng.integers(0, len(pool)))])
+    return spec, pool
 
 
 @pytest.fixture

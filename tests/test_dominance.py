@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from prefcompose import (
+    AggValue,
     Relation,
     ShapeError,
     Valuation,
@@ -13,11 +14,11 @@ from prefcompose import (
     nondominated,
     witnesses,
 )
-from prefcompose.dominance import PackedPool, _dominates_plain, pack_valuation
-from prefcompose.oracle import intransitivity_fixture
-from prefcompose.simulator import random_spec, SimConfig
+from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
+from prefcompose.dominance import PackedPool
+from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
-from conftest import frontier_spec, singleton_valuation, sum_attribute
+from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation
 
 
 def test_witness_chain_of_bundled_counterexample():
@@ -108,68 +109,81 @@ def test_nondominated_retains_duplicate_valuations():
     assert nondominated(spec, pool) == {"c1", "c2"}
 
 
-def _mixed_spec_and_pool(rng):
-    from prefcompose.aggregation import aggregate
+def test_nondominated_is_exact_under_non_interval_importance():
+    # u > v > z but not u > z: a filter that assumes transitivity lets z
+    # back in once v, its only dominator, has been dropped.
+    spec, u, v, z = intransitivity_fixture()
+    assert nondominated(spec, [("u", u), ("v", v), ("z", z)]) == {"u"}
+    assert nondominated(spec, [("z", z), ("v", v), ("u", u)]) == {"u"}
 
-    config = SimConfig(
-        domain_size=int(rng.integers(2, 7)),
-        attr_count=int(rng.integers(2, 5)),
-        intra_kind="po",
-        importance_kind=("io", "to")[int(rng.integers(0, 2))],
-    )
-    spec = random_spec(config, rng)
-    # swap one attribute for a scalar sum to cover the mixed-kind path
-    attrs = list(spec.attributes)
-    attrs[-1] = sum_attribute(len(attrs) - 1, "cost", tuple(range(config.domain_size)))
-    from prefcompose import PreferenceSpec
 
-    spec = PreferenceSpec(tuple(attrs), spec.importance)
-    pool = []
-    for _ in range(int(rng.integers(2, 9))):
-        values = []
-        for attr in spec.attributes:
-            picks = [int(v) for v in rng.integers(0, len(attr.domain), size=int(rng.integers(1, 4)))]
-            values.append(aggregate(attr, picks))
-        pool.append(Valuation(tuple(values)))
-    return spec, pool
+def test_empty_and_singleton_pools():
+    spec, u, _, _ = intransitivity_fixture()
+    empty = PackedPool(spec, []).dominance_matrix()
+    assert empty.shape == (0, 0)
+    assert nondominated(spec, []) == set()
+    assert not PackedPool(spec, [u]).dominance_matrix().any()
+    assert nondominated(spec, [("u", u)]) == {"u"}
+
+
+def _witness_attributes(spec, u, v):
+    """Direct reading of the witness definition, attribute by attribute."""
+    imp = spec.importance.matrix
+    attrs = spec.attributes
+    return [
+        i
+        for i in range(spec.attr_count)
+        if strictly_preferred(attrs[i], u[i], v[i])
+        and all(imp[i, k] or at_least_as_preferred(attrs[k], u[k], v[k]) for k in range(spec.attr_count))
+    ]
 
 
 def test_packed_and_plain_paths_agree(rng):
-    for _ in range(150):
-        spec, pool = _mixed_spec_and_pool(rng)
-        packed = PackedPool(spec, pool)
-        for a in range(len(pool)):
-            for b in range(len(pool)):
-                fast = packed.witness(a, b)
-                slow = _dominates_plain(spec, pool[a], pool[b])
-                assert (fast if fast >= 0 else None) == slow
-                assert dominates(spec, pool[a], pool[b]) == slow
+    for trial in range(200):
+        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
+        for u in pool:
+            for v in pool:
+                expected = _witness_attributes(spec, u, v)
+                assert bool(expected) == plain_dominates(spec, u, v)
+                assert witnesses(spec, u, v) == expected
+                assert dominates(spec, u, v) == (expected[0] if expected else None)
+        ids = list(enumerate(pool))
+        assert nondominated(spec, ids) == brute_nondominated(spec, ids)
 
 
-def test_pack_valuation_roundtrip_masks(rng):
-    spec, pool = _mixed_spec_and_pool(rng)
-    for val in pool:
-        masks, scalars = pack_valuation(spec, val)
-        for i, value in enumerate(val.per_attribute):
-            if value.is_frontier:
-                assert masks[i] == sum(1 << v for v in value.frontier)
-            else:
-                assert scalars[i] == value.scalar
-
-
-def test_domains_too_large_to_pack_use_the_object_path():
+def _chain_spec(n):
     from prefcompose import AggKind, AttributeSchema, PreferenceSpec, build_order
-    from prefcompose.dominance import packed_tables
 
-    n = 70  # over the bitmask limit
     attr = AttributeSchema(
         0, "big", tuple(f"v{i}" for i in range(n)),
         build_order([(i, i + 1) for i in range(n - 1)], n),
         AggKind.WORST_FRONTIER,
     )
-    spec = PreferenceSpec((attr,), build_order([], 1))
-    assert packed_tables(spec) is None
-    better, worse = singleton_valuation(0), singleton_valuation(n - 1)
-    assert dominates(spec, better, worse) == 0
-    assert dominates(spec, worse, better) is None
-    assert nondominated(spec, [("b", better), ("w", worse)]) == {"b"}
+    return PreferenceSpec((attr,), build_order([], 1))
+
+
+def test_large_domains_match_the_oracle(rng):
+    for n in (70, 300):
+        spec = _chain_spec(n)
+        better, worse = singleton_valuation(0), singleton_valuation(n - 1)
+        assert dominates(spec, better, worse) == 0
+        assert dominates(spec, worse, better) is None
+        assert nondominated(spec, [("b", better), ("w", worse)]) == {"b"}
+    for n in (70, 300):
+        for trial in range(4):
+            spec, pool = mixed_spec_and_pool(
+                rng, ("io", "po", "to", "wo")[trial], domain_size=n, pool_size=12
+            )
+            matrix = PackedPool(spec, pool).dominance_matrix()
+            assert matrix.tolist() == [[plain_dominates(spec, u, v) for v in pool] for u in pool]
+
+
+def test_frontier_of_256_unbeaten_values_is_not_beaten():
+    # 256 values of b's frontier that a leaves unbeaten: a count that an
+    # 8-bit product would wrap to zero, i.e. to "everything beaten".
+    spec = frontier_spec([(tuple(f"v{i}" for i in range(300)), [(0, 299)])], importance_edges=[])
+    a = Valuation((AggValue.of_frontier((0,)),))
+    b = Valuation((AggValue.of_frontier(range(1, 257)),))
+    assert not plain_dominates(spec, a, b)
+    assert dominates(spec, a, b) is None
+    assert nondominated(spec, [("a", a), ("b", b)]) == {"a", "b"}

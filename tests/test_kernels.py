@@ -1,17 +1,22 @@
-"""The jitted kernels agree with their plain fallbacks, and the env flag works."""
+"""The numeric kernels against direct readings of their definitions.
+
+The order predicates of :mod:`prefcompose.order` (closure, Ferrers,
+negative transitivity) are checked against naive loops, and the pool
+dominance matrix against ``oracle.plain_dominates``.
+"""
 
 from __future__ import annotations
 
-import os
-import subprocess
-import sys
+import itertools
 
 import numpy as np
 
-from prefcompose import kernels
-from prefcompose.aggregation import SCALAR_TOLERANCE, aggregate, Valuation
-from prefcompose.dominance import pack_valuation, packed_tables
-from prefcompose.simulator import SimConfig, random_order, random_spec
+from prefcompose.dominance import PackedPool
+from prefcompose.order import ferrers_ok, negatively_transitive, transitive_closure
+from prefcompose.oracle import plain_dominates
+from prefcompose.simulator import random_order
+
+from conftest import mixed_spec_and_pool
 
 
 def _random_closed_matrix(rng, n):
@@ -19,76 +24,82 @@ def _random_closed_matrix(rng, n):
     return order.matrix
 
 
+def _naive_closure(mat):
+    n = mat.shape[0]
+    out = mat.copy()
+    for x in range(n):
+        seen, stack = set(), [x]
+        while stack:
+            for y in np.flatnonzero(mat[stack.pop()]).tolist():
+                if y not in seen:
+                    seen.add(y)
+                    stack.append(y)
+        out[x, list(seen)] = True
+    return out
+
+
+def _naive_ferrers(mat):
+    n = mat.shape[0]
+    mat = mat.tolist()
+    return not any(
+        mat[x][y] and mat[z][w] and not mat[x][w] and not mat[z][y]
+        for x, y, z, w in itertools.product(range(n), repeat=4)
+    )
+
+
+def _naive_negatively_transitive(mat):
+    n = mat.shape[0]
+    mat = mat.tolist()
+    return all(
+        mat[x][z] or mat[z][y]
+        for x, y, z in itertools.product(range(n), repeat=3)
+        if mat[x][y]
+    )
+
+
 def test_closure_paths_agree(rng):
     for _ in range(100):
         n = int(rng.integers(1, 12))
         mat = rng.random((n, n)) < 0.2
         np.fill_diagonal(mat, False)
-        jit = np.asarray(kernels.transitive_closure(mat))
-        plain = kernels.transitive_closure_py(mat)
-        assert np.array_equal(jit, plain)
+        assert np.array_equal(transitive_closure(mat), _naive_closure(mat))
 
 
 def test_interval_predicate_paths_agree(rng):
     for _ in range(200):
         mat = _random_closed_matrix(rng, int(rng.integers(1, 10)))
-        assert bool(kernels.ferrers_ok(mat)) == kernels.ferrers_ok_py(mat)
+        assert ferrers_ok(mat) == _naive_ferrers(mat)
 
 
 def test_negative_transitivity_paths_agree(rng):
     for _ in range(200):
         mat = _random_closed_matrix(rng, int(rng.integers(1, 10)))
-        assert bool(kernels.negatively_transitive(mat)) == kernels.negatively_transitive_py(mat)
+        assert negatively_transitive(mat) == _naive_negatively_transitive(mat)
 
 
 def test_known_interval_and_weak_cases():
     two_chains = np.zeros((4, 4), dtype=np.bool_)
     two_chains[0, 2] = two_chains[1, 3] = True
-    assert not kernels.ferrers_ok_py(two_chains)
-    assert not bool(kernels.ferrers_ok(two_chains))
+    assert not ferrers_ok(two_chains)
     single = np.zeros((3, 3), dtype=np.bool_)
     single[0, 1] = True
-    assert kernels.ferrers_ok_py(single)
-    assert not kernels.negatively_transitive_py(single)
+    assert ferrers_ok(single)
+    assert not negatively_transitive(single)
+
+
+def test_predicates_count_past_255():
+    # Counts of exactly 256 witnesses, which an 8-bit product wraps to zero.
+    two_chains = np.zeros((259, 259), dtype=np.bool_)
+    two_chains[0, 2:258] = True
+    two_chains[1, 258] = True
+    assert not ferrers_ok(two_chains)
+    single = np.zeros((258, 258), dtype=np.bool_)
+    single[0, 1] = True
+    assert not negatively_transitive(single)
 
 
 def test_witness_paths_agree_on_random_pools(rng):
-    for _ in range(120):
-        config = SimConfig(
-            domain_size=int(rng.integers(2, 7)),
-            attr_count=int(rng.integers(1, 5)),
-            intra_kind="po",
-            importance_kind="io",
-        )
-        spec = random_spec(config, rng)
-        tables = packed_tables(spec)
-        pool = []
-        for _ in range(5):
-            values = tuple(
-                aggregate(attr, [int(v) for v in rng.integers(0, len(attr.domain), size=2)])
-                for attr in spec.attributes
-            )
-            pool.append(pack_valuation(spec, Valuation(values)))
-        for umask, uscal in pool:
-            for vmask, vscal in pool:
-                args = (
-                    tables.kinds, tables.nvals, tables.dom_masks, tables.imp,
-                    umask, uscal, vmask, vscal, SCALAR_TOLERANCE,
-                )
-                assert int(kernels.dominates_witness(*args)) == kernels.dominates_witness_py(*args)
-
-
-def test_env_flag_disables_numba():
-    code = (
-        "from prefcompose import kernels, classify, build_order\n"
-        "assert not kernels.USING_NUMBA\n"
-        "flags = classify(build_order([(0, 1), (1, 2)], 3))\n"
-        "assert flags.is_total\n"
-        "print('fallback ok')\n"
-    )
-    env = dict(os.environ, PREFCOMPOSE_NUMBA="0")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "fallback ok" in proc.stdout
+    for trial in range(240):
+        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
+        matrix = PackedPool(spec, pool).dominance_matrix()
+        assert matrix.tolist() == [[plain_dominates(spec, u, v) for v in pool] for u in pool]

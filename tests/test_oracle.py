@@ -45,7 +45,7 @@ def test_brute_filter_matches_fast_path_on_random_instances(rng):
             attr_count=int(rng.integers(2, 6)),
             repo_size=int(rng.integers(4, 35)),
             intra_kind=("po", "to")[i % 2],
-            importance_kind=("io", "to")[(i // 2) % 2],
+            importance_kind=("io", "po", "to")[(i // 2) % 3],
         )
         spec = random_spec(config, rng)
         tree = generate_tree(spec, config, rng)
