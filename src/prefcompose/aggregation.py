@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .order import maximal_set, minimal_set, comparator_from
 from .preference import AggKind, AttributeSchema, SumPolarity
 
 SCALAR_TOLERANCE = 1e-9
@@ -88,12 +87,14 @@ def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     if attr.agg_kind is AggKind.SUM:
         assert attr.numeric_values is not None
         return AggValue.of_scalar(sum(attr.numeric_values[v] for v in values))
-    distinct = sorted(set(values))
-    cmp = comparator_from(attr.intra_order)
+    distinct = set(values)
+    # Worst kinds keep the values that beat nothing in the set, best kinds
+    # those that nothing in the set beats.
     if attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN):
-        kept, _ = minimal_set(distinct, cmp)
+        rivals = attr.intra_order.below
     else:
-        kept, _ = maximal_set(distinct, cmp)
+        rivals = attr.intra_order.above
+    kept = [x for x in distinct if rivals[x].isdisjoint(distinct)]
     if attr.agg_kind in (AggKind.MIN, AggKind.MAX) and len(kept) != 1:
         raise DomainError(
             f"attribute {attr.name}: {attr.agg_kind.value} needs a unique extreme, "
@@ -135,8 +136,8 @@ def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     assert a.frontier is not None and b.frontier is not None
     if not b.frontier:
         return False
-    mat = attr.intra_order.matrix
-    return all(any(mat[x, y] for x in a.frontier) for y in b.frontier)
+    below = attr.intra_order.below
+    return b.frontier <= frozenset().union(*(below[x] for x in a.frontier))
 
 
 def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:

@@ -20,10 +20,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .aggregation import strictly_preferred
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
 from .dominance import PackedPool
-from .order import FIRST, NEITHER, SECOND, maximal_set
 from .preference import PreferenceSpec, most_important_set
 
 
@@ -50,16 +48,7 @@ def _filter_dominance(spec: PreferenceSpec, comps: Sequence[Composition]) -> lis
 def _filter_attribute(
     spec: PreferenceSpec, comps: Sequence[Composition], attr_id: int
 ) -> list[Composition]:
-    attr = spec.attributes[attr_id]
-
-    def cmp(a: int, b: int):
-        if strictly_preferred(attr, comps[a].valuation[attr_id], comps[b].valuation[attr_id]):
-            return FIRST
-        if strictly_preferred(attr, comps[b].valuation[attr_id], comps[a].valuation[attr_id]):
-            return SECOND
-        return NEITHER
-
-    kept, _ = maximal_set(list(range(len(comps))), cmp)
+    kept = PackedPool(spec, [c.valuation for c in comps]).best_on(attr_id)
     return [comps[i] for i in kept]
 
 

@@ -135,6 +135,11 @@ class PackedPool:
                 return i
         return -1
 
+    def _row_blocks(self) -> Iterator[slice]:
+        c = len(self.valuations)
+        step = max(1, BLOCK_PAIRS // max(c, 1))
+        return (slice(start, start + step) for start in range(0, c, step))
+
     def dominance_matrix(self) -> np.ndarray:
         """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
 
@@ -143,9 +148,7 @@ class PackedPool:
         """
         c = len(self.valuations)
         out = np.zeros((c, c), dtype=np.bool_)
-        step = max(1, BLOCK_PAIRS // max(c, 1))
-        for start in range(0, c, step):
-            rows = slice(start, start + step)
+        for rows in self._row_blocks():
             for _, witnessed in self._witness_blocks(rows, slice(None)):
                 out[rows] |= witnessed
         return out
@@ -153,6 +156,15 @@ class PackedPool:
     def undominated(self) -> list[int]:
         """Pool indices, in order, of the entries nothing in the pool dominates."""
         return np.flatnonzero(~self.dominance_matrix().any(axis=0)).tolist()
+
+    def best_on(self, attr_id: int) -> list[int]:
+        """Pool indices, in order, of the entries no entry strictly beats on
+        one attribute."""
+        column = self.columns[attr_id]
+        beaten = np.zeros(len(self.valuations), dtype=np.bool_)
+        for rows in self._row_blocks():
+            beaten |= column.strict(rows, slice(None)).any(axis=0)
+        return np.flatnonzero(~beaten).tolist()
 
 
 def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:

@@ -2,15 +2,18 @@
 
 The brute-force non-dominated filter deliberately avoids both the frontier
 maintenance of :func:`prefcompose.order.maximal_set` and the pool dominance
-matrix: it evaluates the dominance definition attribute by attribute through
-the public aggregation comparisons and compares all pairs.
+matrix: it compares all pairs of entries by the dominance definition, read
+attribute by attribute.  The per-attribute answers come from the public
+aggregation comparisons, evaluated once per ordered pair of that attribute's
+distinct values and then looked up.  One reading of the definition
+(``_dominates_by``) serves both this filter and :func:`plain_dominates`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,33 +52,56 @@ class PropertyReport:
         return self.violations == self.required_violations
 
 
+def _dominates_by(
+    imp: list[list[bool]], strict: Callable[[int], bool], geq: Callable[[int], bool]
+) -> bool:
+    """The dominance definition, read directly: some attribute i is strictly
+    preferred (``strict(i)``) while every attribute k that i is not more
+    important than is at least as preferred (``geq(k)``)."""
+    return any(
+        strict(i) and all(more or geq(k) for k, more in enumerate(row))
+        for i, row in enumerate(imp)
+    )
+
+
 def plain_dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> bool:
     """Direct reading of the dominance definition over public comparisons."""
-    imp = spec.importance.matrix
-    for i, attr in enumerate(spec.attributes):
-        if not strictly_preferred(attr, u[i], v[i]):
-            continue
-        if all(
-            imp[i, k] or at_least_as_preferred(spec.attributes[k], u[k], v[k])
-            for k in range(spec.attr_count)
-        ):
-            return True
-    return False
+    attrs = spec.attributes
+    return _dominates_by(
+        spec.importance.matrix.tolist(),
+        lambda i: strictly_preferred(attrs[i], u[i], v[i]),
+        lambda k: at_least_as_preferred(attrs[k], u[k], v[k]),
+    )
 
 
 def brute_nondominated(
     spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]
 ) -> set:
-    """All-pairs filter: keep each entry no other entry dominates."""
-    kept = set()
-    for i, (ident, val) in enumerate(valuations):
-        if not any(
-            plain_dominates(spec, other, val)
-            for j, (_, other) in enumerate(valuations)
-            if j != i
-        ):
-            kept.add(ident)
-    return kept
+    """All-pairs filter: keep each entry no other entry dominates.
+
+    Each attribute's distinct values are interned, and the public comparisons
+    are evaluated once per ordered pair of distinct values; the all-pairs
+    scan then reads those tables.
+    """
+    indexes: list[dict[AggValue, int]] = [{} for _ in spec.attributes]
+    rows = [
+        tuple(index.setdefault(val[i], len(index)) for i, index in enumerate(indexes))
+        for _, val in valuations
+    ]
+    strict, geq = [], []  # per attribute, tables over value-id pairs
+    for attr, index in zip(spec.attributes, indexes):
+        strict.append([[strictly_preferred(attr, a, b) for b in index] for a in index])
+        geq.append([[at_least_as_preferred(attr, a, b) for b in index] for a in index])
+    imp = spec.importance.matrix.tolist()
+
+    def dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+        return _dominates_by(imp, lambda i: strict[i][a[i]][b[i]], lambda k: geq[k][a[k]][b[k]])
+
+    return {
+        ident
+        for j, (ident, _) in enumerate(valuations)
+        if not any(dominates(a, rows[j]) for i, a in enumerate(rows) if i != j)
+    }
 
 
 def check_soundness(result: RunResult, truth: set) -> bool:
@@ -157,7 +183,8 @@ def _transitivity_violation(matrix: np.ndarray) -> Optional[tuple[int, int, int]
 
     The diagonal of (D @ D) & ~D also catches asymmetry breaks (u>v>u).
     """
-    reach = (matrix.astype(np.uint8) @ matrix.astype(np.uint8)) > 0
+    steps = matrix.astype(np.float64)
+    reach = (steps @ steps) > 0  # float64 counts cannot wrap, unlike uint8
     bad = reach & ~matrix
     if not bad.any():
         return None

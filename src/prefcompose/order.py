@@ -44,14 +44,20 @@ class OrderClass:
 
 
 class StrictOrder:
-    """A transitively closed irreflexive relation over elements 0..n-1."""
+    """A transitively closed irreflexive relation over elements 0..n-1.
 
-    __slots__ = ("universe_size", "matrix")
+    ``below[x]`` holds the elements x beats and ``above[x]`` those that beat
+    x, so a set-level question (does x beat anything in S?) is one set test.
+    """
+
+    __slots__ = ("universe_size", "matrix", "below", "above")
 
     def __init__(self, universe_size: int, matrix: np.ndarray):
         self.universe_size = universe_size
         self.matrix = matrix
         self.matrix.setflags(write=False)
+        self.below = tuple(frozenset(np.flatnonzero(row).tolist()) for row in matrix)
+        self.above = tuple(frozenset(np.flatnonzero(col).tolist()) for col in matrix.T)
 
     def dominates(self, x: int, y: int) -> bool:
         return bool(self.matrix[x, y])

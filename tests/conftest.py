@@ -19,6 +19,7 @@ from prefcompose import (
     aggregate,
     build_order,
 )
+from prefcompose.aggregation import SCALAR_TOLERANCE
 from prefcompose.simulator import SimConfig, random_spec
 
 
@@ -104,6 +105,19 @@ def mixed_spec_and_pool(rng, importance_kind, domain_size=None, pool_size=None):
         pool.append(Valuation(tuple(values)))
     pool.append(pool[int(rng.integers(0, len(pool)))])
     return spec, pool
+
+
+def with_near_ties(spec, pool):
+    """The pool plus two copies of its first entry whose sums are shifted by
+    0.6 and 1.2 times ``SCALAR_TOLERANCE``: each copy ties with its neighbour
+    within the tolerance, while the first and last do not tie."""
+    def shifted(val, delta):
+        return Valuation(tuple(
+            AggValue.of_scalar(x.scalar + delta) if attr.agg_kind is AggKind.SUM else x
+            for attr, x in zip(spec.attributes, val.per_attribute)
+        ))
+
+    return pool + [shifted(pool[0], f * SCALAR_TOLERANCE) for f in (0.6, 1.2)]
 
 
 @pytest.fixture

@@ -340,7 +340,8 @@ def test_criterion_08_efficiency_invariants(announce):
         if len(pool) < 2:
             continue
         matrix = PackedPool(spec, [v for _, v in pool]).dominance_matrix()
-        reach = (matrix.astype(np.uint8) @ matrix.astype(np.uint8)) > 0
+        steps = matrix.astype(np.float64)
+        reach = (steps @ steps) > 0
         if np.any(reach & ~matrix) or matrix.diagonal().any():
             continue  # dominance not an order here; width undefined
         dominance_order = StrictOrder(len(pool), matrix)

@@ -238,3 +238,47 @@ def test_aggregate_equals_fold_of_singleton_merges(values, seed):
     for v in values[1:]:
         folded = merge(cost, folded, aggregate(cost, [v]))
     assert folded.scalar == pytest.approx(aggregate(cost, values).scalar)
+
+
+# Direct readings of the comparisons off the closure matrix, for the
+# equivalence tests below.
+
+
+def _naive_strict(mat, a, b):
+    return bool(b) and all(any(mat[x, y] for x in a) for y in b)
+
+
+def _naive_kept(mat, kind, values):
+    distinct = set(values)
+    if kind in (AggKind.WORST_FRONTIER, AggKind.MIN):
+        return {x for x in distinct if not any(mat[x, y] for y in distinct)}
+    return {x for x in distinct if not any(mat[y, x] for y in distinct)}
+
+
+@pytest.mark.parametrize("n", [2, 5, 9, 70, 300])
+def test_comparisons_match_the_closure_matrix(rng, n):
+    from prefcompose.simulator import random_order
+
+    for kind in ("partial", "total", "interval", "weak"):
+        order = random_order(n, kind, rng, density=0.3)
+        mat = order.matrix
+        attrs = {agg: AttributeSchema(0, "x", tuple(map(str, range(n))), order, agg)
+                 for agg in (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)}
+        worst = attrs[AggKind.WORST_FRONTIER]
+        frontiers = [AggValue.of_frontier(())]
+        for _ in range(12):
+            picks = [int(v) for v in rng.integers(0, n, size=int(rng.integers(1, 6)))]
+            for agg, attr in attrs.items():
+                expected = _naive_kept(mat, agg, picks)
+                if agg in (AggKind.MIN, AggKind.MAX) and len(expected) != 1:
+                    with pytest.raises(DomainError):
+                        aggregate(attr, picks)
+                    continue
+                assert aggregate(attr, picks).frontier == expected
+            frontiers.append(aggregate(worst, picks))
+            frontiers.append(AggValue.of_frontier(picks))  # not always an antichain
+        for a in frontiers:
+            for b in frontiers:
+                strict = _naive_strict(mat, a.frontier, b.frontier)
+                assert strictly_preferred(worst, a, b) == strict
+                assert at_least_as_preferred(worst, a, b) == (a.frontier == b.frontier or strict)

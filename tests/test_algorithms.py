@@ -12,16 +12,20 @@ from prefcompose import (
     interleave_compose,
     weakly_complete_compose,
 )
+from prefcompose.aggregation import strictly_preferred
+from prefcompose.algorithms import _filter_attribute
 from prefcompose.cli import load_instance
+from prefcompose.composition import Composition
 from prefcompose.oracle import (
     brute_nondominated,
     check_completeness,
     check_soundness,
     check_weak_completeness,
 )
+from prefcompose.order import FIRST, NEITHER, SECOND, maximal_set
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 
-from conftest import sum_attribute
+from conftest import mixed_spec_and_pool, sum_attribute, with_near_ties
 
 
 def _provider(instance, **kwargs):
@@ -243,3 +247,20 @@ def test_budget_exhaustion_propagates(unsound):
 def test_unknown_pick_policy_rejected(unsound):
     with pytest.raises(ValueError):
         att_weakly_complete_compose(unsound.spec, _provider(unsound), pick="whatever")
+
+
+def test_attribute_filter_matches_maximal_set_over_strict_preference(rng):
+    for trial in range(200):
+        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
+        comps = [Composition((i,), v, i) for i, v in enumerate(with_near_ties(spec, pool))]
+        for attr_id, attr in enumerate(spec.attributes):
+            def cmp(a, b):
+                if strictly_preferred(attr, a.valuation[attr_id], b.valuation[attr_id]):
+                    return FIRST
+                if strictly_preferred(attr, b.valuation[attr_id], a.valuation[attr_id]):
+                    return SECOND
+                return NEITHER
+
+            expected, _ = maximal_set(comps, cmp)
+            kept = _filter_attribute(spec, comps, attr_id)
+            assert [c.key() for c in kept] == sorted(c.key() for c in expected)

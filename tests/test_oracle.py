@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from prefcompose import ExplicitProvider, compose_and_filter, interleave_compose, nondominated
+from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
 from prefcompose.cli import load_instance
 from prefcompose.oracle import (
     PROPERTY_NAMES,
@@ -14,10 +16,13 @@ from prefcompose.oracle import (
     check_completeness,
     check_soundness,
     check_weak_completeness,
+    _transitivity_violation,
     plain_dominates,
     verify_property,
 )
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
+
+from conftest import mixed_spec_and_pool, with_near_ties
 
 
 def test_brute_filter_on_bundled_tree():
@@ -53,6 +58,41 @@ def test_brute_filter_matches_fast_path_on_random_instances(rng):
             (c.provider_node, c.valuation) for c in tree_provider(tree).all_feasible()
         ]
         assert brute_nondominated(spec, pool) == nondominated(spec, pool)
+
+
+def _naive_nondominated(spec, pool):
+    """Keys of the entries no other entry dominates, by the definition read
+    pair by pair over the public comparisons."""
+    attrs = spec.attributes
+    imp = spec.importance.matrix
+    m = len(attrs)
+
+    def dominates(u, v):
+        return any(
+            strictly_preferred(attrs[i], u[i], v[i])
+            and all(imp[i, k] or at_least_as_preferred(attrs[k], u[k], v[k]) for k in range(m))
+            for i in range(m)
+        )
+
+    return {
+        key for key, v in pool if not any(dominates(u, v) for other, u in pool if other != key)
+    }
+
+
+def test_brute_filter_matches_the_pairwise_definition(rng):
+    for trial in range(200):
+        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
+        keyed = list(enumerate(with_near_ties(spec, pool)))
+        assert brute_nondominated(spec, keyed) == _naive_nondominated(spec, keyed)
+
+
+def test_transitivity_check_counts_past_255():
+    # u=0 beats v=1..256, each v beats z=257, u does not beat z: 256
+    # two-step paths, which an 8-bit product wraps to zero.
+    matrix = np.zeros((258, 258), dtype=np.bool_)
+    matrix[0, 1:257] = True
+    matrix[1:257, 257] = True
+    assert _transitivity_violation(matrix) == (0, 1, 257)
 
 
 def test_algorithm_checks_on_bundled_instances():
