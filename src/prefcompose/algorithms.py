@@ -104,23 +104,20 @@ def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider)
 def att_weakly_complete_compose(
     spec: PreferenceSpec,
     provider: FeasibilityProvider,
-    pick: str = "lowest",
     pick_seed: Optional[int] = None,
 ) -> RunResult:
     """Best compositions for a single most-important attribute.
 
-    ``pick`` chooses that attribute: "lowest" takes the smallest id for
-    reproducibility, "seeded" draws uniformly using ``pick_seed``.
+    With ``pick_seed`` None that attribute is the one with the lowest id, for
+    reproducibility; otherwise it is drawn uniformly with that seed.
     """
     clock = _RunClock(provider)
     fcount0 = provider.invocation_count
     important = sorted(most_important_set(spec))
-    if pick == "lowest":
+    if pick_seed is None:
         attr_id = important[0]
-    elif pick == "seeded":
-        attr_id = random.Random(pick_seed).choice(important)
     else:
-        raise ValueError(f"unknown pick policy {pick!r}")
+        attr_id = random.Random(pick_seed).choice(important)
     feasible = enumerate_feasible(provider)
     solutions = _filter_attribute(spec, feasible, attr_id)
     return RunResult(
@@ -190,3 +187,12 @@ def interleave_compose(
         rest = [c for c in working if c.key() not in best_keys]
         rest_keys = {c.key() for c in rest}
         working = rest + [c for c in replacement if c.key() not in rest_keys]
+
+
+# The algorithms by the names the command line and the simulator use.
+ALGORITHMS = {
+    "a1": compose_and_filter,
+    "a2": weakly_complete_compose,
+    "a3": att_weakly_complete_compose,
+    "a4": interleave_compose,
+}

@@ -15,19 +15,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
+import math
+import reprlib
 import sys
 from typing import Optional, Sequence
 
 from . import fixtures, oracle, simulator
 from .aggregation import AggValue, Valuation
-from .algorithms import (
-    RunResult,
-    att_weakly_complete_compose,
-    compose_and_filter,
-    interleave_compose,
-    weakly_complete_compose,
-)
+from .algorithms import ALGORITHMS, RunResult
 from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -62,7 +59,6 @@ class Instance:
     component_ids: dict[str, int]
     feasible_sequences: Optional[list[list[int]]]
     sim_config: Optional[simulator.SimConfig]
-    raw: dict
 
 
 def _require(condition: bool, message: str) -> None:
@@ -70,165 +66,177 @@ def _require(condition: bool, message: str) -> None:
         raise InstanceError(message)
 
 
-def _parse_attribute(index: int, data: dict) -> AttributeSchema:
+def _is_number(value) -> bool:
+    """A finite JSON number; a bool is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
+# The JSON types a field may have, under the name its error message uses.
+_KINDS = {
+    "an object": lambda value: isinstance(value, dict),
+    "a list": lambda value: isinstance(value, list),
+    "a pair": lambda value: isinstance(value, list) and len(value) == 2,
+    "a string": lambda value: isinstance(value, str),
+    "a number": _is_number,
+    "a label": lambda value: value is None or isinstance(value, (str, bool)) or _is_number(value),
+}
+_REQUIRED = object()
+
+
+def _wrong_type(path: str, kind: str, value) -> InstanceError:
+    return InstanceError(f"{path}: expected {kind}, got {reprlib.repr(value)}")
+
+
+def _field(obj: dict, key: str, kind: str, where: str, default=_REQUIRED):
+    """``obj[key]`` checked to be ``kind``; ``where`` is the path of ``obj``.
+
+    An absent key gives ``default``, and a field without one is required.  A
+    field whose default is null may also be given as null.
+    """
+    path = f"{where}.{key}" if where else key
+    if key not in obj:
+        _require(default is not _REQUIRED, f"{path}: missing")
+        return default
+    value = obj[key]
+    if _KINDS[kind](value) or (value is None and default is None):
+        return value
+    raise _wrong_type(path, kind, value)
+
+
+def _items(obj: dict, key: str, kind: str, where: str, default=_REQUIRED):
+    """The list ``obj[key]``, each item checked to be ``kind``."""
+    items = _field(obj, key, "a list", where, default)
+    test = _KINDS[kind]
+    for j, item in enumerate(items or ()):
+        if not test(item):
+            raise _wrong_type(f"{where}.{key}[{j}]" if where else f"{key}[{j}]", kind, item)
+    return items
+
+
+def _choice(enum_type: type[enum.Enum], obj: dict, key: str, where: str, default):
+    """A string field naming a member of ``enum_type``."""
+    name = _field(obj, key, "a string", where, default)
+    try:
+        return enum_type(name) if name is not None else None
+    except ValueError:
+        allowed = [member.value for member in enum_type]
+        raise InstanceError(f"{where}.{key}: expected one of {allowed}, got {name!r}") from None
+
+
+def _resolve(ids: dict, labels: list, what: str, where: str) -> list[int]:
+    """The ids of ``labels`` in ``ids``, the one lookup table of a domain."""
+    resolved = []
+    for label in labels:
+        try:
+            resolved.append(ids[label])
+        except (KeyError, TypeError):
+            raise InstanceError(f"{where}: unknown {what} {reprlib.repr(label)}") from None
+    return resolved
+
+
+def _parse_attribute(index: int, data: dict) -> tuple[AttributeSchema, dict]:
+    """The attribute at ``attributes[index]`` and its label -> value id table."""
     where = f"attributes[{index}]"
-    _require(isinstance(data, dict), f"{where}: expected an object")
-    _require("name" in data, f"{where}: missing 'name'")
-    _require("domain" in data, f"{where}: missing 'domain'")
-    domain = data["domain"]
-    _require(isinstance(domain, list), f"{where}.domain: expected a list of labels")
+    name = _field(data, "name", "a string", where)
+    domain = _items(data, "domain", "a label", where)
     label_ids = {label: i for i, label in enumerate(domain)}
     _require(len(label_ids) == len(domain), f"{where}.domain: duplicate labels")
-    edges = []
-    for j, pair in enumerate(data.get("intra_edges", [])):
-        _require(
-            isinstance(pair, list) and len(pair) == 2,
-            f"{where}.intra_edges[{j}]: expected a [better, worse] pair",
-        )
-        for label in pair:
-            _require(label in label_ids, f"{where}.intra_edges[{j}]: unknown label {label!r}")
-        edges.append((label_ids[pair[0]], label_ids[pair[1]]))
+    edges = [
+        _resolve(label_ids, pair, "label", f"{where}.intra_edges[{j}]")
+        for j, pair in enumerate(_items(data, "intra_edges", "a pair", where, []))
+    ]
     try:
         intra = build_order(edges, len(domain))
     except CycleError as exc:
         raise InstanceError(f"{where}.intra_edges: {exc}") from exc
-    agg_name = data.get("agg", "worst_frontier")
-    try:
-        agg = AggKind(agg_name)
-    except ValueError:
-        raise InstanceError(f"{where}.agg: unknown aggregation {agg_name!r}") from None
-    numeric = data.get("numeric_values")
-    polarity = None
-    if "sum_polarity" in data:
-        try:
-            polarity = SumPolarity(data["sum_polarity"])
-        except ValueError:
-            raise InstanceError(
-                f"{where}.sum_polarity: expected 'lower' or 'higher'"
-            ) from None
-    return AttributeSchema(
-        attr_id=index,
-        name=data["name"],
-        domain=tuple(domain),
-        intra_order=intra,
-        agg_kind=agg,
-        numeric_values=tuple(numeric) if numeric is not None else None,
-        sum_polarity=polarity,
+    numeric = _items(data, "numeric_values", "a number", where, None)
+    schema = AttributeSchema(
+        index, name, tuple(domain), intra,
+        agg_kind=_choice(AggKind, data, "agg", where, "worst_frontier"),
+        numeric_values=None if numeric is None else tuple(numeric),
+        sum_polarity=_choice(SumPolarity, data, "sum_polarity", where, None),
     )
+    return schema, label_ids
 
 
-def _parse_component_valuation(
-    spec: PreferenceSpec, name: str, data: dict
+def _parse_valuation(
+    spec: PreferenceSpec, label_ids: list[dict], data: dict, where: str
 ) -> Valuation:
     values = []
-    for attr in spec.attributes:
+    for attr, ids in zip(spec.attributes, label_ids):
+        raw = _field(data, attr.name, "a label", where)
+        if attr.agg_kind is AggKind.SUM and _is_number(raw):
+            values.append(AggValue.of_scalar(float(raw)))
+            continue
+        (index,) = _resolve(ids, [raw], "label", f"{where}.{attr.name}")
+        if attr.agg_kind is not AggKind.SUM:
+            values.append(AggValue.of_frontier((index,)))
+            continue
+        numeric = attr.numeric_values or ()
         _require(
-            attr.name in data,
-            f"components[{name}].valuation: missing attribute {attr.name!r}",
+            index < len(numeric),
+            f"{where}.{attr.name}: label {raw!r} has no attributes[{attr.attr_id}].numeric_values entry",
         )
-        raw = data[attr.name]
-        if attr.agg_kind is AggKind.SUM:
-            if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-                values.append(AggValue.of_scalar(float(raw)))
-                continue
-            _require(
-                raw in attr.domain,
-                f"components[{name}].valuation.{attr.name}: unknown label {raw!r}",
-            )
-            _require(
-                attr.numeric_values is not None,
-                f"attributes[{attr.attr_id}]: labels need numeric_values for sums",
-            )
-            values.append(AggValue.of_scalar(attr.numeric_values[attr.domain.index(raw)]))
-        else:
-            _require(
-                raw in attr.domain,
-                f"components[{name}].valuation.{attr.name}: unknown label {raw!r}",
-            )
-            values.append(AggValue.of_frontier((attr.domain.index(raw),)))
+        values.append(AggValue.of_scalar(numeric[index]))
     return Valuation(tuple(values))
 
 
-def parse_instance(raw: dict) -> Instance:
+def parse_instance(doc: dict) -> Instance:
     """Validate and resolve an instance document into domain objects."""
-    _require(isinstance(raw, dict), "instance: expected a JSON object")
-    _require(raw.get("format") == 1, "instance: missing or unsupported 'format' (expected 1)")
-    _require("attributes" in raw, "instance: missing 'attributes'")
-    attributes = tuple(
-        _parse_attribute(i, a) for i, a in enumerate(raw["attributes"])
-    )
+    if not isinstance(doc, dict):
+        raise _wrong_type("instance", "an object", doc)
+    _require(_field(doc, "format", "a number", "") == 1, "format: unsupported version (expected 1)")
+    parsed = [_parse_attribute(i, a) for i, a in enumerate(_items(doc, "attributes", "an object", ""))]
+    attributes = tuple(schema for schema, _ in parsed)
     attr_ids = {a.name: a.attr_id for a in attributes}
     _require(len(attr_ids) == len(attributes), "attributes: duplicate names")
-
-    def resolve_attr(label, where: str) -> int:
-        if isinstance(label, int):
-            _require(0 <= label < len(attributes), f"{where}: attribute index out of range")
-            return label
-        _require(label in attr_ids, f"{where}: unknown attribute {label!r}")
-        return attr_ids[label]
-
-    edges = []
-    for j, pair in enumerate(raw.get("importance_edges", [])):
-        where = f"importance_edges[{j}]"
-        _require(isinstance(pair, list) and len(pair) == 2, f"{where}: expected a pair")
-        edges.append((resolve_attr(pair[0], where), resolve_attr(pair[1], where)))
+    attr_ids.update((i, i) for i in range(len(attributes)))  # an edge may give the index
+    edges = [
+        _resolve(attr_ids, pair, "attribute", f"importance_edges[{j}]")
+        for j, pair in enumerate(_items(doc, "importance_edges", "a pair", "", []))
+    ]
     try:
         importance = build_order(edges, len(attributes))
     except CycleError as exc:
         raise InstanceError(f"importance_edges: {exc}") from exc
     spec = PreferenceSpec(attributes=attributes, importance=importance)
 
+    label_ids = [ids for _, ids in parsed]
     components: list[Component] = []
     component_ids: dict[str, int] = {}
-    for entry in raw.get("components", []):
-        _require(
-            isinstance(entry, dict) and "name" in entry and "valuation" in entry,
-            "components: each entry needs 'name' and 'valuation'",
-        )
-        name = entry["name"]
-        _require(name not in component_ids, f"components: duplicate name {name!r}")
-        component_ids[name] = len(components)
+    for i, entry in enumerate(_items(doc, "components", "an object", "", [])):
+        where = f"components[{i}]"
+        name = _field(entry, "name", "a string", where)
+        _require(name not in component_ids, f"{where}.name: duplicate name {name!r}")
+        valuation = _field(entry, "valuation", "an object", where)
+        component_ids[name] = i
         components.append(
-            Component(
-                comp_id=len(components),
-                name=name,
-                base_valuation=_parse_component_valuation(spec, name, entry["valuation"]),
-            )
+            Component(i, name, _parse_valuation(spec, label_ids, valuation, f"{where}.valuation"))
         )
 
-    has_sets = "feasible_sets" in raw
-    has_sim = "simulate" in raw
     _require(
-        has_sets != has_sim,
+        ("feasible_sets" in doc) != ("simulate" in doc),
         "instance: exactly one of 'feasible_sets' or 'simulate' must be present",
     )
-    sequences = None
-    sim_config = None
-    if has_sets:
-        sequences = []
-        for j, group in enumerate(raw["feasible_sets"]):
-            where = f"feasible_sets[{j}]"
-            _require(isinstance(group, list), f"{where}: expected a list of component names")
-            seq = []
-            for name in group:
-                _require(name in component_ids, f"{where}: unknown component {name!r}")
-                seq.append(component_ids[name])
-            sequences.append(seq)
-    else:
-        entry = raw["simulate"]
-        _require(isinstance(entry, dict), "simulate: expected an object")
-        known = {f.name for f in dataclasses.fields(simulator.SimConfig)}
-        unknown = set(entry) - known
-        _require(not unknown, f"simulate: unknown fields {sorted(unknown)}")
+    if "feasible_sets" in doc:
+        sequences = [
+            _resolve(component_ids, group, "component", f"feasible_sets[{j}]")
+            for j, group in enumerate(_items(doc, "feasible_sets", "a list", ""))
+        ]
+        return Instance(spec, components, component_ids, sequences, None)
+    entry = _field(doc, "simulate", "an object", "")
+    unknown = set(entry) - {f.name for f in dataclasses.fields(simulator.SimConfig)}
+    _require(not unknown, f"simulate: unknown fields {sorted(unknown)}")
+    try:
         sim_config = simulator.SimConfig(**entry)
-    return Instance(
-        spec=spec,
-        components=components,
-        component_ids=component_ids,
-        feasible_sequences=sequences,
-        sim_config=sim_config,
-        raw=raw,
-    )
+    except ValueError as exc:  # its message starts with the field name
+        raise InstanceError(f"simulate.{exc}") from None
+    return Instance(spec, components, component_ids, None, sim_config)
 
 
 def load_instance(path: str) -> Instance:
@@ -239,74 +247,22 @@ def load_instance(path: str) -> Instance:
             pass
     try:
         with open(path) as handle:
-            raw = json.load(handle)
+            doc = json.load(handle)
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    return parse_instance(raw)
-
-
-def instance_to_document(instance: Instance) -> dict:
-    """Re-serialize an instance to an equivalent document (round-trip form)."""
-    attributes = []
-    for attr in instance.spec.attributes:
-        entry: dict = {
-            "name": attr.name,
-            "domain": list(attr.domain),
-            "intra_edges": [
-                [attr.domain[x], attr.domain[y]] for x, y in attr.intra_order.edges()
-            ],
-            "agg": attr.agg_kind.value,
-        }
-        if attr.numeric_values is not None:
-            entry["numeric_values"] = list(attr.numeric_values)
-        if attr.sum_polarity is not None:
-            entry["sum_polarity"] = attr.sum_polarity.value
-        attributes.append(entry)
-    doc: dict = {
-        "format": 1,
-        "attributes": attributes,
-        "importance_edges": [
-            [instance.spec.attributes[x].name, instance.spec.attributes[y].name]
-            for x, y in instance.spec.importance.edges()
-        ],
-        "components": [
-            {
-                "name": comp.name,
-                "valuation": {
-                    attr.name: (
-                        value.scalar
-                        if not value.is_frontier
-                        else attr.domain[next(iter(value.frontier))]
-                    )
-                    for attr, value in zip(instance.spec.attributes, comp.base_valuation.per_attribute)
-                },
-            }
-            for comp in instance.components
-        ],
-    }
-    if instance.feasible_sequences is not None:
-        doc["feasible_sets"] = [
-            [instance.components[i].name for i in seq]
-            for seq in instance.feasible_sequences
-        ]
-    else:
-        assert instance.sim_config is not None
-        doc["simulate"] = dataclasses.asdict(instance.sim_config)
-    return doc
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise InstanceError(f"{path}: {exc}") from exc
+    return parse_instance(doc)
 
 
 def _provider_for(instance: Instance, fdelay_ms: float, budget: int) -> FeasibilityProvider:
     if instance.feasible_sequences is not None:
         return ExplicitProvider(
-            instance.spec,
-            instance.components,
-            instance.feasible_sequences,
-            fdelay_ms=fdelay_ms,
-            budget=budget,
+            instance.spec, instance.components, instance.feasible_sequences,
+            fdelay_ms=fdelay_ms, budget=budget,
         )
-    assert instance.sim_config is not None
     for attr in instance.spec.attributes:
         _require(
             len(attr.domain) > 0,
@@ -367,37 +323,23 @@ def _dump_json(doc: dict, path: Optional[str]) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         instance = load_instance(args.instance)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = validate(instance.spec, strict_interval=args.strict)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    if not report.ok:
+        report = validate(instance.spec, strict_interval=args.strict)
+        for warning in report.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
         for problem in report.errors:
             print(f"error: {problem}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        if not report.ok:
+            return EXIT_INPUT
         provider = _provider_for(instance, fdelay_ms=0.0, budget=args.budget)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    options = {
+        "a3": {"pick_seed": args.pick},
+        "a4": {"extend_feasible": args.extend_feasible},
+    }.get(args.algorithm, {})
     try:
-        if args.algorithm == "a1":
-            result = compose_and_filter(instance.spec, provider)
-        elif args.algorithm == "a2":
-            result = weakly_complete_compose(instance.spec, provider)
-        elif args.algorithm == "a3":
-            if args.pick == "lowest":
-                result = att_weakly_complete_compose(instance.spec, provider, pick="lowest")
-            else:
-                result = att_weakly_complete_compose(
-                    instance.spec, provider, pick="seeded", pick_seed=int(args.pick)
-                )
-        else:
-            result = interleave_compose(
-                instance.spec, provider, extend_feasible=args.extend_feasible
-            )
+        result = ALGORITHMS[args.algorithm](instance.spec, provider, **options)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
@@ -406,28 +348,26 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.config:
-        try:
+    try:
+        if args.config:
             with open(args.config) as handle:
-                raw = json.load(handle)
-            config = simulator.SimConfig(**raw)
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
-            print(f"error: cannot load config: {exc}", file=sys.stderr)
-            return EXIT_INPUT
-    else:
-        config = simulator.SimConfig(
-            feas=args.feas,
-            domain_size=args.n,
-            attr_count=args.m,
-            repo_size=args.r,
-            fdelay_ms=args.fdelay,
-            intra_kind=args.intra,
-            importance_kind=args.imp,
-            valuation_mode=args.valuation_mode,
-            seed=args.seed,
-        )
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+                config = simulator.SimConfig(**json.load(handle))
+        else:
+            config = simulator.SimConfig(
+                feas=args.feas,
+                domain_size=args.n,
+                attr_count=args.m,
+                repo_size=args.r,
+                fdelay_ms=args.fdelay,
+                intra_kind=args.intra,
+                importance_kind=args.imp,
+                valuation_mode=args.valuation_mode,
+            )
+        if args.seed is not None:
+            config = dataclasses.replace(config, seed=args.seed)
+    except (OSError, TypeError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     for warning in config.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
@@ -473,13 +413,7 @@ def parse_relation_file(path: str) -> StrictOrder:
 def cmd_check_orders(args: argparse.Namespace) -> int:
     try:
         order = parse_relation_file(args.relation)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except CycleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # InstanceError and CycleError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     flags = classify(order)
@@ -534,6 +468,11 @@ def cmd_props(args: argparse.Namespace) -> int:
     return EXIT_OK if all_ok else EXIT_EXPECTATION
 
 
+def pick_seed(text: str) -> Optional[int]:
+    """``--pick``: None for ``lowest``, else the integer seed of a random pick."""
+    return None if text == "lowest" else int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefcompose",
@@ -543,9 +482,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="run one algorithm on an instance file")
     solve.add_argument("instance", help="instance JSON path or bundled fixture name")
-    solve.add_argument("--algorithm", choices=("a1", "a2", "a3", "a4"), default="a1")
+    solve.add_argument("--algorithm", choices=tuple(ALGORITHMS), default="a1")
     solve.add_argument(
         "--pick",
+        type=pick_seed,
         default="lowest",
         help="a3 attribute pick: 'lowest' or an integer seed for a random pick",
     )
@@ -567,7 +507,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="simulated cost per extension call (ms)")
     sim.add_argument("--intra", choices=("po", "to"), default="po")
     sim.add_argument("--imp", choices=("io", "to"), default="io")
-    sim.add_argument("--valuation-mode", choices=("random_per_node", "aggregated"),
+    sim.add_argument("--valuation-mode", choices=simulator.VALUATION_MODES,
                      default="random_per_node")
     sim.add_argument("--algorithms", default="a1,a3,a4")
     sim.add_argument("--reps", type=int, default=1)
@@ -575,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--csv", help="write records to this CSV path")
     sim.add_argument("--real-sleep", action="store_true",
                      help="sleep for fdelay instead of simulating it")
-    sim.set_defaults(func=cmd_simulate, seed_default=0)
+    sim.set_defaults(func=cmd_simulate)
 
     orders = sub.add_parser("check-orders", help="classify a relation text file")
     orders.add_argument("relation")
@@ -593,10 +533,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "simulate" and args.seed is None and not args.config:
-        args.seed = 0
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -20,13 +21,7 @@ import numpy as np
 
 from . import oracle
 from .aggregation import AggValue, Valuation
-from .algorithms import (
-    RunResult,
-    att_weakly_complete_compose,
-    compose_and_filter,
-    interleave_compose,
-    weakly_complete_compose,
-)
+from .algorithms import ALGORITHMS, RunResult
 from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -44,6 +39,8 @@ CSV_HEADER = [
     "sp_over_pf", "sp_over_s",
 ]
 
+VALUATION_MODES = ("random_per_node", "aggregated")
+
 USUAL_RANGES = {
     "feas": (0.25, 0.5, 0.75, 1.0),
     "domain_size": (2, 4, 6, 8, 10),
@@ -51,6 +48,14 @@ USUAL_RANGES = {
     "repo_size": tuple(range(10, 201, 10)),
     "fdelay_ms": (1, 10, 100, 1000),
 }
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -65,6 +70,26 @@ class SimConfig:
     valuation_mode: str = "random_per_node"  # random_per_node | aggregated
     seed: int = 0
     density: float = 0.3
+
+    def __post_init__(self) -> None:
+        """Reject a field of the wrong type or out of the range generation
+        needs, with a ``ValueError`` whose message starts with the field name."""
+        def check(name: str, ok: bool, expected: str) -> None:
+            if not ok:
+                raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
+
+        for name, low in (("domain_size", 1), ("attr_count", 1), ("repo_size", 0), ("seed", 0)):
+            value = getattr(self, name)
+            check(name, _is_integer(value) and value >= low, f"an integer >= {low}")
+        for name in ("feas", "density"):
+            value = getattr(self, name)
+            check(name, _is_real(value) and 0 <= value <= 1, "a number in [0, 1]")
+        check("fdelay_ms", _is_real(self.fdelay_ms) and 0 <= self.fdelay_ms < math.inf,
+              "a finite number >= 0")
+        kinds = (*_KIND_ALIASES, *_KIND_ALIASES.values())
+        for name in ("intra_kind", "importance_kind"):
+            check(name, getattr(self, name) in kinds, f"one of {kinds}")
+        check("valuation_mode", self.valuation_mode in VALUATION_MODES, f"one of {VALUATION_MODES}")
 
     def range_warnings(self) -> list[str]:
         out = []
@@ -252,11 +277,9 @@ def generate_tree(
             node_valuation[node] = merge_valuations(
                 spec, node_valuation[parent[node]], component_base[node_component[node]]
             )
-    elif config.valuation_mode == "random_per_node":
+    else:  # random_per_node
         for node in range(1, r + 1):
             node_valuation[node] = random_single_valuation(spec, rng)
-    else:
-        raise ValueError(f"unknown valuation mode {config.valuation_mode!r}")
 
     leaves = [node for node in range(1, r + 1) if not children[node]]
     if not leaves:  # r == 0 never happens (repo_size >= 1), root-only guard
@@ -324,14 +347,6 @@ def tree_provider(
     return TreeProvider(tree, fdelay_ms=fdelay_ms, budget=budget, real_sleep=real_sleep)
 
 
-_ALGORITHM_RUNNERS = {
-    "a1": compose_and_filter,
-    "a2": weakly_complete_compose,
-    "a3": att_weakly_complete_compose,
-    "a4": interleave_compose,
-}
-
-
 def run_instance(
     spec: PreferenceSpec,
     tree: RecursiveTree,
@@ -354,7 +369,7 @@ def run_instance(
             tree, fdelay_ms=config.fdelay_ms, budget=budget, real_sleep=real_sleep
         )
         try:
-            result: RunResult = _ALGORITHM_RUNNERS[name](spec, provider)
+            result: RunResult = ALGORITHMS[name](spec, provider)
         except BudgetExceeded:  # recorded as an empty run, not fatal
             records.append(
                 ExperimentRecord(
@@ -391,7 +406,7 @@ def run_experiment(
     algorithm on each; instance seeds derive from the config seed and are
     recorded for exact replay."""
     for name in algorithms:
-        if name not in _ALGORITHM_RUNNERS:
+        if name not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {name!r}")
     root = np.random.default_rng(config.seed)
     records = []

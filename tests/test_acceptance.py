@@ -109,12 +109,10 @@ def test_criterion_03_per_attribute_fixture_exactness(announce):
     assert sorted(map(str, _truth(tradeoff))) == ["(0,)", "(1,)", "(2,)"]
 
     single = load_instance("single_attribute_unsound")
-    first = att_weakly_complete_compose(single.spec, _explicit(single), pick="lowest")
+    first = att_weakly_complete_compose(single.spec, _explicit(single))
     assert first.config["picked_attribute"] == 0
     assert _names(single, first) == [("C1",), ("C3",)]
-    second = att_weakly_complete_compose(
-        single.spec, _explicit(single), pick="seeded", pick_seed=0
-    )
+    second = att_weakly_complete_compose(single.spec, _explicit(single), pick_seed=0)
     assert second.config["picked_attribute"] == 1
     assert _names(single, second) == [("C1",), ("C2",)]
     assert sorted(map(str, _truth(single))) == ["(0,)"]

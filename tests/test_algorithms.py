@@ -14,7 +14,7 @@ from prefcompose import (
 )
 from prefcompose.aggregation import strictly_preferred
 from prefcompose.algorithms import _filter_attribute
-from prefcompose.cli import load_instance
+from prefcompose.cli import load_instance, main
 from prefcompose.composition import Composition
 from prefcompose.oracle import (
     brute_nondominated,
@@ -102,7 +102,7 @@ def test_single_attribute_algorithm_first_pick(single_attr):
 
 def test_single_attribute_algorithm_second_pick(single_attr):
     result = att_weakly_complete_compose(
-        single_attr.spec, _provider(single_attr), pick="seeded", pick_seed=0
+        single_attr.spec, _provider(single_attr), pick_seed=0
     )
     assert result.config["picked_attribute"] == 1
     assert _names(single_attr, result) == [("C1",), ("C2",)]
@@ -111,9 +111,9 @@ def test_single_attribute_algorithm_second_pick(single_attr):
 def test_single_attribute_algorithm_not_sound_but_weakly_complete(single_attr):
     truth = _truth(single_attr)
     assert sorted(map(str, truth)) == ["(0,)"]
-    for pick, seed in (("lowest", None), ("seeded", 0)):
+    for seed in (None, 0):
         result = att_weakly_complete_compose(
-            single_attr.spec, _provider(single_attr), pick=pick, pick_seed=seed
+            single_attr.spec, _provider(single_attr), pick_seed=seed
         )
         assert check_weak_completeness(result, truth)
         assert not check_soundness(result, truth)
@@ -244,9 +244,12 @@ def test_budget_exhaustion_propagates(unsound):
         interleave_compose(unsound.spec, _provider(unsound, budget=0))
 
 
-def test_unknown_pick_policy_rejected(unsound):
-    with pytest.raises(ValueError):
-        att_weakly_complete_compose(unsound.spec, _provider(unsound), pick="whatever")
+def test_unknown_pick_policy_rejected(capsys):
+    # a3's pick is the lowest id or an integer seed; anything else is a usage error
+    with pytest.raises(SystemExit) as exit_info:
+        main(["solve", "interleave_unsound", "--algorithm", "a3", "--pick", "whatever"])
+    assert exit_info.value.code == 2
+    assert "--pick" in capsys.readouterr().err
 
 
 def test_attribute_filter_matches_maximal_set_over_strict_preference(rng):

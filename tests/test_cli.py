@@ -1,10 +1,16 @@
-"""Command-line behavior: exit codes, output formats, determinism, round-trips."""
+"""Command-line behavior: exit codes, output formats, determinism, input errors."""
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefcompose.cli import (
     EXIT_BUDGET,
@@ -12,8 +18,6 @@ from prefcompose.cli import (
     EXIT_INPUT,
     EXIT_OK,
     InstanceError,
-    instance_to_document,
-    load_instance,
     main,
     parse_instance,
 )
@@ -216,23 +220,6 @@ def test_every_bundled_fixture_solves(tmp_path):
         assert doc["format"] == 1 and doc["solutions"], name
 
 
-def test_every_bundled_fixture_round_trips():
-    for name in NAMES:
-        instance = load_instance(name)
-        doc = instance_to_document(instance)
-        again = parse_instance(doc)
-        assert again.spec.importance == instance.spec.importance
-        assert len(again.spec.attributes) == len(instance.spec.attributes)
-        for a, b in zip(again.spec.attributes, instance.spec.attributes):
-            assert a.domain == b.domain
-            assert a.intra_order == b.intra_order
-            assert a.agg_kind == b.agg_kind
-        assert [c.base_valuation for c in again.components] == [
-            c.base_valuation for c in instance.components
-        ]
-        assert again.feasible_sequences == instance.feasible_sequences
-
-
 def test_instance_requires_exactly_one_search_space():
     doc = json.loads(open(fixture_path("tradeoff_compromise")).read())
     doc["simulate"] = {"repo_size": 5}
@@ -328,3 +315,178 @@ def test_instance_with_simulate_block_solves(tmp_path):
     code, result = _solve(tmp_path, str(path), "--algorithm", "a1")
     assert code == EXIT_OK
     assert result["format"] == 1
+
+
+# --------------------------------------------------------------------------
+# Malformed input: exit 2 with the path of the bad field, never a traceback.
+
+_GOOD = {
+    "format": 1,
+    "attributes": [
+        {"name": "quality", "domain": ["good", "bad"], "intra_edges": [["good", "bad"]],
+         "agg": "worst_frontier"},
+        {"name": "cost", "domain": ["low", "high"], "agg": "sum", "numeric_values": [1, 5],
+         "sum_polarity": "lower"},
+    ],
+    "importance_edges": [["quality", "cost"]],
+    "components": [
+        {"name": "A", "valuation": {"quality": "good", "cost": "high"}},
+        {"name": "B", "valuation": {"quality": "bad", "cost": 2}},
+    ],
+    "feasible_sets": [["A"], ["A", "B"]],
+}
+
+# (where to put the value, the value, the path the error must name)
+_MALFORMED = [
+    (("attributes",), 5, "attributes"),
+    (("attributes", 0, "name"), ["quality"], "attributes[0].name"),
+    (("attributes", 0, "domain", 1), ["bad"], "attributes[0].domain[1]"),
+    (("attributes", 0, "intra_edges"), 5, "attributes[0].intra_edges"),
+    (("attributes", 0, "intra_edges", 0, 0), ["good"], "attributes[0].intra_edges[0]"),
+    (("attributes", 1, "numeric_values"), "ab", "attributes[1].numeric_values"),
+    (("attributes", 1, "numeric_values"), 5, "attributes[1].numeric_values"),
+    (("attributes", 1, "numeric_values"), ["a", "b"], "attributes[1].numeric_values[0]"),
+    (("attributes", 1, "numeric_values"), [1], "components[0].valuation.cost"),
+    (("importance_edges",), 5, "importance_edges"),
+    (("importance_edges", 0, 0), ["quality"], "importance_edges[0]"),
+    (("components",), 5, "components"),
+    (("components", 0, "name"), ["A"], "components[0].name"),
+    (("components", 0, "valuation"), 5, "components[0].valuation"),
+    (("feasible_sets",), 5, "feasible_sets"),
+    (("feasible_sets",), [[["A"]]], "feasible_sets[0]"),
+    (("simulate",), {"repo_size": "x"}, "simulate.repo_size"),
+    (("simulate",), {"feas": 2.0}, "simulate.feas"),
+    (("simulate",), {"seed": -1}, "simulate.seed"),
+    (("simulate",), {"valuation_mode": "x"}, "simulate.valuation_mode"),
+    (("simulate",), {"fdelay_ms": "x"}, "simulate.fdelay_ms"),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, path", _MALFORMED, ids=[f"{p}={v!r}" for _, v, p in _MALFORMED]
+)
+def test_malformed_instance_names_the_field(tmp_path, capsys, where, value, path):
+    doc = copy.deepcopy(_GOOD)
+    if where == ("simulate",):
+        del doc["feasible_sets"]
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    instance = tmp_path / "bad.json"
+    instance.write_text(json.dumps(doc))
+    assert main(["solve", str(instance)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f" {path}:" in err, err
+
+
+@pytest.mark.parametrize("args, field", [
+    (["--config", "{config}"], "repo_size"),
+    (["--m", "0"], "attr_count"),
+])
+def test_malformed_simulate_config_names_the_field(tmp_path, capsys, args, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"repo_size": "x"}))
+    argv = [arg.format(config=config) for arg in args]
+    assert main(["simulate", *argv, "--algorithms", "a3"]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err, err
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.just(float("nan"))
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=5,
+)
+_FIXTURE_DOCS = {name: json.loads(open(fixture_path(name)).read()) for name in NAMES}
+
+
+@settings(max_examples=150, deadline=None)
+@given(name=st.sampled_from(NAMES), data=st.data(), value=_JSON_VALUES)
+def test_solve_survives_one_replaced_value(name, data, value):
+    doc = copy.deepcopy(_FIXTURE_DOCS[name])
+    where = data.draw(st.sampled_from(list(_paths(doc))))
+    if where:
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = value
+    else:
+        doc = value
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "fuzzed.json")
+        with open(path, "w") as handle:
+            json.dump(doc, handle)
+        assert main(["solve", path, "--out", os.path.join(scratch, "out.json")]) in (
+            EXIT_OK, EXIT_INPUT, EXIT_BUDGET
+        )
+
+
+# --------------------------------------------------------------------------
+# The solve output of every bundled fixture, pinned byte for byte.
+
+_SOLVE_DIGESTS = {
+    ("courses", "a1"): "0d342e65d8cd5e53caa1dd66f601665765917aa4f6689ff78243742442764ced",
+    ("courses", "a2"): "47c219bf9171cee7a6318447bd9bce21699db416d8dfaf1871e67a79836cac5b",
+    ("courses", "a3"): "7bff73fea4399953fa160c7b4ca862ddcebd4742ae355d69da91bec2cb0f0aae",
+    ("courses", "a4"): "9b316fd0c9e3c13e836167819ce4463a963613d257f0a68c5677e3f8ac1bb939",
+    ("courses", "a3 --pick 0"): "7bff73fea4399953fa160c7b4ca862ddcebd4742ae355d69da91bec2cb0f0aae",
+    ("courses", "a4 --extend-feasible"):
+        "a5114e87413f89bfdb84c3cfdd0220a591822535ab49f1a95772eac906f83f5e",
+    ("intransitive_importance", "a1"):
+        "6ceb1ce3df8985bd2e4bb1df66cb75ffdb394e404eea5025f12e590c9be8d8e9",
+    ("intransitive_importance", "a2"):
+        "edfc6e8d523c67b0d9c548f3289ecc5a327bb81e680ae37accab050ad38f5744",
+    ("intransitive_importance", "a3"):
+        "d9f0d506c2451777151dbbc2435a99497baf22e49fe9a3109af7150d81672c9a",
+    ("intransitive_importance", "a4"):
+        "4a5932517da57c6d90f64464e0c1b1c4595867915790710e85e72cda9abd48c9",
+    ("intransitive_importance", "a3 --pick 0"):
+        "2c7fee94f80d7896ab954a409a5aaa054df1643225fd181a40a0b7722be8948d",
+    ("intransitive_importance", "a4 --extend-feasible"):
+        "5e7b2a43b50a0d66192eea89bd2fecd279e508a0e8499d37d4ee4deaad72c7f5",
+    ("interleave_unsound", "a1"): "a7fe68c8571a958af96b4f03d7d19f9aa4cfccc6c73191c4b0e60fa48d23bdbe",
+    ("interleave_unsound", "a2"): "27ffd764bc4acb3c53f94daedca7bdca85813bbba3b4623119450830ffa98f33",
+    ("interleave_unsound", "a3"): "13ca73627cd5af2ce66e3481b399c436021a98b65e9296e1f3e2a97e069f7498",
+    ("interleave_unsound", "a4"): "56c0831df0f2508313e044d478a4501d1d1146b97542a75015b395badae71d9c",
+    ("interleave_unsound", "a3 --pick 0"):
+        "13ca73627cd5af2ce66e3481b399c436021a98b65e9296e1f3e2a97e069f7498",
+    ("interleave_unsound", "a4 --extend-feasible"):
+        "2f1771dba25a63f4f12f187b6892f7633d2d2c1c9f9ecc0850b7e5de2bbf34ac",
+    ("tradeoff_compromise", "a1"): "d15046500bd24c04d135fd7f6e91e755284979b360330ed7d947993ae7c8ff92",
+    ("tradeoff_compromise", "a2"): "a5e9e926b0f234f87b516bc7c70307408fe701de73e6da95000eb57c8ffcd2a4",
+    ("tradeoff_compromise", "a3"): "d5ef092cae5ef83482475bc86b113f1229a67b0bf7c5594d1a3d4edd15a2d16a",
+    ("tradeoff_compromise", "a4"): "40d17c67c369366b5d0e4ac549253584ab8de5d9b0cddb76f05382d586f06c8f",
+    ("tradeoff_compromise", "a3 --pick 0"):
+        "08d8bfd7437b73d5f078fd3a5d506e88dddab9c6dc745f32723448949583c75b",
+    ("tradeoff_compromise", "a4 --extend-feasible"):
+        "4b18c1cd69cb4d53ac565f659509b2aa6ed106ce337c27c00a1867dc28247c8a",
+    ("single_attribute_unsound", "a1"):
+        "d8f73e8e5e05e40e2571bcf312034460f989efe6699fba81024cf0dc6a1d37c7",
+    ("single_attribute_unsound", "a2"):
+        "c6cf6f0db7d558f21735a525cd2f86ac102ac50b540e8fea77d3d54bf26be1e3",
+    ("single_attribute_unsound", "a3"):
+        "4c64d12eede4b7f2670dd1f8919d230be5e0e52cb81a4b67d430557e17e07f10",
+    ("single_attribute_unsound", "a4"):
+        "79a1db618019e389947aab2ac6aa54d0a4708c4a36cac9f4d1d44d8435d249a2",
+    ("single_attribute_unsound", "a3 --pick 0"):
+        "167f7618b11d2482ce1aafa94916b577bbed587a447179b535f121d4e901a155",
+    ("single_attribute_unsound", "a4 --extend-feasible"):
+        "c3d1d215093afabea753d9d9859bfdd967fa5f2d73561dd6e6a98c3e6d610559",
+}
+
+
+@pytest.mark.parametrize("name, options", sorted(_SOLVE_DIGESTS))
+def test_solve_output_is_pinned(capsys, name, options):
+    algorithm, *rest = options.split()
+    assert main(["solve", name, "--algorithm", algorithm, *rest]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _SOLVE_DIGESTS[name, options]
