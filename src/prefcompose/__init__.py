@@ -37,10 +37,7 @@ from .composition import (
     extend,
 )
 from .dominance import (
-    DominanceOutcome,
-    Relation,
     ShapeError,
-    compare,
     dominates,
     nondominated,
     witnesses,
@@ -78,13 +75,11 @@ __all__ = [
     "Composition",
     "CycleError",
     "DomainError",
-    "DominanceOutcome",
     "ExplicitProvider",
     "FeasibilityProvider",
     "KindMismatch",
     "OrderClass",
     "PreferenceSpec",
-    "Relation",
     "RunResult",
     "ShapeError",
     "SizeLimitError",
@@ -96,7 +91,6 @@ __all__ = [
     "att_weakly_complete_compose",
     "build_order",
     "classify",
-    "compare",
     "compose_and_filter",
     "dominates",
     "empty_composition",

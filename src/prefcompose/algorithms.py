@@ -16,9 +16,8 @@
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
 from .dominance import PackedPool
@@ -36,7 +35,7 @@ class RunResult:
     config: dict = field(default_factory=dict)
 
 
-def _sorted_solutions(comps: Sequence[Composition]) -> list[Composition]:
+def _sorted_solutions(comps: Iterable[Composition]) -> list[Composition]:
     return sorted(comps, key=lambda c: (c.members, str(c.provider_node)))
 
 
@@ -52,53 +51,44 @@ def _filter_attribute(
     return [comps[i] for i in kept]
 
 
-class _RunClock:
-    """Elapsed time of one run: simulated provider delay by default, wall
-    clock when the provider really sleeps."""
+class _Cost:
+    """The provider's counters when a run starts; the run costs their change."""
 
     def __init__(self, provider: FeasibilityProvider):
         self.provider = provider
-        self.sim_start = provider.simulated_ms
-        self.wall_start = time.perf_counter()
+        self.fcount = provider.invocation_count
+        self.simulated_ms = provider.simulated_ms
 
-    def elapsed_ms(self) -> float:
-        if getattr(self.provider, "real_sleep", False):
-            return (time.perf_counter() - self.wall_start) * 1000.0
-        return self.provider.simulated_ms - self.sim_start
+    def result(self, algorithm: str, solutions: Iterable[Composition], **config) -> RunResult:
+        return RunResult(
+            algorithm=algorithm,
+            solutions=_sorted_solutions(solutions),
+            elapsed_ms=self.provider.simulated_ms - self.simulated_ms,
+            fcount=self.provider.invocation_count - self.fcount,
+            config=config,
+        )
 
 
 def compose_and_filter(spec: PreferenceSpec, provider: FeasibilityProvider) -> RunResult:
     """Enumerate the feasible set, return its non-dominated subset."""
-    clock = _RunClock(provider)
-    fcount0 = provider.invocation_count
+    cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
     solutions = _filter_dominance(spec, feasible)
-    return RunResult(
-        algorithm="a1",
-        solutions=_sorted_solutions(solutions),
-        elapsed_ms=clock.elapsed_ms(),
-        fcount=provider.invocation_count - fcount0,
-    )
+    return cost.result("a1", solutions)
 
 
 def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider) -> RunResult:
     """Union, over the most important attributes, of the non-dominated subset
     of each attribute's best compositions.  The feasible set is enumerated
     once and reused across the attribute loop."""
-    clock = _RunClock(provider)
-    fcount0 = provider.invocation_count
+    cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
     chosen: dict = {}
     for attr_id in sorted(most_important_set(spec)):
         best_for_attr = _filter_attribute(spec, feasible, attr_id)
         for comp in _filter_dominance(spec, best_for_attr):
             chosen.setdefault(comp.key(), comp)
-    return RunResult(
-        algorithm="a2",
-        solutions=_sorted_solutions(chosen.values()),
-        elapsed_ms=clock.elapsed_ms(),
-        fcount=provider.invocation_count - fcount0,
-    )
+    return cost.result("a2", chosen.values())
 
 
 def att_weakly_complete_compose(
@@ -111,8 +101,7 @@ def att_weakly_complete_compose(
     With ``pick_seed`` None that attribute is the one with the lowest id, for
     reproducibility; otherwise it is drawn uniformly with that seed.
     """
-    clock = _RunClock(provider)
-    fcount0 = provider.invocation_count
+    cost = _Cost(provider)
     important = sorted(most_important_set(spec))
     if pick_seed is None:
         attr_id = important[0]
@@ -120,13 +109,7 @@ def att_weakly_complete_compose(
         attr_id = random.Random(pick_seed).choice(important)
     feasible = enumerate_feasible(provider)
     solutions = _filter_attribute(spec, feasible, attr_id)
-    return RunResult(
-        algorithm="a3",
-        solutions=_sorted_solutions(solutions),
-        elapsed_ms=clock.elapsed_ms(),
-        fcount=provider.invocation_count - fcount0,
-        config={"picked_attribute": attr_id},
-    )
+    return cost.result("a3", solutions, picked_attribute=attr_id)
 
 
 def interleave_compose(
@@ -143,23 +126,11 @@ def interleave_compose(
     min/max), and pointless under worst-frontier aggregation where an
     extension never dominates what it extends.
     """
-    clock = _RunClock(provider)
-    fcount0 = provider.invocation_count
+    cost = _Cost(provider)
     working = list(initial) if initial is not None else [provider.root()]
     extended: set = set()
 
-    def result(solutions: Sequence[Composition]) -> RunResult:
-        return RunResult(
-            algorithm="a4",
-            solutions=_sorted_solutions(solutions),
-            elapsed_ms=clock.elapsed_ms(),
-            fcount=provider.invocation_count - fcount0,
-            config={"extend_feasible": extend_feasible},
-        )
-
-    while True:
-        if not working:
-            return result([])
+    while working:
         best = _filter_dominance(spec, working)
         best_keys = {c.key() for c in best}
         replacement: list[Composition] = []
@@ -183,10 +154,13 @@ def interleave_compose(
                 for ext in provider.extensions(comp):
                     absorb(ext)
         if replacement_keys == best_keys:
-            return result(best)
+            break
         rest = [c for c in working if c.key() not in best_keys]
         rest_keys = {c.key() for c in rest}
         working = rest + [c for c in replacement if c.key() not in rest_keys]
+    else:  # the working list ran out
+        best = []
+    return cost.result("a4", best, extend_feasible=extend_feasible)
 
 
 # The algorithms by the names the command line and the simulator use.

@@ -257,11 +257,10 @@ def load_instance(path: str) -> Instance:
     return parse_instance(doc)
 
 
-def _provider_for(instance: Instance, fdelay_ms: float, budget: int) -> FeasibilityProvider:
+def _provider_for(instance: Instance, budget: int) -> FeasibilityProvider:
     if instance.feasible_sequences is not None:
         return ExplicitProvider(
-            instance.spec, instance.components, instance.feasible_sequences,
-            fdelay_ms=fdelay_ms, budget=budget,
+            instance.spec, instance.components, instance.feasible_sequences, budget=budget
         )
     for attr in instance.spec.attributes:
         _require(
@@ -330,7 +329,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             print(f"error: {problem}", file=sys.stderr)
         if not report.ok:
             return EXIT_INPUT
-        provider = _provider_for(instance, fdelay_ms=0.0, budget=args.budget)
+        provider = _provider_for(instance, budget=args.budget)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -370,12 +369,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     for warning in config.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     try:
-        records = simulator.run_experiment(
-            config, algorithms, repetitions=args.reps, real_sleep=args.real_sleep
-        )
-    except ValueError as exc:
+        records = simulator.run_experiment(config, args.algorithms, repetitions=args.reps)
+    except ValueError as exc:  # an unknown algorithm name
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.csv:
@@ -473,6 +469,22 @@ def pick_seed(text: str) -> Optional[int]:
     return None if text == "lowest" else int(text)
 
 
+def positive_int(text: str) -> int:
+    """``--trials``, ``--reps``: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
+    return value
+
+
+def algorithm_names(text: str) -> list[str]:
+    """``--algorithms``: a nonempty comma-separated list of names."""
+    names = [name.strip() for name in text.split(",") if name.strip()]
+    if not names:
+        raise argparse.ArgumentTypeError("expected at least one algorithm name")
+    return names
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prefcompose",
@@ -509,12 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--imp", choices=("io", "to"), default="io")
     sim.add_argument("--valuation-mode", choices=simulator.VALUATION_MODES,
                      default="random_per_node")
-    sim.add_argument("--algorithms", default="a1,a3,a4")
-    sim.add_argument("--reps", type=int, default=1)
+    sim.add_argument("--algorithms", type=algorithm_names, default="a1,a3,a4")
+    sim.add_argument("--reps", type=positive_int, default=1)
     sim.add_argument("--seed", type=int, default=None)
     sim.add_argument("--csv", help="write records to this CSV path")
-    sim.add_argument("--real-sleep", action="store_true",
-                     help="sleep for fdelay instead of simulating it")
     sim.set_defaults(func=cmd_simulate)
 
     orders = sub.add_parser("check-orders", help="classify a relation text file")
@@ -525,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     props = sub.add_parser("props", help="run the property-verification harness")
     props.add_argument("--property", default="all",
                        help="one of: " + ", ".join(oracle.PROPERTY_NAMES) + ", or 'all'")
-    props.add_argument("--trials", type=int, default=200)
+    props.add_argument("--trials", type=positive_int, default=200)
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--json", help="also write the reports as JSON to this path")
     props.set_defaults(func=cmd_props)

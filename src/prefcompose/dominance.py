@@ -14,8 +14,6 @@ relations on a two-row pool, so there is one implementation of the rule.
 
 from __future__ import annotations
 
-import enum
-from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -30,19 +28,6 @@ BLOCK_PAIRS = 1 << 14
 
 class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
-
-
-class Relation(enum.Enum):
-    FIRST_DOMINATES = "first_dominates"
-    SECOND_DOMINATES = "second_dominates"
-    INDIFFERENT = "indifferent"
-
-
-@dataclass(frozen=True)
-class DominanceOutcome:
-    relation: Relation
-    witness: Optional[int] = None
-    asymmetry_violation: bool = False
 
 
 def _check_shape(spec: PreferenceSpec, valuation: Valuation) -> None:
@@ -177,21 +162,6 @@ def witnesses(spec: PreferenceSpec, u: Valuation, v: Valuation) -> list[int]:
     """All attributes that certify u dominating v (empty when none)."""
     blocks = PackedPool(spec, (u, v))._witness_blocks(slice(0, 1), slice(1, 2))
     return [i for i, witnessed in blocks if witnessed[0, 0]]
-
-
-def compare(spec: PreferenceSpec, u: Valuation, v: Valuation) -> DominanceOutcome:
-    """Symmetrized dominance; flags the (theoretically impossible under an
-    interval importance order) case where both directions hold."""
-    pool = PackedPool(spec, (u, v))
-    forward = pool.witness(0, 1)
-    backward = pool.witness(1, 0)
-    if forward >= 0 and backward >= 0:
-        return DominanceOutcome(Relation.FIRST_DOMINATES, forward, asymmetry_violation=True)
-    if forward >= 0:
-        return DominanceOutcome(Relation.FIRST_DOMINATES, forward)
-    if backward >= 0:
-        return DominanceOutcome(Relation.SECOND_DOMINATES, backward)
-    return DominanceOutcome(Relation.INDIFFERENT)
 
 
 def nondominated(

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import numbers
-import time
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import oracle
 from .aggregation import AggValue, Valuation
-from .algorithms import ALGORITHMS, RunResult
+from .algorithms import ALGORITHMS
 from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -302,16 +301,9 @@ def generate_tree(
 class TreeProvider(FeasibilityProvider):
     """Feasibility provider backed by a generated recursive tree."""
 
-    def __init__(
-        self,
-        tree: RecursiveTree,
-        fdelay_ms: float = 0.0,
-        budget: int = DEFAULT_BUDGET,
-        real_sleep: bool = False,
-    ):
+    def __init__(self, tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
         super().__init__(fdelay_ms=fdelay_ms, budget=budget)
         self.tree = tree
-        self.real_sleep = real_sleep
 
     def _composition(self, node: int) -> Composition:
         tree = self.tree
@@ -330,8 +322,6 @@ class TreeProvider(FeasibilityProvider):
 
     def extensions(self, comp: Composition) -> list[Composition]:
         self._charge()
-        if self.real_sleep and self.fdelay_ms > 0:
-            time.sleep(self.fdelay_ms / 1000.0)
         return [self._composition(child) for child in self.tree.children[comp.provider_node]]
 
     def all_feasible(self) -> list[Composition]:
@@ -339,12 +329,9 @@ class TreeProvider(FeasibilityProvider):
 
 
 def tree_provider(
-    tree: RecursiveTree,
-    fdelay_ms: float = 0.0,
-    budget: int = DEFAULT_BUDGET,
-    real_sleep: bool = False,
+    tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET
 ) -> TreeProvider:
-    return TreeProvider(tree, fdelay_ms=fdelay_ms, budget=budget, real_sleep=real_sleep)
+    return TreeProvider(tree, fdelay_ms=fdelay_ms, budget=budget)
 
 
 def run_instance(
@@ -353,11 +340,15 @@ def run_instance(
     config: SimConfig,
     algorithms: Sequence[str],
     seed: int,
-    real_sleep: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> list[ExperimentRecord]:
     """Run the chosen algorithms on one generated instance and record the
-    ground-truth and per-run observables."""
+    ground-truth and per-run observables.
+
+    A run's cost is read from its own provider: ``fcount`` extension calls and
+    ``T_ms`` simulated delay.  A run that exhausts the budget is recorded with
+    no solutions and the calls it made until then.
+    """
     truth_provider = tree_provider(tree)
     feasible = truth_provider.all_feasible()
     truth = oracle.brute_nondominated(
@@ -365,21 +356,11 @@ def run_instance(
     )
     records = []
     for name in algorithms:
-        provider = tree_provider(
-            tree, fdelay_ms=config.fdelay_ms, budget=budget, real_sleep=real_sleep
-        )
+        provider = tree_provider(tree, fdelay_ms=config.fdelay_ms, budget=budget)
         try:
-            result: RunResult = ALGORITHMS[name](spec, provider)
+            produced = {c.key() for c in ALGORITHMS[name](spec, provider).solutions}
         except BudgetExceeded:  # recorded as an empty run, not fatal
-            records.append(
-                ExperimentRecord(
-                    algorithm=name, seed=seed, config=config,
-                    F=len(feasible), PF=len(truth), S=0, SP=0,
-                    T_ms=provider.simulated_ms, fcount=provider.invocation_count,
-                )
-            )
-            continue
-        produced = {c.key() for c in result.solutions}
+            produced = set()
         records.append(
             ExperimentRecord(
                 algorithm=name,
@@ -389,8 +370,8 @@ def run_instance(
                 PF=len(truth),
                 S=len(produced),
                 SP=len(produced & truth),
-                T_ms=result.elapsed_ms,
-                fcount=result.fcount,
+                T_ms=provider.simulated_ms,
+                fcount=provider.invocation_count,
             )
         )
     return records
@@ -400,7 +381,6 @@ def run_experiment(
     config: SimConfig,
     algorithms: Sequence[str] = ("a1", "a3", "a4"),
     repetitions: int = 1,
-    real_sleep: bool = False,
 ) -> list[ExperimentRecord]:
     """Generate ``repetitions`` independent instances and run every requested
     algorithm on each; instance seeds derive from the config seed and are
@@ -412,21 +392,18 @@ def run_experiment(
     records = []
     for _ in range(repetitions):
         child_seed = int(root.integers(0, 2**62))
-        records.extend(run_seeded_instance(config, algorithms, child_seed, real_sleep))
+        records.extend(run_seeded_instance(config, algorithms, child_seed))
     return records
 
 
 def run_seeded_instance(
-    config: SimConfig,
-    algorithms: Sequence[str],
-    child_seed: int,
-    real_sleep: bool = False,
+    config: SimConfig, algorithms: Sequence[str], child_seed: int
 ) -> list[ExperimentRecord]:
     """One fully reproducible instance: spec and tree derive from the seed."""
     rng = np.random.default_rng(child_seed)
     spec = random_spec(config, rng)
     tree = generate_tree(spec, config, rng)
-    return run_instance(spec, tree, config, algorithms, child_seed, real_sleep)
+    return run_instance(spec, tree, config, algorithms, child_seed)
 
 
 def write_csv(records: Iterable[ExperimentRecord], path: str) -> None:

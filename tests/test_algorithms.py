@@ -13,7 +13,7 @@ from prefcompose import (
     weakly_complete_compose,
 )
 from prefcompose.aggregation import strictly_preferred
-from prefcompose.algorithms import _filter_attribute
+from prefcompose.algorithms import ALGORITHMS, _filter_attribute
 from prefcompose.cli import load_instance, main
 from prefcompose.composition import Composition
 from prefcompose.oracle import (
@@ -213,6 +213,20 @@ def test_harness_records_budget_exhaustion_as_empty_run(rng):
     assert len(records) == 1
     assert records[0].S == records[0].SP == 0
     assert records[0].F > 0
+    # the call that exceeds the budget is counted and charged its delay
+    assert (records[0].fcount, records[0].T_ms) == (3, 3.0)
+
+
+def test_run_cost_is_the_change_in_provider_counters(rng):
+    config = SimConfig(repo_size=30, feas=1.0)
+    spec = random_spec(config, rng)
+    tree = generate_tree(spec, config, rng)
+    provider = tree_provider(tree, fdelay_ms=0.5)
+    for name, run in ALGORITHMS.items():
+        before = provider.invocation_count
+        result = run(spec, provider)
+        assert result.fcount == provider.invocation_count - before > 0, name
+        assert result.elapsed_ms == 0.5 * result.fcount, name
 
 
 def test_results_contain_only_feasible_compositions(rng):

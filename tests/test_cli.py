@@ -180,6 +180,23 @@ def test_simulate_total_orders_with_aggregated_values_are_exact(tmp_path):
             assert float(row["sp_over_s"]) == 1.0
 
 
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(["props", "--property", "weak-order", "--trials", "-3"], "--trials", id="trials=-3"),
+    pytest.param(["props", "--property", "weak-order", "--trials", "0"], "--trials", id="trials=0"),
+    pytest.param(["simulate", "--reps", "-2"], "--reps", id="reps=-2"),
+    pytest.param(["simulate", "--reps", "0"], "--reps", id="reps=0"),
+    pytest.param(["simulate", "--algorithms", ","], "--algorithms", id="algorithms=,"),
+    pytest.param(["simulate", "--algorithms", ""], "--algorithms", id="algorithms=empty"),
+    pytest.param(["simulate", "--real-sleep"], "--real-sleep", id="real-sleep"),
+])
+def test_bad_counts_and_lists_are_usage_errors(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert flag in captured.err and not captured.out
+
+
 def test_simulate_config_file(tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"repo_size": 15, "seed": 9, "attr_count": 3}))
@@ -490,3 +507,22 @@ def test_solve_output_is_pinned(capsys, name, options):
     assert main(["solve", name, "--algorithm", algorithm, *rest]) == EXIT_OK
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == _SOLVE_DIGESTS[name, options]
+
+
+# The simulate output of four command lines, pinned byte for byte.  Like the
+# recorded benchmark pools, these rely on NumPy's Generator streams.
+_SIMULATE_DIGESTS = {
+    "--reps 3 --seed 7": "cd2d57b4f2f874ecebc304c87bf4da6a9f28e2161c3d9de37419e90a16204f7a",
+    "--valuation-mode aggregated --algorithms a1,a2,a3,a4":
+        "e5ab383d746c112b0ed63c9932cfdfeb69f6e89a285651072df9662a58f3b83f",
+    # T_ms adds 0.1 once per extension call: 3.0000000000000013 after 30 calls
+    "--fdelay 0.1 --r 60": "23ffb774f146c61ae8e21c2f95066f6e808c502368809898f6f660ac608006b9",
+    "--fdelay 0 --m 8": "df64ad2dfbdb6474d705eec28d00e4679833d09e333cd21e659f8461b0758c0d",
+}
+
+
+@pytest.mark.parametrize("options", sorted(_SIMULATE_DIGESTS))
+def test_simulate_output_is_pinned(capsys, options):
+    assert main(["simulate", *options.split()]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _SIMULATE_DIGESTS[options]

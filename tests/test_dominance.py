@@ -6,10 +6,8 @@ import pytest
 
 from prefcompose import (
     AggValue,
-    Relation,
     ShapeError,
     Valuation,
-    compare,
     dominates,
     nondominated,
     witnesses,
@@ -41,20 +39,17 @@ def test_fixture_breaks_transitivity():
     assert dominates(spec, u, z) is None  # the chain does not close
 
 
-def test_compare_reports_direction_and_witness():
+def test_dominates_reports_direction_and_witness():
     spec, u, v, z = intransitivity_fixture()
-    outcome = compare(spec, u, v)
-    assert outcome.relation is Relation.FIRST_DOMINATES
-    assert outcome.witness == 0
-    assert not outcome.asymmetry_violation
-    assert compare(spec, v, u).relation is Relation.SECOND_DOMINATES
+    assert dominates(spec, u, v) == 0
+    assert dominates(spec, v, u) is None  # never both ways
 
 
-def test_compare_indifferent_both_ways():
+def test_dominates_indifferent_both_ways():
     spec, u, v, z = intransitivity_fixture()
-    assert compare(spec, u, z).relation is Relation.INDIFFERENT
-    assert compare(spec, z, u).relation is Relation.INDIFFERENT
-    assert compare(spec, u, u).relation is Relation.INDIFFERENT
+    assert dominates(spec, u, z) is None
+    assert dominates(spec, z, u) is None
+    assert dominates(spec, u, u) is None
 
 
 def test_shape_error_on_misaligned_valuation():
