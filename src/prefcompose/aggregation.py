@@ -71,6 +71,26 @@ def _check_kind(attr: AttributeSchema, value: AggValue) -> None:
         )
 
 
+def _extremes(attr: AttributeSchema, distinct: set[int] | frozenset[int]) -> AggValue:
+    """The frontier of a set of distinct in-range value ids.
+
+    Worst kinds keep the values that beat nothing in the set, best kinds
+    those that nothing in the set beats; min/max also need that frontier to
+    be a single value.
+    """
+    if attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN):
+        rivals = attr.intra_order.below
+    else:
+        rivals = attr.intra_order.above
+    kept = [x for x in distinct if rivals[x].isdisjoint(distinct)]
+    if attr.agg_kind in (AggKind.MIN, AggKind.MAX) and len(kept) != 1:
+        raise DomainError(
+            f"attribute {attr.name}: {attr.agg_kind.value} needs a unique extreme, "
+            f"got {sorted(kept)}"
+        )
+    return AggValue.of_frontier(kept)
+
+
 def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     """Aggregate a multiset of domain-value ids into one AggValue.
 
@@ -87,20 +107,7 @@ def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     if attr.agg_kind is AggKind.SUM:
         assert attr.numeric_values is not None
         return AggValue.of_scalar(sum(attr.numeric_values[v] for v in values))
-    distinct = set(values)
-    # Worst kinds keep the values that beat nothing in the set, best kinds
-    # those that nothing in the set beats.
-    if attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN):
-        rivals = attr.intra_order.below
-    else:
-        rivals = attr.intra_order.above
-    kept = [x for x in distinct if rivals[x].isdisjoint(distinct)]
-    if attr.agg_kind in (AggKind.MIN, AggKind.MAX) and len(kept) != 1:
-        raise DomainError(
-            f"attribute {attr.name}: {attr.agg_kind.value} needs a unique extreme, "
-            f"got {sorted(kept)}"
-        )
-    return AggValue.of_frontier(kept)
+    return _extremes(attr, set(values))
 
 
 def merge(attr: AttributeSchema, a: AggValue, b: AggValue) -> AggValue:
@@ -116,7 +123,11 @@ def merge(attr: AttributeSchema, a: AggValue, b: AggValue) -> AggValue:
     union = a.frontier | b.frontier  # type: ignore[operator]
     if not union:
         return AggValue.of_frontier(())
-    return aggregate(attr, sorted(union))
+    n = len(attr.domain)
+    if min(union) < 0 or max(union) >= n:
+        v = min(x for x in union if not 0 <= x < n)
+        raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+    return _extremes(attr, union)
 
 
 def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:

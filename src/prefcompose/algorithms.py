@@ -80,12 +80,13 @@ def compose_and_filter(spec: PreferenceSpec, provider: FeasibilityProvider) -> R
 def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider) -> RunResult:
     """Union, over the most important attributes, of the non-dominated subset
     of each attribute's best compositions.  The feasible set is enumerated
-    once and reused across the attribute loop."""
+    and packed once and reused across the attribute loop."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
+    pool = PackedPool(spec, [c.valuation for c in feasible])
     chosen: dict = {}
     for attr_id in sorted(most_important_set(spec)):
-        best_for_attr = _filter_attribute(spec, feasible, attr_id)
+        best_for_attr = [feasible[i] for i in pool.best_on(attr_id)]
         for comp in _filter_dominance(spec, best_for_attr):
             chosen.setdefault(comp.key(), comp)
     return cost.result("a2", chosen.values())

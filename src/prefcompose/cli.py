@@ -469,12 +469,21 @@ def pick_seed(text: str) -> Optional[int]:
     return None if text == "lowest" else int(text)
 
 
+def _int_at_least(low: int, text: str) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+    return value
+
+
 def positive_int(text: str) -> int:
     """``--trials``, ``--reps``: an integer >= 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {value}")
-    return value
+    return _int_at_least(1, text)
+
+
+def non_negative_int(text: str) -> int:
+    """``--budget``: an integer >= 0."""
+    return _int_at_least(0, text)
 
 
 def algorithm_names(text: str) -> list[str]:
@@ -505,7 +514,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="reject non-interval importance instead of warning")
     solve.add_argument("--extend-feasible", action="store_true",
                        help="a4: also extend feasible compositions once")
-    solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    solve.add_argument("--budget", type=non_negative_int, default=DEFAULT_BUDGET)
     solve.add_argument("--out", help="write the result JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 

@@ -32,7 +32,6 @@ PROPERTY_NAMES = (
     "interval-total-weak-order",
 )
 
-INFO_ONLY = {"interval-total-weak-order"}
 FIXTURE_PROPERTIES = {"non-interval-fixture", "intransitivity-fixture"}
 
 
@@ -278,8 +277,8 @@ def _check_extension_never_dominates(trials: int, seed: int) -> PropertyReport:
         n = int(rng.integers(2, 7))
         spec = _spec_for(rng, "po", "io", m, n)
         components = [
-            Component(i, f"w{i}", simulator.random_single_valuation(spec, rng))
-            for i in range(6)
+            Component(i, f"w{i}", valuation)
+            for i, valuation in enumerate(simulator.random_valuations(spec, rng, 6))
         ]
         comp = empty_composition(spec)
         for comp_id in rng.integers(0, 6, size=int(rng.integers(1, 5))):

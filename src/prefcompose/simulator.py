@@ -77,7 +77,7 @@ class SimConfig:
             if not ok:
                 raise ValueError(f"{name}: expected {expected}, got {getattr(self, name)!r}")
 
-        for name, low in (("domain_size", 1), ("attr_count", 1), ("repo_size", 0), ("seed", 0)):
+        for name, low in (("domain_size", 1), ("attr_count", 1), ("repo_size", 1), ("seed", 0)):
             value = getattr(self, name)
             check(name, _is_integer(value) and value >= low, f"an integer >= {low}")
         for name in ("feas", "density"):
@@ -237,19 +237,24 @@ def random_spec(config: SimConfig, rng: np.random.Generator) -> PreferenceSpec:
     return PreferenceSpec(attributes=tuple(attributes), importance=importance)
 
 
-def random_single_valuation(
-    spec: PreferenceSpec, rng: np.random.Generator
-) -> Valuation:
-    """One uniform domain value per attribute, as a singleton valuation."""
-    values = []
-    for attr in spec.attributes:
-        v = int(rng.integers(0, len(attr.domain)))
-        if attr.agg_kind is AggKind.SUM:
-            assert attr.numeric_values is not None
-            values.append(AggValue.of_scalar(attr.numeric_values[v]))
-        else:
-            values.append(AggValue.of_frontier((v,)))
-    return Valuation(tuple(values))
+def random_valuations(
+    spec: PreferenceSpec, rng: np.random.Generator, count: int
+) -> list[Valuation]:
+    """``count`` singleton valuations, one uniform domain value per attribute.
+
+    All values come from one ``(count, m)`` draw.  It returns the values of
+    ``count`` rows of one scalar draw per attribute and leaves the generator
+    in the same state, so seeded instances do not change with the batching.
+    """
+    per_value = [
+        [AggValue.of_scalar(x) for x in attr.numeric_values]  # type: ignore[union-attr]
+        if attr.agg_kind is AggKind.SUM
+        else [AggValue.of_frontier((v,)) for v in range(len(attr.domain))]
+        for attr in spec.attributes
+    ]
+    sizes = [len(attr.domain) for attr in spec.attributes]
+    rows = rng.integers(0, sizes, size=(count, len(sizes))).tolist()
+    return [Valuation(tuple(map(list.__getitem__, per_value, row))) for row in rows]
 
 
 def generate_tree(
@@ -258,31 +263,30 @@ def generate_tree(
     """Uniform recursive tree over the repository, with leaf feasibility and
     node valuations drawn per the config's valuation mode."""
     r = config.repo_size
-    parent = [-1] + [int(rng.integers(0, k)) for k in range(1, r + 1)]
+    parent = [-1] + rng.integers(0, np.arange(1, r + 1)).tolist()
     children: list[list[int]] = [[] for _ in range(r + 1)]
     for node in range(1, r + 1):
         children[parent[node]].append(node)
     node_component = [-1] + list(range(r))
     node_members: list[tuple[int, ...]] = [()] * (r + 1)
     for node in range(1, r + 1):
-        node_members[node] = tuple(sorted(node_members[parent[node]] + (node_component[node],)))
+        # Every ancestor's component id is below this node's, so the
+        # members stay sorted.
+        node_members[node] = node_members[parent[node]] + (node_component[node],)
 
     bottom = empty_composition(spec).valuation
     node_valuation: list[Valuation] = [bottom] * (r + 1)
     component_base: Optional[list[Valuation]] = None
     if config.valuation_mode == "aggregated":
-        component_base = [random_single_valuation(spec, rng) for _ in range(r)]
+        component_base = random_valuations(spec, rng, r)
         for node in range(1, r + 1):
             node_valuation[node] = merge_valuations(
                 spec, node_valuation[parent[node]], component_base[node_component[node]]
             )
     else:  # random_per_node
-        for node in range(1, r + 1):
-            node_valuation[node] = random_single_valuation(spec, rng)
+        node_valuation[1:] = random_valuations(spec, rng, r)
 
     leaves = [node for node in range(1, r + 1) if not children[node]]
-    if not leaves:  # r == 0 never happens (repo_size >= 1), root-only guard
-        leaves = [0]
     count = math.floor(config.feas * len(leaves))
     picked = rng.choice(len(leaves), size=count, replace=False) if count else []
     feasible_leaves = {leaves[int(i)] for i in picked}

@@ -240,6 +240,43 @@ def test_aggregate_equals_fold_of_singleton_merges(values, seed):
     assert folded.scalar == pytest.approx(aggregate(cost, values).scalar)
 
 
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize("order_kind", ["partial", "total", "interval", "weak"])
+@pytest.mark.parametrize(
+    "agg_kind", [AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX]
+)
+def test_merge_equals_aggregate_of_the_union(rng, order_kind, agg_kind):
+    """Merging two antichains equals aggregating their union, for every
+    frontier kind and order class; an empty frontier is neutral, and a value
+    id outside the domain raises the DomainError aggregate raises."""
+    from prefcompose.simulator import random_order
+
+    for trial in range(150):
+        n = int(rng.integers(1, 9))
+        domain = tuple(f"v{i}" for i in range(n))
+        order = random_order(n, order_kind, rng, density=0.4)
+        attr = AttributeSchema(0, "x", domain, order, agg_kind)
+        worst = AttributeSchema(0, "x", domain, order, AggKind.WORST_FRONTIER)
+
+        def antichain():
+            values = rng.integers(0, n, size=int(rng.integers(0, 5))).tolist()
+            return aggregate(worst, values) if values else AggValue.of_frontier(())
+
+        a, b = antichain(), antichain()
+        if trial % 10 == 0:
+            a = AggValue.of_frontier(a.frontier | {(-1, n, n + 3)[trial % 3]})
+        union = a.frontier | b.frontier
+        expected = _outcome(aggregate, attr, union) if union else AggValue.of_frontier(())
+        assert _outcome(merge, attr, a, b) == expected
+        assert _outcome(merge, attr, b, a) == expected
+
+
 # Direct readings of the comparisons off the closure matrix, for the
 # equivalence tests below.
 

@@ -188,6 +188,7 @@ def test_simulate_total_orders_with_aggregated_values_are_exact(tmp_path):
     pytest.param(["simulate", "--algorithms", ","], "--algorithms", id="algorithms=,"),
     pytest.param(["simulate", "--algorithms", ""], "--algorithms", id="algorithms=empty"),
     pytest.param(["simulate", "--real-sleep"], "--real-sleep", id="real-sleep"),
+    pytest.param(["solve", "courses", "--budget", "-1"], "--budget", id="budget=-1"),
 ])
 def test_bad_counts_and_lists_are_usage_errors(capsys, argv, flag):
     with pytest.raises(SystemExit) as exit_info:
@@ -372,6 +373,7 @@ _MALFORMED = [
     (("feasible_sets",), 5, "feasible_sets"),
     (("feasible_sets",), [[["A"]]], "feasible_sets[0]"),
     (("simulate",), {"repo_size": "x"}, "simulate.repo_size"),
+    (("simulate",), {"repo_size": 0}, "simulate.repo_size"),
     (("simulate",), {"feas": 2.0}, "simulate.feas"),
     (("simulate",), {"seed": -1}, "simulate.seed"),
     (("simulate",), {"valuation_mode": "x"}, "simulate.valuation_mode"),
@@ -400,11 +402,15 @@ def test_malformed_instance_names_the_field(tmp_path, capsys, where, value, path
 @pytest.mark.parametrize("args, field", [
     (["--config", "{config}"], "repo_size"),
     (["--m", "0"], "attr_count"),
+    (["--r", "0"], "repo_size"),
+    (["--config", "{empty}"], "repo_size"),
 ])
 def test_malformed_simulate_config_names_the_field(tmp_path, capsys, args, field):
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"repo_size": "x"}))
-    argv = [arg.format(config=config) for arg in args]
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"repo_size": 0}))
+    argv = [arg.format(config=config, empty=empty) for arg in args]
     assert main(["simulate", *argv, "--algorithms", "a3"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err, err

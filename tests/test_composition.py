@@ -15,7 +15,7 @@ from prefcompose import (
 )
 from prefcompose.cli import load_instance
 from prefcompose.composition import merge_valuations
-from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_single_valuation, tree_provider
+from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
 
 from conftest import frontier_spec, singleton_valuation, sum_attribute
 
@@ -84,7 +84,7 @@ def test_extension_never_dominates_under_worst_frontier(rng):
     config = SimConfig(domain_size=5, attr_count=3, intra_kind="po", importance_kind="io")
     for _ in range(1000):
         spec = random_spec(config, rng)
-        components = [Component(i, f"w{i}", random_single_valuation(spec, rng)) for i in range(5)]
+        components = [Component(i, f"w{i}", v) for i, v in enumerate(random_valuations(spec, rng, 5))]
         comp = empty_composition(spec)
         for pick in rng.integers(0, 5, size=int(rng.integers(1, 4))):
             comp = extend(spec, comp, components[int(pick)])

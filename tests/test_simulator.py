@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from prefcompose import classify, enumerate_feasible
+from prefcompose import AggValue, PreferenceSpec, Valuation, build_order, classify, enumerate_feasible
 from prefcompose.simulator import (
     CSV_HEADER,
     SimConfig,
@@ -18,6 +18,8 @@ from prefcompose.simulator import (
     tree_provider,
     write_csv,
 )
+
+from conftest import frontier_spec, sum_attribute
 
 
 def test_tree_parents_precede_children(rng):
@@ -47,6 +49,46 @@ def test_feasible_leaf_count_is_floor_of_fraction(rng):
         config = SimConfig(repo_size=40, feas=feas)
         tree = generate_tree(random_spec(config, rng), config, rng)
         assert len(tree.feasible_leaves) == math.floor(feas * len(tree.leaves))
+
+
+def test_empty_repository_is_rejected():
+    with pytest.raises(ValueError, match="^repo_size"):
+        SimConfig(repo_size=0)
+
+
+def _scalar_tree_draws(spec, r, rng):
+    """The parent and valuation draws of a tree, one scalar draw at a time:
+    node k's parent uniform in 0..k-1, then per component (or node) one
+    uniform value id per attribute."""
+    parent = [-1] + [int(rng.integers(0, k)) for k in range(1, r + 1)]
+    rows = [[int(rng.integers(0, len(attr.domain))) for attr in spec.attributes] for _ in range(r)]
+    return parent, [
+        Valuation(tuple(
+            AggValue.of_scalar(attr.numeric_values[v]) if attr.numeric_values else AggValue.of_frontier((v,))
+            for attr, v in zip(spec.attributes, row)
+        ))
+        for row in rows
+    ]
+
+
+@pytest.mark.parametrize("mode", ["random_per_node", "aggregated"])
+def test_batched_tree_draws_equal_scalar_draws(mode):
+    """generate_tree draws all parents in one call and all values in one
+    (r, m) call.  Those calls must return what the scalar loops return and
+    leave the generator in the same state, or every seeded tree changes; a
+    NumPy stream change fails here rather than drifting silently."""
+    frontier = frontier_spec([(range(n), []) for n in (2, 5, 3, 7, 1)], []).attributes
+    attributes = (*frontier, sum_attribute(len(frontier), "cost", (4, 1, 9, 2)))
+    spec = PreferenceSpec(attributes, build_order([], len(attributes)))
+    for seed in range(50):
+        r = 1 + 37 * seed % 250
+        batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+        tree = generate_tree(spec, SimConfig(repo_size=r, feas=0.0, valuation_mode=mode), batched)
+        parent, valuations = _scalar_tree_draws(spec, r, scalar)
+        assert tree.parent == parent
+        drawn = tree.component_base if mode == "aggregated" else tree.node_valuation[1:]
+        assert drawn == valuations
+        assert batched.bit_generator.state == scalar.bit_generator.state
 
 
 def test_mean_leaf_depth_tracks_log_of_size(rng):
