@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
-from .dominance import PackedPool
+from .dominance import PackedPool, best_on
 from .preference import PreferenceSpec, most_important_set
 
 
@@ -47,7 +47,7 @@ def _filter_dominance(spec: PreferenceSpec, comps: Sequence[Composition]) -> lis
 def _filter_attribute(
     spec: PreferenceSpec, comps: Sequence[Composition], attr_id: int
 ) -> list[Composition]:
-    kept = PackedPool(spec, [c.valuation for c in comps]).best_on(attr_id)
+    kept = best_on(spec, [c.valuation for c in comps], attr_id)
     return [comps[i] for i in kept]
 
 
@@ -80,14 +80,12 @@ def compose_and_filter(spec: PreferenceSpec, provider: FeasibilityProvider) -> R
 def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider) -> RunResult:
     """Union, over the most important attributes, of the non-dominated subset
     of each attribute's best compositions.  The feasible set is enumerated
-    and packed once and reused across the attribute loop."""
+    once; each attribute's scan packs only that attribute."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
-    pool = PackedPool(spec, [c.valuation for c in feasible])
     chosen: dict = {}
     for attr_id in sorted(most_important_set(spec)):
-        best_for_attr = [feasible[i] for i in pool.best_on(attr_id)]
-        for comp in _filter_dominance(spec, best_for_attr):
+        for comp in _filter_dominance(spec, _filter_attribute(spec, feasible, attr_id)):
             chosen.setdefault(comp.key(), comp)
     return cost.result("a2", chosen.values())
 

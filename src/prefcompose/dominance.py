@@ -18,8 +18,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import SCALAR_TOLERANCE, Valuation
-from .preference import AggKind, PreferenceSpec, SumPolarity
+from .aggregation import SCALAR_TOLERANCE, AggValue, Valuation
+from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
 
 # Pairs evaluated per row block of a dominance matrix; bounds the size of the
 # per-attribute temporaries whatever the pool size.
@@ -82,6 +82,19 @@ class _ScalarColumn:
         return (d >= -SCALAR_TOLERANCE) & (d <= SCALAR_TOLERANCE)
 
 
+def _column(attr: AttributeSchema, values: list[AggValue]) -> _FrontierColumn | _ScalarColumn:
+    """One attribute of a pool, packed from the pool's values on it."""
+    if attr.agg_kind is AggKind.SUM:
+        return _ScalarColumn(attr.sum_polarity, [x.scalar for x in values])
+    return _FrontierColumn(attr.intra_order.matrix, [x.frontier for x in values])
+
+
+def _row_blocks(c: int) -> Iterator[slice]:
+    """Row slices of a c-row pool, each holding at most ``BLOCK_PAIRS`` pairs."""
+    step = max(1, BLOCK_PAIRS // max(c, 1))
+    return (slice(start, start + step) for start in range(0, c, step))
+
+
 class PackedPool:
     """A list of valuations encoded once for dominance tests among them."""
 
@@ -89,13 +102,9 @@ class PackedPool:
         self.valuations = list(valuations)
         for v in self.valuations:
             _check_shape(spec, v)
-        self.columns: list[_FrontierColumn | _ScalarColumn] = []
-        for i, attr in enumerate(spec.attributes):
-            values = [v[i] for v in self.valuations]
-            if attr.agg_kind is AggKind.SUM:
-                self.columns.append(_ScalarColumn(attr.sum_polarity, [x.scalar for x in values]))
-            else:
-                self.columns.append(_FrontierColumn(attr.intra_order.matrix, [x.frontier for x in values]))
+        self.columns = [
+            _column(attr, [v[i] for v in self.valuations]) for i, attr in enumerate(spec.attributes)
+        ]
         # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).
         self.scope = [
             [k for k, more in enumerate(row) if not more] for row in spec.importance.matrix.tolist()
@@ -120,11 +129,6 @@ class PackedPool:
                 return i
         return -1
 
-    def _row_blocks(self) -> Iterator[slice]:
-        c = len(self.valuations)
-        step = max(1, BLOCK_PAIRS // max(c, 1))
-        return (slice(start, start + step) for start in range(0, c, step))
-
     def dominance_matrix(self) -> np.ndarray:
         """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
 
@@ -133,7 +137,7 @@ class PackedPool:
         """
         c = len(self.valuations)
         out = np.zeros((c, c), dtype=np.bool_)
-        for rows in self._row_blocks():
+        for rows in _row_blocks(c):
             for _, witnessed in self._witness_blocks(rows, slice(None)):
                 out[rows] |= witnessed
         return out
@@ -142,14 +146,18 @@ class PackedPool:
         """Pool indices, in order, of the entries nothing in the pool dominates."""
         return np.flatnonzero(~self.dominance_matrix().any(axis=0)).tolist()
 
-    def best_on(self, attr_id: int) -> list[int]:
-        """Pool indices, in order, of the entries no entry strictly beats on
-        one attribute."""
-        column = self.columns[attr_id]
-        beaten = np.zeros(len(self.valuations), dtype=np.bool_)
-        for rows in self._row_blocks():
-            beaten |= column.strict(rows, slice(None)).any(axis=0)
-        return np.flatnonzero(~beaten).tolist()
+
+def best_on(spec: PreferenceSpec, valuations: Sequence[Valuation], attr_id: int) -> list[int]:
+    """Indices, in order, of the valuations no valuation strictly beats on
+    one attribute; only that attribute is packed."""
+    for v in valuations:
+        _check_shape(spec, v)
+    column = _column(spec.attributes[attr_id], [v[attr_id] for v in valuations])
+    c = len(valuations)
+    beaten = np.zeros(c, dtype=np.bool_)
+    for rows in _row_blocks(c):
+        beaten |= column.strict(rows, slice(None)).any(axis=0)
+    return np.flatnonzero(~beaten).tolist()
 
 
 def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:

@@ -2,18 +2,27 @@
 
 The brute-force non-dominated filter deliberately avoids both the frontier
 maintenance of :func:`prefcompose.order.maximal_set` and the pool dominance
-matrix: it compares all pairs of entries by the dominance definition, read
-attribute by attribute.  The per-attribute answers come from the public
-aggregation comparisons, evaluated once per ordered pair of that attribute's
-distinct values and then looked up.  One reading of the definition
-(``_dominates_by``) serves both this filter and :func:`plain_dominates`.
+matrix of :class:`prefcompose.dominance.PackedPool`; it shares no code with
+either.  It reads the dominance definition with array operations:
+
+* each attribute's distinct values are interned, and the public
+  ``strictly_preferred`` and ``at_least_as_preferred`` fill a strict and an
+  at-least-as table over pairs of those values, each pair evaluated once;
+* each table is lifted to a relation between entries by indexing it with the
+  entries' value ids, for one block of rows at a time;
+* entry a dominates entry b when, for some attribute i, a is strictly
+  preferred on i and at least as preferred on every attribute k that i is
+  not more important than;
+* an entry is kept when no other entry dominates it.
+
+:func:`plain_dominates` reads the same definition for one pair of valuations.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -34,6 +43,10 @@ PROPERTY_NAMES = (
 
 FIXTURE_PROPERTIES = {"non-interval-fixture", "intransitivity-fixture"}
 
+# Entry pairs per row block of the all-pairs scan; bounds the lifted
+# relations live at once whatever the pool size.
+_BLOCK_PAIRS = 1 << 16
+
 
 @dataclass
 class PropertyReport:
@@ -51,25 +64,15 @@ class PropertyReport:
         return self.violations == self.required_violations
 
 
-def _dominates_by(
-    imp: list[list[bool]], strict: Callable[[int], bool], geq: Callable[[int], bool]
-) -> bool:
-    """The dominance definition, read directly: some attribute i is strictly
-    preferred (``strict(i)``) while every attribute k that i is not more
-    important than is at least as preferred (``geq(k)``)."""
-    return any(
-        strict(i) and all(more or geq(k) for k, more in enumerate(row))
-        for i, row in enumerate(imp)
-    )
-
-
 def plain_dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> bool:
-    """Direct reading of the dominance definition over public comparisons."""
+    """Direct reading of the dominance definition over public comparisons:
+    some attribute i is strictly preferred while every attribute k that i is
+    not more important than is at least as preferred."""
     attrs = spec.attributes
-    return _dominates_by(
-        spec.importance.matrix.tolist(),
-        lambda i: strictly_preferred(attrs[i], u[i], v[i]),
-        lambda k: at_least_as_preferred(attrs[k], u[k], v[k]),
+    return any(
+        strictly_preferred(attrs[i], u[i], v[i])
+        and all(more or at_least_as_preferred(attrs[k], u[k], v[k]) for k, more in enumerate(row))
+        for i, row in enumerate(spec.importance.matrix.tolist())
     )
 
 
@@ -79,28 +82,39 @@ def brute_nondominated(
     """All-pairs filter: keep each entry no other entry dominates.
 
     Each attribute's distinct values are interned, and the public comparisons
-    are evaluated once per ordered pair of distinct values; the all-pairs
-    scan then reads those tables.
+    are evaluated once per ordered pair of distinct values.  The tables are
+    lifted to relations between a block of entries and all entries, and
+    combined by the definition; a block holds at most ``_BLOCK_PAIRS`` pairs.
     """
+    n, m = len(valuations), spec.attr_count
     indexes: list[dict[AggValue, int]] = [{} for _ in spec.attributes]
-    rows = [
-        tuple(index.setdefault(val[i], len(index)) for i, index in enumerate(indexes))
-        for _, val in valuations
-    ]
-    strict, geq = [], []  # per attribute, tables over value-id pairs
+    ids = np.array(
+        [[index.setdefault(val[i], len(index)) for i, index in enumerate(indexes)]
+         for _, val in valuations],
+        dtype=np.intp,
+    ).reshape(n, m)
+    tables = []  # per attribute, (strict, at least as) over value-id pairs
     for attr, index in zip(spec.attributes, indexes):
-        strict.append([[strictly_preferred(attr, a, b) for b in index] for a in index])
-        geq.append([[at_least_as_preferred(attr, a, b) for b in index] for a in index])
-    imp = spec.importance.matrix.tolist()
-
-    def dominates(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-        return _dominates_by(imp, lambda i: strict[i][a[i]][b[i]], lambda k: geq[k][a[k]][b[k]])
-
-    return {
-        ident
-        for j, (ident, _) in enumerate(valuations)
-        if not any(dominates(a, rows[j]) for i, a in enumerate(rows) if i != j)
-    }
+        d = len(index)
+        tables.append(tuple(
+            np.array([[compare(attr, a, b) for b in index] for a in index], dtype=np.bool_).reshape(d, d)
+            for compare in (strictly_preferred, at_least_as_preferred)
+        ))
+    scopes = [np.flatnonzero(~row) for row in spec.importance.matrix]
+    dominated = np.zeros(n, dtype=np.bool_)
+    step = max(1, _BLOCK_PAIRS // max(n, 1))
+    for start in range(0, n, step):
+        rows = ids[start:start + step]
+        geq = [table[np.ix_(rows[:, k], ids[:, k])] for k, (_, table) in enumerate(tables)]
+        witnessed = np.zeros((len(rows), n), dtype=np.bool_)
+        for i, ((strict, _), scope) in enumerate(zip(tables, scopes)):
+            by_i = strict[np.ix_(rows[:, i], ids[:, i])]
+            for k in scope:
+                by_i &= geq[k]
+            witnessed |= by_i
+        witnessed[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
+        dominated |= witnessed.any(axis=0)
+    return {valuations[j][0] for j in np.flatnonzero(~dominated)}
 
 
 def check_soundness(result: RunResult, truth: set) -> bool:

@@ -76,17 +76,18 @@ def sum_attribute(attr_id, name, numeric, polarity=SumPolarity.LOWER_IS_BETTER):
     )
 
 
-def mixed_spec_and_pool(rng, importance_kind, domain_size=None, pool_size=None):
+def mixed_spec_and_pool(rng, importance_kind, domain_size=None, pool_size=None, intra_kind=None):
     """A random spec with frontier and sum attributes and a pool of its valuations.
 
-    The last attribute is a sum (lower is better), the one before it, when
-    there is one, a sum where higher is better; one pool entry is repeated so
-    that duplicate valuations are always present.
+    The value orders are of ``intra_kind`` when given, else partial or total
+    at random.  The last attribute is a sum (lower is better), the one before
+    it, when there is one, a sum where higher is better; one pool entry is
+    repeated so that duplicate valuations are always present.
     """
     config = SimConfig(
         domain_size=domain_size or int(rng.integers(2, 7)),
         attr_count=int(rng.integers(2, 6)),
-        intra_kind=("po", "to")[int(rng.integers(0, 2))],
+        intra_kind=intra_kind or ("po", "to")[int(rng.integers(0, 2))],
         importance_kind=importance_kind,
     )
     spec = random_spec(config, rng)

@@ -15,7 +15,7 @@ from prefcompose import (
 from prefcompose.aggregation import strictly_preferred
 from prefcompose.algorithms import ALGORITHMS, _filter_attribute
 from prefcompose.cli import load_instance, main
-from prefcompose.composition import Composition
+from prefcompose.composition import Component, Composition
 from prefcompose.oracle import (
     brute_nondominated,
     check_completeness,
@@ -23,6 +23,7 @@ from prefcompose.oracle import (
     check_weak_completeness,
 )
 from prefcompose.order import FIRST, NEITHER, SECOND, maximal_set
+from prefcompose.preference import most_important_set
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 
 from conftest import mixed_spec_and_pool, sum_attribute, with_near_ties
@@ -266,18 +267,50 @@ def test_unknown_pick_policy_rejected(capsys):
     assert "--pick" in capsys.readouterr().err
 
 
+def _attribute_best(spec, comps, attr_id):
+    """The maximal set of comps under strict preference on one attribute."""
+    attr = spec.attributes[attr_id]
+
+    def cmp(a, b):
+        if strictly_preferred(attr, a.valuation[attr_id], b.valuation[attr_id]):
+            return FIRST
+        if strictly_preferred(attr, b.valuation[attr_id], a.valuation[attr_id]):
+            return SECOND
+        return NEITHER
+
+    return maximal_set(comps, cmp)[0]
+
+
 def test_attribute_filter_matches_maximal_set_over_strict_preference(rng):
     for trial in range(200):
         spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
         comps = [Composition((i,), v, i) for i, v in enumerate(with_near_ties(spec, pool))]
-        for attr_id, attr in enumerate(spec.attributes):
-            def cmp(a, b):
-                if strictly_preferred(attr, a.valuation[attr_id], b.valuation[attr_id]):
-                    return FIRST
-                if strictly_preferred(attr, b.valuation[attr_id], a.valuation[attr_id]):
-                    return SECOND
-                return NEITHER
-
-            expected, _ = maximal_set(comps, cmp)
+        for attr_id in range(spec.attr_count):
+            expected = _attribute_best(spec, comps, attr_id)
             kept = _filter_attribute(spec, comps, attr_id)
             assert [c.key() for c in kept] == sorted(c.key() for c in expected)
+
+
+def test_a2_and_a3_answers_from_attribute_best_sets(rng):
+    """a2 and a3 scan one attribute at a time.  a3 returns the attribute-best
+    set of its picked attribute; a2 the union, over the most important
+    attributes, of the non-dominated part of each attribute-best set.  Pools
+    mix frontier and sum attributes, near ties and duplicate valuations."""
+    for trial in range(120):
+        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
+        pool = with_near_ties(spec, pool)
+        comps = [Composition((i,), v, i) for i, v in enumerate(pool)]
+        components = [Component(i, f"c{i}", v) for i, v in enumerate(pool)]
+
+        def provider():
+            return ExplicitProvider(spec, components, [[i] for i in range(len(pool))])
+
+        a3 = att_weakly_complete_compose(spec, provider(), pick_seed=trial)
+        best = _attribute_best(spec, comps, a3.config["picked_attribute"])
+        assert sorted(c.members[0] for c in a3.solutions) == sorted(c.members[0] for c in best)
+        expected = set()
+        for attr_id in most_important_set(spec):
+            best = _attribute_best(spec, comps, attr_id)
+            expected |= brute_nondominated(spec, [(c.members[0], c.valuation) for c in best])
+        a2 = weakly_complete_compose(spec, provider())
+        assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)

@@ -13,7 +13,7 @@ from prefcompose import (
     witnesses,
 )
 from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
-from prefcompose.dominance import PackedPool
+from prefcompose.dominance import PackedPool, best_on
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
 from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation
@@ -119,6 +119,8 @@ def test_empty_and_singleton_pools():
     assert nondominated(spec, []) == set()
     assert not PackedPool(spec, [u]).dominance_matrix().any()
     assert nondominated(spec, [("u", u)]) == {"u"}
+    assert best_on(spec, [], 0) == []
+    assert best_on(spec, [u], 0) == [0]
 
 
 def _witness_attributes(spec, u, v):

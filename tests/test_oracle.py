@@ -7,9 +7,18 @@ import json
 import numpy as np
 import pytest
 
-from prefcompose import ExplicitProvider, compose_and_filter, interleave_compose, nondominated
-from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
+from prefcompose import (
+    ExplicitProvider,
+    PreferenceSpec,
+    build_order,
+    compose_and_filter,
+    interleave_compose,
+    nondominated,
+)
+from prefcompose import oracle
+from prefcompose.aggregation import Valuation, aggregate
 from prefcompose.cli import load_instance
+from prefcompose.composition import empty_composition
 from prefcompose.oracle import (
     PROPERTY_NAMES,
     brute_nondominated,
@@ -17,6 +26,7 @@ from prefcompose.oracle import (
     check_soundness,
     check_weak_completeness,
     _transitivity_violation,
+    intransitivity_fixture,
     plain_dominates,
     verify_property,
 )
@@ -61,28 +71,63 @@ def test_brute_filter_matches_fast_path_on_random_instances(rng):
 
 
 def _naive_nondominated(spec, pool):
-    """Keys of the entries no other entry dominates, by the definition read
-    pair by pair over the public comparisons."""
-    attrs = spec.attributes
-    imp = spec.importance.matrix
-    m = len(attrs)
-
-    def dominates(u, v):
-        return any(
-            strictly_preferred(attrs[i], u[i], v[i])
-            and all(imp[i, k] or at_least_as_preferred(attrs[k], u[k], v[k]) for k in range(m))
-            for i in range(m)
-        )
-
+    """Keys of the entries no other entry dominates, by ``plain_dominates``
+    read pair by pair."""
     return {
-        key for key, v in pool if not any(dominates(u, v) for other, u in pool if other != key)
+        key for key, v in pool
+        if not any(plain_dominates(spec, u, v) for other, u in pool if other != key)
     }
 
 
 def test_brute_filter_matches_the_pairwise_definition(rng):
-    for trial in range(200):
+    """Value orders po/to/io/wo x importance io/po/to/wo and "2+2" ({0>2, 1>3},
+    not an interval order); sums of both polarities with ties inside the
+    tolerance, duplicate valuations, the empty-frontier bottom valuation, and
+    pools of every size from 0."""
+    for intra_kind in ("po", "to", "io", "wo"):
+        for importance_kind in ("io", "po", "to", "wo", "2+2"):
+            interval = set()
+            for _ in range(12):
+                spec, pool = mixed_spec_and_pool(
+                    rng, importance_kind.replace("2+2", "po"), intra_kind=intra_kind
+                )
+                if importance_kind == "2+2" and spec.attr_count >= 4:
+                    spec = PreferenceSpec(spec.attributes, build_order([(0, 2), (1, 3)], spec.attr_count))
+                interval.add(spec.importance_class.is_interval)
+                pool = with_near_ties(spec, pool) + [empty_composition(spec).valuation]
+                for size in (0, 1, 2, len(pool)):
+                    keyed = list(enumerate(pool[len(pool) - size:]))
+                    assert brute_nondominated(spec, keyed) == _naive_nondominated(spec, keyed)
+            if importance_kind == "2+2":
+                assert False in interval
+
+
+def test_brute_filter_is_independent_of_the_block_size(rng, monkeypatch):
+    """Blocks of one row and blocks that split the pool unevenly keep what a
+    single block keeps."""
+    for trial in range(40):
         spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
         keyed = list(enumerate(with_near_ties(spec, pool)))
+        whole = brute_nondominated(spec, keyed)
+        for block_pairs in (1, 3 * len(keyed) - 1):
+            monkeypatch.setattr(oracle, "_BLOCK_PAIRS", block_pairs)
+            assert brute_nondominated(spec, keyed) == whole
+        monkeypatch.undo()
+
+
+def test_brute_filter_equals_all_pairs_on_the_intransitivity_fixture(rng):
+    spec, u, v, z = intransitivity_fixture()
+    keyed = [("u", u), ("v", v), ("z", z)]
+    assert brute_nondominated(spec, keyed) == _naive_nondominated(spec, keyed) == {"u"}
+    for _ in range(60):
+        pool = [u, v, z, empty_composition(spec).valuation] + [
+            Valuation(tuple(
+                aggregate(attr, rng.integers(0, 2, size=int(rng.integers(1, 3))).tolist())
+                for attr in spec.attributes
+            ))
+            for _ in range(int(rng.integers(0, 8)))
+        ]
+        keyed = list(enumerate(pool[int(rng.integers(0, 3)):]))
         assert brute_nondominated(spec, keyed) == _naive_nondominated(spec, keyed)
 
 
@@ -117,8 +162,6 @@ def test_algorithm_checks_on_bundled_instances():
 
 
 def test_plain_dominance_matches_fixture_chain():
-    from prefcompose.oracle import intransitivity_fixture
-
     spec, u, v, z = intransitivity_fixture()
     assert plain_dominates(spec, u, v)
     assert plain_dominates(spec, v, z)

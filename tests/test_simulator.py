@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from prefcompose import AggValue, PreferenceSpec, Valuation, build_order, classify, enumerate_feasible
+from prefcompose import simulator
+from prefcompose.aggregation import merge
+from prefcompose.composition import merge_valuations
 from prefcompose.simulator import (
     CSV_HEADER,
     SimConfig,
@@ -89,6 +93,35 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
         drawn = tree.component_base if mode == "aggregated" else tree.node_valuation[1:]
         assert drawn == valuations
         assert batched.bit_generator.state == scalar.bit_generator.state
+
+
+@pytest.mark.parametrize("intra_kind", ["po", "to", "io", "wo"])
+def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch):
+    """Each aggregated node valuation is its parent's merged with its
+    component's base, and generate_tree merges each distinct
+    (attribute, parent value, component value) at most once per tree."""
+    calls = Counter()
+
+    def counting_merge(attr, a, b):
+        calls[attr.attr_id, a, b] += 1
+        return merge(attr, a, b)
+
+    monkeypatch.setattr(simulator, "merge", counting_merge)
+    for seed in range(30):
+        for m in (1, 4, 16):
+            rng = np.random.default_rng(seed)
+            config = SimConfig(attr_count=m, intra_kind=intra_kind, valuation_mode="aggregated")
+            spec = random_spec(config, rng)
+            if m > 1:
+                attrs = (*spec.attributes[:-1], sum_attribute(m - 1, "cost", (4, 1, 9, 2)))
+                spec = PreferenceSpec(attrs, spec.importance)
+            calls.clear()
+            tree = generate_tree(spec, config, rng)
+            assert max(calls.values()) == 1
+            for node in range(1, tree.node_count):
+                base = tree.component_base[tree.node_component[node]]
+                expected = merge_valuations(spec, tree.node_valuation[tree.parent[node]], base)
+                assert tree.node_valuation[node] == expected
 
 
 def test_mean_leaf_depth_tracks_log_of_size(rng):
