@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
 from .dominance import PackedPool, best_on
 from .preference import PreferenceSpec, most_important_set
@@ -79,14 +81,24 @@ def compose_and_filter(spec: PreferenceSpec, provider: FeasibilityProvider) -> R
 
 def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider) -> RunResult:
     """Union, over the most important attributes, of the non-dominated subset
-    of each attribute's best compositions.  The feasible set is enumerated
-    once; each attribute's scan packs only that attribute."""
+    of each attribute's best compositions.
+
+    The feasible set is enumerated once, and each attribute's scan packs only
+    that attribute.  The union of the best sets is packed once; since
+    dominance is a relation between pairs, each best set's non-dominated
+    subset is read from the submatrix of its members."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
+    valuations = [c.valuation for c in feasible]
+    best = [best_on(spec, valuations, attr_id) for attr_id in sorted(most_important_set(spec))]
+    union = sorted(set().union(*best))
+    matrix = PackedPool(spec, [valuations[j] for j in union]).dominance_matrix()
     chosen: dict = {}
-    for attr_id in sorted(most_important_set(spec)):
-        for comp in _filter_dominance(spec, _filter_attribute(spec, feasible, attr_id)):
-            chosen.setdefault(comp.key(), comp)
+    for members in best:
+        sub = np.searchsorted(union, members)
+        for j, dominated in zip(members, matrix[np.ix_(sub, sub)].any(axis=0)):
+            if not dominated:
+                chosen.setdefault(feasible[j].key(), feasible[j])
     return cost.result("a2", chosen.values())
 
 

@@ -6,8 +6,12 @@ matrix of :class:`prefcompose.dominance.PackedPool`; it shares no code with
 either.  It reads the dominance definition with array operations:
 
 * each attribute's distinct values are interned, and the public
-  ``strictly_preferred`` and ``at_least_as_preferred`` fill a strict and an
-  at-least-as table over pairs of those values, each pair evaluated once;
+  ``strictly_preferred`` fills a strict table over ordered pairs of those
+  values, each pair evaluated once;
+* the at-least-as table of a frontier attribute is that strict table plus
+  the diagonal, since two interned frontiers are equal exactly when their ids
+  are; a sum attribute fills it with the public ``at_least_as_preferred``,
+  because sums within the tolerance are equal without sharing an id;
 * each table is lifted to a relation between entries by indexing it with the
   entries' value ids, for one block of rows at a time;
 * entry a dominates entry b when, for some attribute i, a is strictly
@@ -22,7 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 import numpy as np
 
@@ -76,15 +80,23 @@ def plain_dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> bool:
     )
 
 
+def _value_table(compare, attr: AttributeSchema, values: Collection[AggValue]) -> np.ndarray:
+    """``compare(attr, a, b)`` for every ordered pair of the values."""
+    d = len(values)
+    return np.array([[compare(attr, a, b) for b in values] for a in values], dtype=np.bool_).reshape(d, d)
+
+
 def brute_nondominated(
     spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]
 ) -> set:
     """All-pairs filter: keep each entry no other entry dominates.
 
     Each attribute's distinct values are interned, and the public comparisons
-    are evaluated once per ordered pair of distinct values.  The tables are
-    lifted to relations between a block of entries and all entries, and
-    combined by the definition; a block holds at most ``_BLOCK_PAIRS`` pairs.
+    are evaluated once per ordered pair of distinct values: a frontier
+    attribute calls only ``strictly_preferred`` and adds the diagonal for its
+    at-least-as table.  The tables are lifted to relations between a block of
+    entries and all entries, and combined by the definition; a block holds at
+    most ``_BLOCK_PAIRS`` pairs.
     """
     n, m = len(valuations), spec.attr_count
     indexes: list[dict[AggValue, int]] = [{} for _ in spec.attributes]
@@ -95,11 +107,11 @@ def brute_nondominated(
     ).reshape(n, m)
     tables = []  # per attribute, (strict, at least as) over value-id pairs
     for attr, index in zip(spec.attributes, indexes):
-        d = len(index)
-        tables.append(tuple(
-            np.array([[compare(attr, a, b) for b in index] for a in index], dtype=np.bool_).reshape(d, d)
-            for compare in (strictly_preferred, at_least_as_preferred)
-        ))
+        strict = _value_table(strictly_preferred, attr, index)
+        if attr.agg_kind is AggKind.SUM:  # sums tie within the tolerance
+            tables.append((strict, _value_table(at_least_as_preferred, attr, index)))
+        else:
+            tables.append((strict, strict | np.eye(len(index), dtype=np.bool_)))
     scopes = [np.flatnonzero(~row) for row in spec.importance.matrix]
     dominated = np.zeros(n, dtype=np.bool_)
     step = max(1, _BLOCK_PAIRS // max(n, 1))

@@ -2,20 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from prefcompose import (
+    AggValue,
     BudgetExceeded,
     ExplicitProvider,
+    PreferenceSpec,
+    Valuation,
     att_weakly_complete_compose,
+    build_order,
     compose_and_filter,
     interleave_compose,
     weakly_complete_compose,
 )
+from prefcompose import algorithms, dominance
 from prefcompose.aggregation import strictly_preferred
 from prefcompose.algorithms import ALGORITHMS, _filter_attribute
 from prefcompose.cli import load_instance, main
 from prefcompose.composition import Component, Composition
+from prefcompose.dominance import PackedPool
 from prefcompose.oracle import (
     brute_nondominated,
     check_completeness,
@@ -291,26 +299,71 @@ def test_attribute_filter_matches_maximal_set_over_strict_preference(rng):
             assert [c.key() for c in kept] == sorted(c.key() for c in expected)
 
 
-def test_a2_and_a3_answers_from_attribute_best_sets(rng):
+def _a2_cases(rng):
+    """(spec, pool, feasible) triples: 120 random frontier+sum pools with near
+    ties and duplicates; 20 with one attribute, frontier or sum; 20 of 40-59
+    entries whose distinct costs leave the cost attribute (a sum) a best set
+    of one or two entries, with cost alone or every attribute most important;
+    and 8 with no feasible composition."""
+    kinds = ("io", "po", "to", "wo")
+    for trial in range(120):
+        spec, pool = mixed_spec_and_pool(rng, kinds[trial % 4])
+        yield spec, with_near_ties(spec, pool), True
+    for trial in range(20):
+        spec, pool = mixed_spec_and_pool(rng, kinds[trial % 4])
+        i = (0, spec.attr_count - 1)[trial % 2]
+        attr = replace(spec.attributes[i], attr_id=0)
+        spec = PreferenceSpec((attr,), build_order([], 1))
+        yield spec, with_near_ties(spec, [Valuation((v[i],)) for v in pool]), True
+    for trial in range(20):
+        spec, pool = mixed_spec_and_pool(rng, kinds[trial % 4], pool_size=int(rng.integers(40, 60)))
+        cost, m = spec.attr_count - 1, spec.attr_count
+        edges = [(cost, k) for k in range(cost)] if trial % 2 else []
+        spec = PreferenceSpec(spec.attributes, build_order(edges, m))
+        pool = [
+            Valuation(v.per_attribute[:cost] + (AggValue.of_scalar(float(j)),))
+            for j, v in enumerate(pool)
+        ]
+        yield spec, with_near_ties(spec, pool) if trial % 4 < 2 else pool, True
+    for trial in range(8):
+        spec, pool = mixed_spec_and_pool(rng, kinds[trial % 4])
+        yield spec, pool, False
+
+
+def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
     """a2 and a3 scan one attribute at a time.  a3 returns the attribute-best
     set of its picked attribute; a2 the union, over the most important
-    attributes, of the non-dominated part of each attribute-best set.  Pools
-    mix frontier and sum attributes, near ties and duplicate valuations."""
-    for trial in range(120):
-        spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
-        pool = with_near_ties(spec, pool)
-        comps = [Composition((i,), v, i) for i, v in enumerate(pool)]
+    attributes, of the non-dominated part of each attribute-best set, and it
+    packs exactly one pool: the union of those best sets."""
+    packs = []
+
+    class CountingPool(PackedPool):
+        def __init__(self, spec, valuations):
+            packs.append(len(valuations))
+            super().__init__(spec, valuations)
+
+    monkeypatch.setattr(algorithms, "PackedPool", CountingPool)
+    monkeypatch.setattr(dominance, "PackedPool", CountingPool)
+    small_sum_best = 0
+    for trial, (spec, pool, feasible) in enumerate(_a2_cases(rng)):
+        comps = [Composition((i,), v, i) for i, v in enumerate(pool)] if feasible else []
         components = [Component(i, f"c{i}", v) for i, v in enumerate(pool)]
 
         def provider():
-            return ExplicitProvider(spec, components, [[i] for i in range(len(pool))])
+            return ExplicitProvider(spec, components, [[c.members[0]] for c in comps])
 
         a3 = att_weakly_complete_compose(spec, provider(), pick_seed=trial)
         best = _attribute_best(spec, comps, a3.config["picked_attribute"])
         assert sorted(c.members[0] for c in a3.solutions) == sorted(c.members[0] for c in best)
-        expected = set()
+        expected, union = set(), set()
         for attr_id in most_important_set(spec):
             best = _attribute_best(spec, comps, attr_id)
+            union |= {c.members[0] for c in best}
             expected |= brute_nondominated(spec, [(c.members[0], c.valuation) for c in best])
+            if len(comps) >= 40 and spec.attributes[attr_id].name == "cost":
+                small_sum_best += len(best) <= 2
+        packs.clear()
         a2 = weakly_complete_compose(spec, provider())
+        assert packs == [len(union)]
         assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)
+    assert small_sum_best >= 20

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prefcompose import (
+    AggKind,
     ExplicitProvider,
     PreferenceSpec,
     build_order,
@@ -16,7 +19,13 @@ from prefcompose import (
     nondominated,
 )
 from prefcompose import oracle
-from prefcompose.aggregation import Valuation, aggregate
+from prefcompose.aggregation import (
+    DomainError,
+    Valuation,
+    aggregate,
+    at_least_as_preferred,
+    strictly_preferred,
+)
 from prefcompose.cli import load_instance
 from prefcompose.composition import empty_composition
 from prefcompose.oracle import (
@@ -100,6 +109,81 @@ def test_brute_filter_matches_the_pairwise_definition(rng):
                     assert brute_nondominated(spec, keyed) == _naive_nondominated(spec, keyed)
             if importance_kind == "2+2":
                 assert False in interval
+
+
+_FRONTIER_KINDS = (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
+
+
+def _frontier_kinds_spec_and_pool(rng, intra_kind, offset):
+    """A ``mixed_spec_and_pool`` spec whose frontier attributes take the four
+    frontier kinds in turn from ``offset``, and a pool drawn through
+    ``aggregate`` that holds the empty-frontier bottom valuation.  A min/max
+    draw with no unique extreme keeps its first value."""
+    spec, _ = mixed_spec_and_pool(rng, "po", intra_kind=intra_kind)
+    attrs = tuple(
+        attr if attr.agg_kind is AggKind.SUM
+        else replace(attr, agg_kind=_FRONTIER_KINDS[(offset + i) % 4])
+        for i, attr in enumerate(spec.attributes)
+    )
+    spec = PreferenceSpec(attrs, spec.importance)
+    pool = [empty_composition(spec).valuation]
+    for _ in range(int(rng.integers(4, 16))):
+        values = []
+        for attr in attrs:
+            picks = rng.integers(0, len(attr.domain), size=int(rng.integers(1, 4))).tolist()
+            try:
+                values.append(aggregate(attr, picks))
+            except DomainError:
+                values.append(aggregate(attr, picks[:1]))
+        pool.append(Valuation(tuple(values)))
+    return spec, pool
+
+
+def test_frontier_at_least_as_table_is_strict_plus_diagonal(rng):
+    """Over the distinct values of a frontier attribute, at_least_as_preferred
+    is strictly_preferred or the same value: the oracle's at-least-as table
+    for frontier attributes."""
+    seen = set()
+    for intra_kind in ("po", "to", "io", "wo"):
+        for trial in range(24):
+            spec, pool = _frontier_kinds_spec_and_pool(rng, intra_kind, trial)
+            for i, attr in enumerate(spec.attributes):
+                if attr.agg_kind is AggKind.SUM:
+                    continue
+                seen.add(attr.agg_kind)
+                values = list(dict.fromkeys(v[i] for v in pool))
+                strict = np.array([[strictly_preferred(attr, a, b) for b in values] for a in values])
+                geq = np.array([[at_least_as_preferred(attr, a, b) for b in values] for a in values])
+                assert (geq == (strict | np.eye(len(values), dtype=np.bool_))).all()
+    assert seen == set(_FRONTIER_KINDS)
+
+
+def test_brute_filter_compares_each_value_pair_once(rng, monkeypatch):
+    """With d distinct values on an attribute, the oracle calls
+    strictly_preferred d² times for it, and at_least_as_preferred d² times
+    for a sum attribute and never for a frontier attribute.  Its answer is
+    the pairwise definition's under every frontier kind."""
+    calls = Counter()
+
+    def counting(name, compare):
+        def counted(attr, a, b):
+            calls[name, attr.attr_id] += 1
+            return compare(attr, a, b)
+        return counted
+
+    monkeypatch.setattr(oracle, "strictly_preferred", counting("strict", oracle.strictly_preferred))
+    monkeypatch.setattr(oracle, "at_least_as_preferred", counting("geq", oracle.at_least_as_preferred))
+    for intra_kind in ("po", "to", "io", "wo"):
+        for trial in range(12):
+            spec, pool = _frontier_kinds_spec_and_pool(rng, intra_kind, trial)
+            keyed = list(enumerate(with_near_ties(spec, pool)))
+            calls.clear()
+            kept = brute_nondominated(spec, keyed)
+            for i, attr in enumerate(spec.attributes):
+                d = len({v[i] for _, v in keyed})
+                assert calls["strict", i] == d * d
+                assert calls["geq", i] == (d * d if attr.agg_kind is AggKind.SUM else 0)
+            assert kept == _naive_nondominated(spec, keyed)
 
 
 def test_brute_filter_is_independent_of_the_block_size(rng, monkeypatch):
