@@ -4,12 +4,21 @@ Frontier-aggregated attributes carry an antichain of domain values (the worst
 or best frontier of the contributing values); sum-aggregated attributes carry
 a scalar.  Min/max aggregation is the total-order special case of the
 frontiers and also yields (singleton) frontiers.
+
+Each comparison rule has one copy: :func:`_beats` (strictly preferred) and
+:func:`_ties` (equal) compare one value with a list of values, so a
+frontier's beaten set is formed once per value.  The pairwise
+:func:`strictly_preferred` and :func:`at_least_as_preferred` read them for
+one pair; :func:`comparison_tables` reads them for every ordered pair of a
+list of values, checking each value's kind once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .preference import AggKind, AttributeSchema, SumPolarity
 
@@ -24,20 +33,23 @@ class KindMismatch(TypeError):
     """An aggregated value of the wrong kind was passed for an attribute."""
 
 
-@dataclass(frozen=True)
-class AggValue:
-    """Aggregated value of one attribute: a frontier antichain or a scalar."""
+class AggValue(NamedTuple):
+    """Aggregated value of one attribute: a frontier antichain or a scalar.
+
+    A tuple ``(frontier, scalar)``, so it hashes and compares in C; its hash
+    is ``hash((frontier, scalar))``.
+    """
 
     frontier: Optional[frozenset[int]] = None
     scalar: Optional[float] = None
 
     @staticmethod
     def of_frontier(values: Iterable[int]) -> "AggValue":
-        return AggValue(frontier=frozenset(values))
+        return AggValue(frozenset(values), None)
 
     @staticmethod
     def of_scalar(value: float) -> "AggValue":
-        return AggValue(scalar=float(value))
+        return AggValue(None, float(value))
 
     @property
     def is_frontier(self) -> bool:
@@ -130,6 +142,27 @@ def merge(attr: AttributeSchema, a: AggValue, b: AggValue) -> AggValue:
     return _extremes(attr, union)
 
 
+def _beats(attr: AttributeSchema, a: AggValue, others: Sequence[AggValue]) -> list[bool]:
+    """The rule of :func:`strictly_preferred`, for ``a`` against each of
+    ``others``; a frontier's beaten set is formed once."""
+    if attr.agg_kind is AggKind.SUM:
+        x = a.scalar
+        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
+            return [x < b.scalar - SCALAR_TOLERANCE for b in others]
+        return [x > b.scalar + SCALAR_TOLERANCE for b in others]
+    below = attr.intra_order.below
+    beaten = frozenset().union(*(below[x] for x in a.frontier))
+    return [bool(b.frontier) and b.frontier <= beaten for b in others]
+
+
+def _ties(attr: AttributeSchema, a: AggValue, others: Sequence[AggValue]) -> list[bool]:
+    """Whether ``a`` equals each of ``others``: the same frontier, or scalars
+    within the tolerance."""
+    if attr.agg_kind is AggKind.SUM:
+        return [abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE for b in others]
+    return [a.frontier == b.frontier for b in others]
+
+
 def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     """The strict comparison of aggregated values for one attribute.
 
@@ -139,26 +172,29 @@ def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     """
     _check_kind(attr, a)
     _check_kind(attr, b)
-    if attr.agg_kind is AggKind.SUM:
-        assert a.scalar is not None and b.scalar is not None
-        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-            return a.scalar < b.scalar - SCALAR_TOLERANCE
-        return a.scalar > b.scalar + SCALAR_TOLERANCE
-    assert a.frontier is not None and b.frontier is not None
-    if not b.frontier:
-        return False
-    below = attr.intra_order.below
-    return b.frontier <= frozenset().union(*(below[x] for x in a.frontier))
+    return _beats(attr, a, (b,))[0]
 
 
 def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     """Equal (frontier set equality / scalar tolerance) or strictly preferred."""
     _check_kind(attr, a)
     _check_kind(attr, b)
-    if attr.agg_kind is AggKind.SUM:
-        assert a.scalar is not None and b.scalar is not None
-        if abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE:
-            return True
-    elif a.frontier == b.frontier:
-        return True
-    return strictly_preferred(attr, a, b)
+    return _ties(attr, a, (b,))[0] or _beats(attr, a, (b,))[0]
+
+
+def comparison_tables(
+    attr: AttributeSchema, values: Sequence[AggValue]
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(strict, at_least)`` over every ordered pair of ``values``.
+
+    ``strict[i, j]`` is ``strictly_preferred(attr, values[i], values[j])`` and
+    ``at_least[i, j]`` is ``at_least_as_preferred(attr, values[i], values[j])``;
+    each value's kind is checked once and each frontier's beaten set formed
+    once.
+    """
+    for value in values:
+        _check_kind(attr, value)
+    d = len(values)
+    strict = np.array([_beats(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)
+    ties = np.array([_ties(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)
+    return strict, strict | ties

@@ -22,7 +22,7 @@ import reprlib
 import sys
 from typing import Optional, Sequence
 
-from . import fixtures, oracle, simulator
+from . import fixtures, properties, simulator
 from .aggregation import AggValue, Valuation
 from .algorithms import ALGORITHMS, RunResult
 from .composition import (
@@ -192,6 +192,7 @@ def parse_instance(doc: dict) -> Instance:
         raise _wrong_type("instance", "an object", doc)
     _require(_field(doc, "format", "a number", "") == 1, "format: unsupported version (expected 1)")
     parsed = [_parse_attribute(i, a) for i, a in enumerate(_items(doc, "attributes", "an object", ""))]
+    _require(bool(parsed), "attributes: expected at least one attribute")
     attributes = tuple(schema for schema, _ in parsed)
     attr_ids = {a.name: a.attr_id for a in attributes}
     _require(len(attr_ids) == len(attributes), "attributes: duplicate names")
@@ -430,13 +431,13 @@ def cmd_check_orders(args: argparse.Namespace) -> int:
 
 def cmd_props(args: argparse.Namespace) -> int:
     if args.property == "all":
-        names = oracle.PROPERTY_NAMES
+        names = properties.PROPERTY_NAMES
     else:
         names = (args.property,)
     reports = []
     for name in names:
         try:
-            reports.append(oracle.verify_property(name, trials=args.trials, seed=args.seed))
+            reports.append(properties.verify_property(name, trials=args.trials, seed=args.seed))
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
@@ -543,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     props = sub.add_parser("props", help="run the property-verification harness")
     props.add_argument("--property", default="all",
-                       help="one of: " + ", ".join(oracle.PROPERTY_NAMES) + ", or 'all'")
+                       help="one of: " + ", ".join(properties.PROPERTY_NAMES) + ", or 'all'")
     props.add_argument("--trials", type=positive_int, default=200)
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--json", help="also write the reports as JSON to this path")

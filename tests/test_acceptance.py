@@ -32,9 +32,9 @@ from prefcompose.oracle import (
     check_soundness,
     check_weak_completeness,
     intransitivity_fixture,
-    verify_property,
 )
 from prefcompose.order import StrictOrder, comparator_from
+from prefcompose.properties import verify_property
 from prefcompose.simulator import (
     SimConfig,
     generate_tree,

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from prefcompose import (
     AggKind,
     AggValue,
@@ -20,6 +22,7 @@ from prefcompose import (
     merge,
     strictly_preferred,
 )
+from prefcompose.aggregation import SCALAR_TOLERANCE, comparison_tables
 from prefcompose.cli import load_instance
 
 from conftest import sum_attribute
@@ -319,3 +322,108 @@ def test_comparisons_match_the_closure_matrix(rng, n):
                 strict = _naive_strict(mat, a.frontier, b.frontier)
                 assert strictly_preferred(worst, a, b) == strict
                 assert at_least_as_preferred(worst, a, b) == (a.frontier == b.frontier or strict)
+
+
+def test_agg_value_is_an_immutable_hashable_pair():
+    """An AggValue compares, prints and hashes as the pair (frontier, scalar)
+    and rejects assignment to a field."""
+    frontier = AggValue.of_frontier((2, 0))
+    scalar = AggValue.of_scalar(3)
+    assert frontier == AggValue(frontier=frozenset({0, 2})) == AggValue(frozenset({0, 2}), None)
+    assert scalar == AggValue(scalar=3.0) and scalar.scalar == 3.0 and scalar.frontier is None
+    assert frontier != scalar and frontier != AggValue.of_frontier((0,))
+    assert AggValue() == AggValue(frontier=None, scalar=None)
+    assert repr(frontier) == "AggValue({0, 2})"
+    assert repr(scalar) == "AggValue(3.0)"
+    assert repr(AggValue.of_frontier(())) == "AggValue({})"
+    assert frontier.is_frontier and not scalar.is_frontier
+    for value in (frontier, scalar, AggValue.of_frontier(())):
+        assert hash(value) == hash((value.frontier, value.scalar))
+    assert len({frontier, AggValue.of_frontier([0, 2]), scalar}) == 2
+    with pytest.raises(AttributeError):
+        frontier.frontier = frozenset({1})
+    with pytest.raises(AttributeError):
+        scalar.scalar = 4.0
+
+
+def _pairwise_tables(attr, values):
+    strict = [[strictly_preferred(attr, a, b) for b in values] for a in values]
+    at_least = [[at_least_as_preferred(attr, a, b) for b in values] for a in values]
+    return strict, at_least
+
+
+def _frontier_values(rng, attr, worst):
+    """Outputs of ``aggregate`` for ``attr`` (a singleton when a min/max draw
+    has no unique extreme), worst frontiers that need not be ``attr``'s, the
+    empty frontier, and repeats."""
+    n = len(attr.domain)
+    values = [AggValue.of_frontier(())]
+    for _ in range(int(rng.integers(0, 8))):
+        picks = rng.integers(0, n, size=int(rng.integers(1, 4))).tolist()
+        try:
+            values.append(aggregate(attr, picks))
+        except DomainError:
+            values.append(aggregate(attr, picks[:1]))
+        values.append(aggregate(worst, picks))
+    values += [values[int(i)] for i in rng.integers(0, len(values), size=2)]
+    rng.shuffle(values)
+    return values
+
+
+def _sum_values(rng):
+    """Sums with ties inside the tolerance and just outside it, and repeats."""
+    base = [float(x) for x in rng.integers(-3, 4, size=int(rng.integers(1, 5)))]
+    shifts = (0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001)
+    values = [AggValue.of_scalar(b + f * SCALAR_TOLERANCE) for b in base for f in shifts
+              if rng.random() < 0.6]
+    values += [AggValue.of_scalar(base[0])] * 2
+    rng.shuffle(values)
+    return values
+
+
+@pytest.mark.parametrize("order_kind", ["partial", "total", "interval", "weak"])
+def test_comparison_tables_equal_the_pairwise_comparisons(rng, order_kind):
+    """The batch tables equal strictly_preferred and at_least_as_preferred
+    read pair by pair: every frontier kind over every order class, and sums
+    of both polarities, on lists with repeats and near ties."""
+    from prefcompose.simulator import random_order
+
+    for trial in range(40):
+        n = int(rng.integers(1, 8))
+        domain = tuple(f"v{i}" for i in range(n))
+        order = random_order(n, order_kind, rng, density=0.4)
+        worst = AttributeSchema(0, "x", domain, order, AggKind.WORST_FRONTIER)
+        cases = [
+            (AttributeSchema(0, "x", domain, order, kind), None)
+            for kind in (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
+        ]
+        cases += [(sum_attribute(0, "s", range(n), polarity), _sum_values(rng))
+                  for polarity in SumPolarity]
+        for attr, values in cases:
+            values = values if values is not None else _frontier_values(rng, attr, worst)
+            for prefix in (0, 1, len(values)):
+                strict, at_least = comparison_tables(attr, values[:prefix])
+                assert strict.dtype == at_least.dtype == np.bool_
+                assert strict.shape == at_least.shape == (prefix, prefix)
+                assert (strict.tolist(), at_least.tolist()) == _pairwise_tables(attr, values[:prefix])
+
+
+def _error(call, *args):
+    with pytest.raises(KindMismatch) as info:
+        call(*args)
+    return str(info.value)
+
+
+def test_comparison_tables_reject_a_value_of_the_wrong_kind():
+    """A value of the wrong kind anywhere in the list raises the KindMismatch
+    the pairwise comparisons raise for it."""
+    frontier = AttributeSchema(0, "x", ("a", "b"), build_order([(0, 1)], 2), AggKind.WORST_FRONTIER)
+    cost = sum_attribute(1, "cost", (1, 2))
+    right = {frontier.name: AggValue.of_frontier((0,)), cost.name: AggValue.of_scalar(1)}
+    wrong = {frontier.name: AggValue.of_scalar(1), cost.name: AggValue.of_frontier((0,))}
+    for attr in (frontier, cost):
+        good, bad = right[attr.name], wrong[attr.name]
+        expected = _error(strictly_preferred, attr, good, bad)
+        assert _error(at_least_as_preferred, attr, bad, good) == expected
+        for values in ([bad], [good, bad], [bad, good, good], [good, good, bad]):
+            assert _error(comparison_tables, attr, values) == expected

@@ -357,6 +357,7 @@ _GOOD = {
 # (where to put the value, the value, the path the error must name)
 _MALFORMED = [
     (("attributes",), 5, "attributes"),
+    (("attributes",), [], "attributes"),
     (("attributes", 0, "name"), ["quality"], "attributes[0].name"),
     (("attributes", 0, "domain", 1), ["bad"], "attributes[0].domain[1]"),
     (("attributes", 0, "intra_edges"), 5, "attributes[0].intra_edges"),

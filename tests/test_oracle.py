@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import ast
 import json
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -18,27 +18,26 @@ from prefcompose import (
     interleave_compose,
     nondominated,
 )
-from prefcompose import oracle
+from prefcompose import aggregation, oracle
 from prefcompose.aggregation import (
     DomainError,
     Valuation,
     aggregate,
     at_least_as_preferred,
+    comparison_tables,
     strictly_preferred,
 )
 from prefcompose.cli import load_instance
 from prefcompose.composition import empty_composition
 from prefcompose.oracle import (
-    PROPERTY_NAMES,
     brute_nondominated,
     check_completeness,
     check_soundness,
     check_weak_completeness,
-    _transitivity_violation,
     intransitivity_fixture,
     plain_dominates,
-    verify_property,
 )
+from prefcompose.properties import PROPERTY_NAMES, _transitivity_violation, verify_property
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 
 from conftest import mixed_spec_and_pool, with_near_ties
@@ -141,8 +140,7 @@ def _frontier_kinds_spec_and_pool(rng, intra_kind, offset):
 
 def test_frontier_at_least_as_table_is_strict_plus_diagonal(rng):
     """Over the distinct values of a frontier attribute, at_least_as_preferred
-    is strictly_preferred or the same value: the oracle's at-least-as table
-    for frontier attributes."""
+    is strictly_preferred or the same value."""
     seen = set()
     for intra_kind in ("po", "to", "io", "wo"):
         for trial in range(24):
@@ -159,31 +157,52 @@ def test_frontier_at_least_as_table_is_strict_plus_diagonal(rng):
 
 
 def test_brute_filter_compares_each_value_pair_once(rng, monkeypatch):
-    """With d distinct values on an attribute, the oracle calls
-    strictly_preferred d² times for it, and at_least_as_preferred d² times
-    for a sum attribute and never for a frontier attribute.  Its answer is
-    the pairwise definition's under every frontier kind."""
-    calls = Counter()
-
-    def counting(name, compare):
-        def counted(attr, a, b):
-            calls[name, attr.attr_id] += 1
-            return compare(attr, a, b)
-        return counted
-
-    monkeypatch.setattr(oracle, "strictly_preferred", counting("strict", oracle.strictly_preferred))
-    monkeypatch.setattr(oracle, "at_least_as_preferred", counting("geq", oracle.at_least_as_preferred))
+    """The oracle makes one comparison_tables call per attribute, over exactly
+    that attribute's distinct values, and no pairwise strictly_preferred or
+    at_least_as_preferred call.  Its answer is the pairwise definition's
+    under every frontier kind."""
+    cases = []
     for intra_kind in ("po", "to", "io", "wo"):
         for trial in range(12):
             spec, pool = _frontier_kinds_spec_and_pool(rng, intra_kind, trial)
             keyed = list(enumerate(with_near_ties(spec, pool)))
-            calls.clear()
-            kept = brute_nondominated(spec, keyed)
-            for i, attr in enumerate(spec.attributes):
-                d = len({v[i] for _, v in keyed})
-                assert calls["strict", i] == d * d
-                assert calls["geq", i] == (d * d if attr.agg_kind is AggKind.SUM else 0)
-            assert kept == _naive_nondominated(spec, keyed)
+            cases.append((spec, keyed, _naive_nondominated(spec, keyed)))
+
+    calls = []
+
+    def counted(attr, values):
+        calls.append((attr.attr_id, list(values)))
+        return comparison_tables(attr, values)
+
+    def pairwise(attr, a, b):
+        raise AssertionError("pairwise comparison in brute_nondominated")
+
+    monkeypatch.setattr(oracle, "comparison_tables", counted)
+    for module in (oracle, aggregation):
+        monkeypatch.setattr(module, "strictly_preferred", pairwise)
+        monkeypatch.setattr(module, "at_least_as_preferred", pairwise)
+    for spec, keyed, expected in cases:
+        calls.clear()
+        assert brute_nondominated(spec, keyed) == expected
+        assert [i for i, _ in calls] == list(range(spec.attr_count))
+        for i, values in calls:
+            assert len(values) == len(set(values))
+            assert set(values) == {v[i] for _, v in keyed}
+
+
+def test_oracle_imports_neither_dominance_nor_simulator():
+    """The oracle is the ground truth the pool dominance matrix and the
+    simulator's runs are checked against, so it imports neither module, not
+    even inside a function."""
+    imported = set()
+    for node in ast.walk(ast.parse(open(oracle.__file__).read())):
+        if isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+    assert "aggregation" in imported
+    assert not imported & {"dominance", "simulator"}
 
 
 def test_brute_filter_is_independent_of_the_block_size(rng, monkeypatch):
