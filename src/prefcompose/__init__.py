@@ -49,9 +49,7 @@ from .order import (
     StrictOrder,
     build_order,
     classify,
-    indifferent,
     maximal_set,
-    minimal_set,
     width,
 )
 from .preference import (
@@ -59,7 +57,6 @@ from .preference import (
     AttributeSchema,
     PreferenceSpec,
     SumPolarity,
-    importance_ge_or_indiff,
     most_important_set,
     validate,
 )
@@ -96,12 +93,9 @@ __all__ = [
     "empty_composition",
     "enumerate_feasible",
     "extend",
-    "importance_ge_or_indiff",
-    "indifferent",
     "interleave_compose",
     "maximal_set",
     "merge",
-    "minimal_set",
     "most_important_set",
     "nondominated",
     "strictly_preferred",

@@ -127,7 +127,6 @@ def interleave_compose(
     spec: PreferenceSpec,
     provider: FeasibilityProvider,
     extend_feasible: bool = False,
-    initial: Optional[Sequence[Composition]] = None,
 ) -> RunResult:
     """Alternate non-dominated filtering of partial compositions with one-step
     extension of the infeasible ones, until the filtered set is all feasible.
@@ -138,7 +137,7 @@ def interleave_compose(
     extension never dominates what it extends.
     """
     cost = _Cost(provider)
-    working = list(initial) if initial is not None else [provider.root()]
+    working = [provider.root()]
     extended: set = set()
 
     while working:

@@ -186,6 +186,11 @@ def _parse_valuation(
     return Valuation(tuple(values))
 
 
+# The generator settings that draw a random spec, which an instance's own
+# attributes and importance edges replace.
+_SPEC_FIELDS = ("attr_count", "domain_size", "intra_kind", "importance_kind", "density")
+
+
 def parse_instance(doc: dict) -> Instance:
     """Validate and resolve an instance document into domain objects."""
     if not isinstance(doc, dict):
@@ -233,6 +238,12 @@ def parse_instance(doc: dict) -> Instance:
     entry = _field(doc, "simulate", "an object", "")
     unknown = set(entry) - {f.name for f in dataclasses.fields(simulator.SimConfig)}
     _require(not unknown, f"simulate: unknown fields {sorted(unknown)}")
+    for name in entry:
+        _require(
+            name not in _SPEC_FIELDS,
+            f"simulate.{name}: not read here; the spec comes from 'attributes' "
+            "and 'importance_edges'",
+        )
     try:
         sim_config = simulator.SimConfig(**entry)
     except ValueError as exc:  # its message starts with the field name
@@ -320,6 +331,11 @@ def _dump_json(doc: dict, path: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _cannot_write(path: str, exc: OSError) -> int:
+    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_INPUT
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         instance = load_instance(args.instance)
@@ -343,7 +359,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    _dump_json(run_result_json(instance, result), args.out)
+    doc = run_result_json(instance, result)
+    try:
+        _dump_json(doc, args.out)
+    except OSError as exc:
+        return _cannot_write(args.out, exc)
     return EXIT_OK
 
 
@@ -376,7 +396,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     if args.csv:
-        simulator.write_csv(records, args.csv)
+        try:
+            simulator.write_csv(records, args.csv)
+        except OSError as exc:
+            return _cannot_write(args.csv, exc)
     else:
         print(",".join(simulator.CSV_HEADER))
         for record in records:
@@ -442,7 +465,11 @@ def cmd_props(args: argparse.Namespace) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_INPUT
     if args.json:
-        _dump_json({"format": 1, "reports": [dataclasses.asdict(r) for r in reports]}, args.json)
+        doc = {"format": 1, "reports": [dataclasses.asdict(r) for r in reports]}
+        try:
+            _dump_json(doc, args.json)
+        except OSError as exc:
+            return _cannot_write(args.json, exc)
     width_name = max(len(r.name) for r in reports)
     all_ok = True
     for report in reports:

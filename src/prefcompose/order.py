@@ -4,6 +4,13 @@ A :class:`StrictOrder` stores the transitive closure of its input edges as a
 dense boolean matrix.  Element universes here are small (domains and attribute
 sets of a preference problem), so the O(n^2) storage buys O(1) dominance
 lookups everywhere else.
+
+:func:`maximal_set` (a block-nested-loops filter), :func:`comparator_from`
+and :func:`width` serve no production path: the pool filters read a
+dominance matrix and :func:`prefcompose.preference.most_important_set` reads
+the importance matrix.  They stay as the subject of acceptance criterion 08
+(the filter's comparison count is at most 2 * width * n), and the benchmark's
+tracer counts calls to :func:`maximal_set`.
 """
 
 from __future__ import annotations
@@ -65,9 +72,6 @@ class StrictOrder:
     def edges(self) -> list[tuple[int, int]]:
         xs, ys = np.nonzero(self.matrix)
         return list(zip(xs.tolist(), ys.tolist()))
-
-    def edge_count(self) -> int:
-        return int(self.matrix.sum())
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -139,11 +143,6 @@ def classify(order: StrictOrder) -> OrderClass:
     return OrderClass(is_partial=True, is_interval=is_interval, is_weak=is_weak, is_total=is_total)
 
 
-def indifferent(order: StrictOrder, x: int, y: int) -> bool:
-    """True when neither element strictly beats the other (includes x == y)."""
-    return not order.dominates(x, y) and not order.dominates(y, x)
-
-
 def maximal_set(items: Sequence[T], strictly_better: Comparator) -> tuple[list[T], int]:
     """Non-dominated items plus the number of comparator calls.
 
@@ -177,20 +176,6 @@ def maximal_set(items: Sequence[T], strictly_better: Comparator) -> tuple[list[T
     return frontier, comparisons
 
 
-def minimal_set(items: Sequence[T], strictly_better: Comparator) -> tuple[list[T], int]:
-    """Dual of :func:`maximal_set`: the items nothing strictly loses to."""
-
-    def flipped(a: T, b: T) -> Comparison:
-        outcome = strictly_better(a, b)
-        if outcome == FIRST:
-            return SECOND
-        if outcome == SECOND:
-            return FIRST
-        return NEITHER
-
-    return maximal_set(items, flipped)
-
-
 def comparator_from(order: StrictOrder) -> Comparator[int]:
     """Comparator over element ids backed by the order's closure matrix."""
     mat = order.matrix
@@ -205,7 +190,7 @@ def comparator_from(order: StrictOrder) -> Comparator[int]:
     return cmp
 
 
-def width(order: StrictOrder, limit: int = WIDTH_LIMIT) -> int:
+def width(order: StrictOrder) -> int:
     """Size of a maximum antichain, exact via the chain-cover duality.
 
     A minimum chain cover of a transitively closed order has
@@ -214,8 +199,8 @@ def width(order: StrictOrder, limit: int = WIDTH_LIMIT) -> int:
     the width.
     """
     n = order.universe_size
-    if n > limit:
-        raise SizeLimitError(f"universe size {n} exceeds width limit {limit}")
+    if n > WIDTH_LIMIT:
+        raise SizeLimitError(f"universe size {n} exceeds width limit {WIDTH_LIMIT}")
     mat = order.matrix
     successors = [np.nonzero(mat[x])[0].tolist() for x in range(n)]
     match_of_right: list[int] = [-1] * n

@@ -6,7 +6,9 @@ import enum
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .order import OrderClass, StrictOrder, classify, maximal_set, comparator_from
+import numpy as np
+
+from .order import OrderClass, StrictOrder, classify
 
 
 class AggKind(enum.Enum):
@@ -20,9 +22,6 @@ class AggKind(enum.Enum):
 class SumPolarity(enum.Enum):
     LOWER_IS_BETTER = "lower"
     HIGHER_IS_BETTER = "higher"
-
-
-FRONTIER_KINDS = {AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX}
 
 
 @dataclass(frozen=True)
@@ -108,16 +107,9 @@ def validate(spec: PreferenceSpec, strict_interval: bool = False) -> ValidationR
 
 
 def most_important_set(spec: PreferenceSpec) -> set[int]:
-    """Attribute ids nothing is strictly more important than; nonempty."""
-    ids = list(range(spec.attr_count))
-    kept, _ = maximal_set(ids, comparator_from(spec.importance))
-    return set(kept)
+    """Attribute ids nothing is strictly more important than; nonempty.
 
-
-def importance_ge_or_indiff(spec: PreferenceSpec, xk: int, xi: int) -> bool:
-    """True when xk is more important than, or incomparable with, xi.
-
-    Equivalent to: xi is not strictly more important than xk (indifference is
-    reflexive, so xk == xi is included).
+    The importance order is closed and acyclic, so these are the attributes
+    whose importance column is empty.
     """
-    return not spec.importance.dominates(xi, xk)
+    return set(np.flatnonzero(~spec.importance.matrix.any(axis=0)).tolist())

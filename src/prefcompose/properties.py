@@ -81,10 +81,6 @@ def _serialize_case(spec: PreferenceSpec, pool: Sequence[Valuation], seed: int,
     return json.dumps(payload, sort_keys=True)
 
 
-def _dominance_matrix(spec: PreferenceSpec, pool: Sequence[Valuation]) -> np.ndarray:
-    return PackedPool(spec, list(pool)).dominance_matrix()
-
-
 def _transitivity_violation(matrix: np.ndarray) -> Optional[tuple[int, int, int]]:
     """A triple (u, v, z) with u>v, v>z but not u>z, if one exists.
 
@@ -131,7 +127,7 @@ def _check_transitivity(trials: int, seed: int) -> PropertyReport:
         n = int(rng.integers(2, 7))
         spec = _spec_for(rng, "po", "io", m, n)
         pool = _frontier_pool(spec, rng, int(rng.integers(4, 13)))
-        matrix = _dominance_matrix(spec, pool)
+        matrix = PackedPool(spec, pool).dominance_matrix()
         if bool(matrix.diagonal().any()):
             violations += 1
             if first is None:
@@ -155,7 +151,7 @@ def _check_weak_order(trials: int, seed: int, importance_kind: str,
         n = int(rng.integers(2, 7))
         spec = _spec_for(rng, "to", importance_kind, m, n)
         pool = _frontier_pool(spec, rng, int(rng.integers(4, 13)))
-        matrix = _dominance_matrix(spec, pool)
+        matrix = PackedPool(spec, pool).dominance_matrix()
         triple = _transitivity_violation(matrix)
         if triple is None:
             neg = _negative_transitivity_violation(matrix)
@@ -205,10 +201,12 @@ def _check_top_attribute(trials: int, seed: int) -> PropertyReport:
         m = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
         spec = _spec_for(rng, "po", "io", m, n)
-        # Rebuild importance with attribute 0 above everything else, keeping
-        # the drawn relation among the rest.
+        # Rebuild importance with attribute 0 above everything else and a
+        # random interval order among the rest (none is drawn for one).
         edges = [(0, k) for k in range(1, m)]
-        edges += [(x + 1, y + 1) for x, y in random_order_among(rng, m - 1)]
+        if m > 2:
+            rest = simulator.random_order(m - 1, "interval", rng)
+            edges += [(x + 1, y + 1) for x, y in rest.edges()]
         spec = PreferenceSpec(spec.attributes, build_order(edges, m))
         pool = _frontier_pool(spec, rng, 6)
         top = spec.attributes[0]
@@ -222,13 +220,6 @@ def _check_top_attribute(trials: int, seed: int) -> PropertyReport:
                     if first is None:
                         first = _serialize_case(spec, [u, v], seed, {"kind": "top-attribute"})
     return PropertyReport("top-attribute-inclusion", checked, violations, first)
-
-
-def random_order_among(rng: np.random.Generator, n: int) -> list[tuple[int, int]]:
-    """Edges of a random interval order over n elements (may be empty)."""
-    if n <= 1:
-        return []
-    return simulator.random_order(n, "interval", rng).edges()
 
 
 def _check_fixture(name: str) -> PropertyReport:
@@ -268,7 +259,3 @@ def verify_property(name: str, trials: int = 500, seed: int = 0) -> PropertyRepo
     if name in FIXTURE_PROPERTIES:
         return _check_fixture(name)
     raise ValueError(f"unknown property {name!r}; known: {', '.join(PROPERTY_NAMES)}")
-
-
-def verify_all(trials: int = 500, seed: int = 0) -> list[PropertyReport]:
-    return [verify_property(name, trials, seed) for name in PROPERTY_NAMES]

@@ -106,9 +106,10 @@ class SimConfig:
 
 @dataclass
 class RecursiveTree:
+    """A generated search tree; node k > 0 extends its parent by component k - 1."""
+
     parent: list[int]                 # parent[0] == -1
     children: list[list[int]]
-    node_component: list[int]         # component id per node, -1 at the root
     node_members: list[tuple[int, ...]]
     node_valuation: list[Valuation]
     leaves: list[int]
@@ -266,12 +267,11 @@ def generate_tree(
     children: list[list[int]] = [[] for _ in range(r + 1)]
     for node in range(1, r + 1):
         children[parent[node]].append(node)
-    node_component = [-1] + list(range(r))
+    # Node k holds component k - 1.  Every ancestor's component id is below
+    # this node's, so the members stay sorted.
     node_members: list[tuple[int, ...]] = [()] * (r + 1)
     for node in range(1, r + 1):
-        # Every ancestor's component id is below this node's, so the
-        # members stay sorted.
-        node_members[node] = node_members[parent[node]] + (node_component[node],)
+        node_members[node] = node_members[parent[node]] + (node - 1,)
 
     bottom = empty_composition(spec).valuation
     node_valuation: list[Valuation] = [bottom] * (r + 1)
@@ -283,7 +283,7 @@ def generate_tree(
         merged: list[dict[tuple[AggValue, AggValue], AggValue]] = [{} for _ in spec.attributes]
         for node in range(1, r + 1):
             up = node_valuation[parent[node]].per_attribute
-            base = component_base[node_component[node]].per_attribute
+            base = component_base[node - 1].per_attribute
             values = []
             for attr, known, a, b in zip(spec.attributes, merged, up, base):
                 value = known.get((a, b))
@@ -301,7 +301,6 @@ def generate_tree(
     return RecursiveTree(
         parent=parent,
         children=children,
-        node_component=node_component,
         node_members=node_members,
         node_valuation=node_valuation,
         leaves=leaves,

@@ -32,14 +32,6 @@ def naive_maximal(items, strictly_better):
     ]
 
 
-def naive_minimal(items, strictly_better):
-    return [
-        x
-        for i, x in enumerate(items)
-        if not any(strictly_better(x, y) == "first" for j, y in enumerate(items) if j != i)
-    ]
-
-
 def frontier_spec(domains_and_edges, importance_edges):
     """Spec of worst-frontier attributes from (domain, edges) pairs."""
     attributes = []

@@ -136,19 +136,6 @@ def test_interleave_returns_the_known_unsound_pair(unsound):
     assert check_weak_completeness(result, truth)
 
 
-def test_interleave_on_empty_initial_list(unsound):
-    result = interleave_compose(unsound.spec, _provider(unsound), initial=[])
-    assert result.solutions == []
-
-
-def test_interleave_accepts_a_non_root_initial_list(unsound):
-    provider = _provider(unsound)
-    level1 = provider.extensions(provider.root())
-    result = interleave_compose(unsound.spec, provider, initial=level1)
-    assert _names(unsound, result) == [("W1",), ("W2",)]
-    assert result.fcount == 0  # the undominated seeds were already feasible
-
-
 def test_interleave_expansion_is_cheaper(unsound):
     p1, p4 = _provider(unsound), _provider(unsound)
     r1 = compose_and_filter(unsound.spec, p1)

@@ -300,6 +300,18 @@ def test_props_json_output(tmp_path):
     assert doc["reports"][0]["violations"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "courses", "--out"],
+    ["simulate", "--r", "10", "--algorithms", "a3", "--csv"],
+    ["props", "--property", "weak-order", "--trials", "2", "--json"],
+])
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out"
+    assert main([*argv, str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {path}: "), err
+
+
 def test_simulate_block_requires_domain_values(tmp_path):
     doc = {
         "format": 1,
@@ -309,7 +321,7 @@ def test_simulate_block_requires_domain_values(tmp_path):
         ],
         "importance_edges": [],
         "components": [],
-        "simulate": {"repo_size": 5, "seed": 1, "attr_count": 1, "domain_size": 2},
+        "simulate": {"repo_size": 5, "seed": 1},
     }
     path = tmp_path / "emptydomain.json"
     path.write_text(json.dumps(doc))
@@ -325,8 +337,7 @@ def test_instance_with_simulate_block_solves(tmp_path):
         ],
         "importance_edges": [],
         "components": [],
-        "simulate": {"repo_size": 10, "seed": 4, "feas": 0.5,
-                     "attr_count": 1, "domain_size": 2},
+        "simulate": {"repo_size": 10, "seed": 4, "feas": 0.5},
     }
     path = tmp_path / "sim.json"
     path.write_text(json.dumps(doc))
@@ -379,6 +390,11 @@ _MALFORMED = [
     (("simulate",), {"seed": -1}, "simulate.seed"),
     (("simulate",), {"valuation_mode": "x"}, "simulate.valuation_mode"),
     (("simulate",), {"fdelay_ms": "x"}, "simulate.fdelay_ms"),
+    (("simulate",), {"attr_count": 2}, "simulate.attr_count"),
+    (("simulate",), {"domain_size": 2}, "simulate.domain_size"),
+    (("simulate",), {"intra_kind": "po"}, "simulate.intra_kind"),
+    (("simulate",), {"importance_kind": "io"}, "simulate.importance_kind"),
+    (("simulate",), {"density": 0.3}, "simulate.density"),
 ]
 
 

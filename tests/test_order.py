@@ -2,39 +2,46 @@
 
 from __future__ import annotations
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import prefcompose
 from prefcompose import (
     CycleError,
     SizeLimitError,
     build_order,
     classify,
-    indifferent,
     maximal_set,
-    minimal_set,
     width,
 )
-from prefcompose.order import comparator_from
+from prefcompose.order import WIDTH_LIMIT, comparator_from
 
-from conftest import naive_maximal, naive_minimal
+from conftest import naive_maximal
+
+
+def _related(order, x, y):
+    """True when one of x and y strictly beats the other."""
+    return order.dominates(x, y) or order.dominates(y, x)
 
 
 def test_empty_relation_is_all_indifferent():
     order = build_order([], 3)
     assert order.edges() == []
-    assert all(indifferent(order, x, y) for x in range(3) for y in range(3))
+    assert not order.matrix.any()
 
 
 def test_single_edge_relation():
     # b > c on {a, b, c}: b and a incomparable, a and c incomparable
     order = build_order([(1, 2)], 3)
     assert order.edges() == [(1, 2)]
-    assert indifferent(order, 1, 0)
-    assert indifferent(order, 0, 2)
-    assert not indifferent(order, 1, 2)
+    assert not _related(order, 1, 0)
+    assert not _related(order, 0, 2)
+    assert _related(order, 1, 2)
 
 
 def test_closure_adds_implied_edge():
@@ -89,20 +96,6 @@ def test_maximal_set_chain_unique_top():
     assert count <= 2 * 1 * 3
 
 
-def test_minimal_set_chain_unique_bottom():
-    order = build_order([(0, 1), (1, 2)], 3)
-    kept, _ = minimal_set([0, 1, 2], comparator_from(order))
-    assert kept == [2]
-
-
-def test_minimal_set_matches_worst_values_example():
-    # areas FM AI DB NW TH with AI>FM, AI>DB, FM>DB, TH>NW
-    fm, ai, db, nw, th = range(5)
-    order = build_order([(ai, fm), (ai, db), (fm, db), (th, nw)], 5)
-    kept, _ = minimal_set([fm, ai, db, nw, th], comparator_from(order))
-    assert sorted(kept) == [db, nw]
-
-
 def _random_poset(rng, n):
     from prefcompose.simulator import random_order
 
@@ -117,8 +110,6 @@ def test_maximal_and_minimal_match_naive_filter_on_random_posets(rng):
         cmp = comparator_from(order)
         kept, count = maximal_set(items, cmp)
         assert sorted(kept) == sorted(naive_maximal(items, cmp))
-        kept_min, _ = minimal_set(items, cmp)
-        assert sorted(kept_min) == sorted(naive_minimal(items, cmp))
         assert count <= 2 * width(order) * n
 
 
@@ -139,7 +130,7 @@ def test_width_of_two_disjoint_chains():
 def test_width_size_limit():
     with pytest.raises(SizeLimitError):
         width(build_order([], 600))
-    assert width(build_order([], 600), limit=600) == 600
+    assert width(build_order([], WIDTH_LIMIT)) == WIDTH_LIMIT
 
 
 def test_width_matches_antichain_enumeration(rng):
@@ -152,26 +143,26 @@ def test_width_matches_antichain_enumeration(rng):
             size
             for size in range(1, n + 1)
             for combo in combinations(range(n), size)
-            if all(indifferent(order, x, y) for x in combo for y in combo if x != y)
+            if not any(_related(order, x, y) for x in combo for y in combo)
         )
         assert width(order) == best
 
 
 def test_indifference_reflexive():
     order = build_order([(1, 2)], 3)
-    assert all(indifferent(order, x, x) for x in range(3))
+    assert not any(_related(order, x, x) for x in range(3))
 
 
 def test_indifference_not_transitive_for_single_edge():
     # b ~ a and a ~ c, yet b > c
     order = build_order([(1, 2)], 3)
-    assert indifferent(order, 1, 0) and indifferent(order, 0, 2)
+    assert not _related(order, 1, 0) and not _related(order, 0, 2)
     assert order.dominates(1, 2)
 
 
 def test_total_order_leaves_no_indifferent_pairs():
     order = build_order([(0, 1), (1, 2)], 3)
-    assert not any(indifferent(order, x, y) for x in range(3) for y in range(3) if x != y)
+    assert all(_related(order, x, y) for x in range(3) for y in range(3) if x != y)
 
 
 @settings(max_examples=60, deadline=None)
@@ -192,4 +183,34 @@ def test_closure_invariants_hold_for_arbitrary_acyclic_input(n, pairs):
     assert not np.any(mat & mat.T)  # asymmetric
     for x in range(n):
         for y in range(n):
-            assert indifferent(order, x, y) == indifferent(order, y, x)
+            assert _related(order, x, y) == _related(order, y, x)
+
+
+def test_only_order_and_the_package_root_name_the_filter_helpers():
+    """No production path runs the block-nested-loops filter: it and its
+    helpers stay for acceptance criterion 08, so no module other than
+    ``order.py`` and the package root names them, not even inside a
+    function."""
+    package = pathlib.Path(prefcompose.__file__).parent
+    helpers = {"maximal_set", "comparator_from", "width"}
+    checked = 0
+    for path in sorted(package.rglob("*.py")):
+        if path in (package / "order.py", package / "__init__.py"):
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.update((node.name.split(".")[-1], node.asname))
+        assert not named & helpers, path.name
+        checked += 1
+    assert checked >= 9
+
+
+def test_every_exported_name_resolves():
+    assert len(set(prefcompose.__all__)) == len(prefcompose.__all__)
+    for name in prefcompose.__all__:
+        assert hasattr(prefcompose, name), name

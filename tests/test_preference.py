@@ -1,4 +1,4 @@
-"""Preference-spec validation, most-important attributes, importance scope."""
+"""Preference-spec validation and most-important attributes."""
 
 from __future__ import annotations
 
@@ -8,10 +8,11 @@ from prefcompose import (
     PreferenceSpec,
     build_order,
     classify,
-    importance_ge_or_indiff,
     most_important_set,
     validate,
 )
+
+from prefcompose.simulator import SimConfig, random_spec
 
 from conftest import frontier_spec, sum_attribute
 
@@ -118,24 +119,19 @@ def test_course_instance_ranks_instructor_first():
     assert courses.spec.attributes[top].name == "instructor"
 
 
-def test_scope_is_reflexive():
-    spec = chain_importance_spec()
-    assert all(importance_ge_or_indiff(spec, i, i) for i in range(spec.attr_count))
-
-
-def test_scope_includes_incomparable_attributes():
-    spec = two_chain_importance_spec()
-    assert importance_ge_or_indiff(spec, 3, 0)  # x3 and x0 are incomparable
-
-
-def test_scope_excludes_strictly_less_important():
-    spec = chain_importance_spec()
-    assert not importance_ge_or_indiff(spec, 2, 0)
-
-
-def test_scope_equals_negated_reverse_dominance_everywhere():
-    for spec in (two_chain_importance_spec(), chain_importance_spec()):
-        for xk in range(spec.attr_count):
-            for xi in range(spec.attr_count):
-                expected = True if xk == xi else not spec.importance.dominates(xi, xk)
-                assert importance_ge_or_indiff(spec, xk, xi) == expected
+def test_most_important_set_is_its_definition(rng):
+    """{a : no b is more important than a}, on random importance orders of
+    every kind the simulator accepts, empty ones included."""
+    for kind in ("po", "to", "io", "wo"):
+        for m in range(1, 9):
+            for density in (0.0, 0.3, 0.7):
+                config = SimConfig(
+                    domain_size=2, attr_count=m, importance_kind=kind, density=density
+                )
+                spec = random_spec(config, rng)
+                expected = {
+                    a for a in range(m)
+                    if not any(spec.importance.dominates(b, a) for b in range(m))
+                }
+                assert most_important_set(spec) == expected
+                assert expected

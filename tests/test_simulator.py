@@ -119,7 +119,7 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch)
             tree = generate_tree(spec, config, rng)
             assert max(calls.values()) == 1
             for node in range(1, tree.node_count):
-                base = tree.component_base[tree.node_component[node]]
+                base = tree.component_base[node - 1]
                 expected = merge_valuations(spec, tree.node_valuation[tree.parent[node]], base)
                 assert tree.node_valuation[node] == expected
 
@@ -160,7 +160,7 @@ def test_random_weak_orders_are_weak(rng):
 
 def test_zero_density_partial_order_is_empty(rng):
     order = random_order(6, "partial", rng, density=0.0)
-    assert order.edge_count() == 0
+    assert not order.matrix.any()
 
 
 def test_unknown_order_kind_rejected(rng):
