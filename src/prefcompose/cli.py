@@ -18,6 +18,7 @@ import dataclasses
 import enum
 import json
 import math
+import os
 import reprlib
 import sys
 from typing import Optional, Sequence
@@ -336,6 +337,24 @@ def _cannot_write(path: str, exc: OSError) -> int:
     return EXIT_INPUT
 
 
+def _writable(path: Optional[str]) -> bool:
+    """Whether ``path`` (if given) opens for writing; if not, say so on stderr.
+
+    Opened for appending, so an existing file keeps its bytes until the run
+    succeeds; a file the check creates is removed again."""
+    if path:
+        existed = os.path.lexists(path)
+        try:
+            with open(path, "a"):
+                pass
+            if not existed:
+                os.remove(path)
+        except OSError as exc:
+            _cannot_write(path, exc)
+            return False
+    return True
+
+
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         instance = load_instance(args.instance)
@@ -349,6 +368,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         provider = _provider_for(instance, budget=args.budget)
     except InstanceError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    if not _writable(args.out):
         return EXIT_INPUT
     options = {
         "a3": {"pick_seed": args.pick},
@@ -390,6 +411,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         return EXIT_INPUT
     for warning in config.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
+    if not _writable(args.csv):
+        return EXIT_INPUT
     try:
         records = simulator.run_experiment(config, args.algorithms, repetitions=args.reps)
     except ValueError as exc:  # an unknown algorithm name
@@ -457,6 +480,8 @@ def cmd_props(args: argparse.Namespace) -> int:
         names = properties.PROPERTY_NAMES
     else:
         names = (args.property,)
+    if not _writable(args.json):
+        return EXIT_INPUT
     reports = []
     for name in names:
         try:

@@ -63,13 +63,18 @@ def empty_composition(spec: PreferenceSpec) -> Composition:
 
 
 def merge_valuations(spec: PreferenceSpec, a: Valuation, b: Valuation) -> Valuation:
-    if len(a) != spec.attr_count or len(b) != spec.attr_count:
+    """Merge attribute by attribute, each distinct frontier pair once per spec."""
+    xs, ys = a.per_attribute, b.per_attribute
+    if not len(xs) == len(ys) == len(spec.attributes):
         raise ShapeError("valuation not aligned with spec")
-    return Valuation(
-        tuple(
-            merge(attr, a[i], b[i]) for i, attr in enumerate(spec.attributes)
-        )
-    )
+    values = []
+    for attr, known, x, y in zip(spec.attributes, spec.merge_table, xs, ys):
+        if known is None:  # a sum
+            value = merge(attr, x, y)
+        elif (value := known.get((x, y))) is None:
+            value = known[x, y] = merge(attr, x, y)
+        values.append(value)
+    return Valuation(tuple(values))
 
 
 def extend(spec: PreferenceSpec, comp: Composition, component: Component) -> Composition:
@@ -150,22 +155,18 @@ class ExplicitProvider(FeasibilityProvider):
     def is_feasible(self, comp: Composition) -> bool:
         return tuple(sorted(comp.members)) in self._feasible_keys
 
-    def _next_components(self, members: tuple[int, ...]) -> list[int]:
-        return list(self._next.get(tuple(sorted(members)), ()))
-
     def extensions(self, comp: Composition) -> list[Composition]:
         self._charge()
         out = []
-        for comp_id in self._next_components(comp.members):
-            extended = extend(self.spec, comp, self.components[comp_id])
-            if not self._next_components(extended.members):
-                extended = Composition(
-                    members=extended.members,
-                    valuation=extended.valuation,
-                    provider_node=extended.provider_node,
-                    terminal=True,
-                )
-            out.append(extended)
+        for comp_id in self._next.get(tuple(sorted(comp.members)), ()):
+            members = tuple(sorted(comp.members + (comp_id,)))
+            base = self.components[comp_id].base_valuation
+            out.append(Composition(
+                members=members,
+                valuation=merge_valuations(self.spec, comp.valuation, base),
+                provider_node=members,
+                terminal=members not in self._next,
+            ))
         return out
 
     def all_feasible(self) -> list[Composition]:

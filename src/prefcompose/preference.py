@@ -45,9 +45,14 @@ class PreferenceSpec:
     attributes: tuple[AttributeSchema, ...]
     importance: StrictOrder
     importance_class: OrderClass = field(init=False)
+    # Per attribute, (a, b) -> merge; only composition.merge_valuations uses it.
+    # Sums get None and are added every time: 0.0 and -0.0 compare equal, so a
+    # kept 0.0 + -0.0 would also answer -0.0 + -0.0.
+    merge_table: list[Optional[dict]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.importance_class = classify(self.importance)
+        self.merge_table = [None if a.agg_kind is AggKind.SUM else {} for a in self.attributes]
 
     @property
     def attr_count(self) -> int:

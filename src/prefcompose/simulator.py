@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from . import oracle
-from .aggregation import AggValue, Valuation, merge
+from .aggregation import AggValue, Valuation
 from .algorithms import ALGORITHMS
 from .composition import (
     DEFAULT_BUDGET,
@@ -27,6 +27,7 @@ from .composition import (
     Composition,
     FeasibilityProvider,
     empty_composition,
+    merge_valuations,
 )
 from .order import StrictOrder, build_order
 from .preference import AggKind, AttributeSchema, PreferenceSpec
@@ -91,13 +92,7 @@ class SimConfig:
 
     def range_warnings(self) -> list[str]:
         out = []
-        for name, allowed in (
-            ("feas", USUAL_RANGES["feas"]),
-            ("domain_size", USUAL_RANGES["domain_size"]),
-            ("attr_count", USUAL_RANGES["attr_count"]),
-            ("repo_size", USUAL_RANGES["repo_size"]),
-            ("fdelay_ms", USUAL_RANGES["fdelay_ms"]),
-        ):
+        for name, allowed in USUAL_RANGES.items():
             value = getattr(self, name)
             if value not in allowed:
                 out.append(f"{name}={value} outside the usual range {allowed}")
@@ -278,19 +273,10 @@ def generate_tree(
     component_base: Optional[list[Valuation]] = None
     if config.valuation_mode == "aggregated":
         component_base = random_valuations(spec, rng, r)
-        # Per attribute, each (parent value, component value) pair's merge:
-        # a tree repeats few distinct pairs, and each is merged once.
-        merged: list[dict[tuple[AggValue, AggValue], AggValue]] = [{} for _ in spec.attributes]
         for node in range(1, r + 1):
-            up = node_valuation[parent[node]].per_attribute
-            base = component_base[node - 1].per_attribute
-            values = []
-            for attr, known, a, b in zip(spec.attributes, merged, up, base):
-                value = known.get((a, b))
-                if value is None:
-                    value = known[a, b] = merge(attr, a, b)
-                values.append(value)
-            node_valuation[node] = Valuation(tuple(values))
+            node_valuation[node] = merge_valuations(
+                spec, node_valuation[parent[node]], component_base[node - 1]
+            )
     else:  # random_per_node
         node_valuation[1:] = random_valuations(spec, rng, r)
 

@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prefcompose import properties, simulator
 from prefcompose.cli import (
+    ALGORITHMS,
     EXIT_BUDGET,
     EXIT_EXPECTATION,
     EXIT_INPUT,
@@ -305,11 +307,28 @@ def test_props_json_output(tmp_path):
     ["simulate", "--r", "10", "--algorithms", "a3", "--csv"],
     ["props", "--property", "weak-order", "--trials", "2", "--json"],
 ])
-def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """The output path is checked before the run starts."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before the output path was checked")
+
+    monkeypatch.setitem(ALGORITHMS, "a1", no_run)
+    monkeypatch.setattr(simulator, "run_experiment", no_run)
+    monkeypatch.setattr(properties, "verify_property", no_run)
     path = tmp_path / "missing" / "out"
     assert main([*argv, str(path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {path}: "), err
+
+
+def test_failed_run_keeps_an_existing_output_file(tmp_path):
+    out = tmp_path / "result.json"
+    out.write_text("previous result\n")
+    assert main(["solve", "interleave_unsound", "--budget", "0", "--out", str(out)]) == EXIT_BUDGET
+    assert out.read_text() == "previous result\n"
+    fresh = tmp_path / "fresh.json"
+    assert main(["solve", "interleave_unsound", "--budget", "0", "--out", str(fresh)]) == EXIT_BUDGET
+    assert not fresh.exists()
 
 
 def test_simulate_block_requires_domain_values(tmp_path):

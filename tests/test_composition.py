@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
+
+import numpy as np
 import pytest
 
 from prefcompose import (
+    AggValue,
     BudgetExceeded,
     Component,
+    DomainError,
     ExplicitProvider,
+    PreferenceSpec,
+    Valuation,
+    build_order,
+    composition,
     dominates,
     empty_composition,
     enumerate_feasible,
     extend,
 )
+from prefcompose.aggregation import merge
 from prefcompose.cli import load_instance
 from prefcompose.composition import merge_valuations
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
@@ -109,6 +120,63 @@ def test_explicit_provider_extension_semantics(unsound_instance):
     nxt = provider.extensions(partial)
     assert [c.members for c in nxt] == [(2, 3)]
     assert nxt[0].terminal and provider.is_feasible(nxt[0])
+
+
+def test_explicit_provider_merges_each_distinct_frontier_pair_once(monkeypatch):
+    """Sequences that share prefixes ask for the same frontier merges again;
+    each distinct (attribute, a, b) is merged at most once per spec, across
+    enumeration and the native feasible set, and every valuation equals the
+    plain fold of its members' base valuations."""
+    calls = Counter()
+
+    def counting_merge(attr, a, b):
+        calls[attr.attr_id, a, b] += 1
+        return merge(attr, a, b)
+
+    monkeypatch.setattr(composition, "merge", counting_merge)
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        config = SimConfig(attr_count=4, intra_kind=("po", "to")[seed % 2])
+        spec = random_spec(config, rng)
+        attrs = (*spec.attributes[:-1], sum_attribute(3, "cost", (4, 1, 9, 2)))
+        spec = PreferenceSpec(attrs, spec.importance)
+        bases = random_valuations(spec, rng, 6)
+        components = [Component(i, f"w{i}", v) for i, v in enumerate(bases)]
+        # Few first and second elements, so many sequences share a prefix.
+        sequences = [[int(rng.integers(0, 2)), int(rng.integers(0, 3)),
+                      *rng.integers(0, 6, size=int(rng.integers(0, 3))).tolist()]
+                     for _ in range(12)]
+        provider = ExplicitProvider(spec, components, sequences)
+        calls.clear()
+        found = enumerate_feasible(provider) + provider.all_feasible()
+        frontier = {key: n for key, n in calls.items() if key[0] != 3}
+        assert max(frontier.values()) == 1
+        # the sum attribute is merged once per merge_valuations call
+        requests = sum(n for key, n in calls.items() if key[0] == 3)
+        assert len(frontier) < 3 * requests
+        for comp in found:
+            expected = empty_composition(spec).valuation.per_attribute
+            for comp_id in comp.members:
+                base = components[comp_id].base_valuation.per_attribute
+                expected = tuple(map(merge, spec.attributes, expected, base))
+            assert comp.valuation == Valuation(expected)
+
+
+def test_sum_merges_keep_the_sign_of_zero():
+    """Sums are merged every time: 0.0 and -0.0 compare equal, so a kept
+    0.0 + -0.0 would answer -0.0 + -0.0 with 0.0."""
+    spec = PreferenceSpec((sum_attribute(0, "cost", (0,)),), build_order([], 1))
+    zero, minus = (Valuation((AggValue.of_scalar(x),)) for x in (0.0, -0.0))
+    assert math.copysign(1.0, merge_valuations(spec, zero, minus)[0].scalar) == 1.0
+    assert math.copysign(1.0, merge_valuations(spec, minus, minus)[0].scalar) == -1.0
+
+
+def test_a_frontier_pair_that_fails_its_checks_is_never_kept():
+    spec = frontier_spec([(("a", "b"), [(0, 1)])], importance_edges=[])
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            merge_valuations(spec, singleton_valuation(0), singleton_valuation(5))
+    assert spec.merge_table == [{}]
 
 
 def test_explicit_provider_all_feasible_matches_enumeration(unsound_instance):

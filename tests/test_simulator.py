@@ -8,10 +8,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from prefcompose import AggValue, PreferenceSpec, Valuation, build_order, classify, enumerate_feasible
-from prefcompose import simulator
+from prefcompose import (
+    AggKind,
+    AggValue,
+    PreferenceSpec,
+    Valuation,
+    build_order,
+    classify,
+    composition,
+    enumerate_feasible,
+)
 from prefcompose.aggregation import merge
-from prefcompose.composition import merge_valuations
 from prefcompose.simulator import (
     CSV_HEADER,
     SimConfig,
@@ -98,15 +105,16 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
 @pytest.mark.parametrize("intra_kind", ["po", "to", "io", "wo"])
 def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch):
     """Each aggregated node valuation is its parent's merged with its
-    component's base, and generate_tree merges each distinct
+    component's base, and generate_tree merges each distinct frontier
     (attribute, parent value, component value) at most once per tree."""
     calls = Counter()
 
     def counting_merge(attr, a, b):
-        calls[attr.attr_id, a, b] += 1
+        if attr.agg_kind is not AggKind.SUM:
+            calls[attr.attr_id, a, b] += 1
         return merge(attr, a, b)
 
-    monkeypatch.setattr(simulator, "merge", counting_merge)
+    monkeypatch.setattr(composition, "merge", counting_merge)
     for seed in range(30):
         for m in (1, 4, 16):
             rng = np.random.default_rng(seed)
@@ -119,9 +127,10 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch)
             tree = generate_tree(spec, config, rng)
             assert max(calls.values()) == 1
             for node in range(1, tree.node_count):
-                base = tree.component_base[node - 1]
-                expected = merge_valuations(spec, tree.node_valuation[tree.parent[node]], base)
-                assert tree.node_valuation[node] == expected
+                up = tree.node_valuation[tree.parent[node]].per_attribute
+                base = tree.component_base[node - 1].per_attribute
+                expected = tuple(map(merge, spec.attributes, up, base))
+                assert tree.node_valuation[node] == Valuation(expected)
 
 
 def test_mean_leaf_depth_tracks_log_of_size(rng):
