@@ -14,6 +14,8 @@ Exit codes are stable: 0 success, 1 expectation failed, 2 input error,
 from __future__ import annotations
 
 import argparse
+import bisect
+import contextlib
 import dataclasses
 import enum
 import json
@@ -21,7 +23,7 @@ import math
 import os
 import reprlib
 import sys
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, TextIO
 
 from . import fixtures, properties, simulator
 from .aggregation import AggValue, Valuation
@@ -50,7 +52,9 @@ EXIT_BUDGET = 3
 
 
 class InstanceError(ValueError):
-    """The instance file is malformed; the message carries the field path."""
+    """Bad input, exit 2: a malformed instance, config or relation file, a
+    bad setting or an unwritable output path.  The message names the file or
+    the field path."""
 
 
 @dataclasses.dataclass
@@ -237,19 +241,50 @@ def parse_instance(doc: dict) -> Instance:
         ]
         return Instance(spec, components, component_ids, sequences, None)
     entry = _field(doc, "simulate", "an object", "")
-    unknown = set(entry) - {f.name for f in dataclasses.fields(simulator.SimConfig)}
-    _require(not unknown, f"simulate: unknown fields {sorted(unknown)}")
     for name in entry:
         _require(
             name not in _SPEC_FIELDS,
             f"simulate.{name}: not read here; the spec comes from 'attributes' "
             "and 'importance_edges'",
         )
+    return Instance(spec, components, component_ids, None, _sim_config(entry, "simulate"))
+
+
+_SIM_FIELDS = frozenset(field.name for field in dataclasses.fields(simulator.SimConfig))
+
+
+def _sim_config(data, where: str, sep: str = ".", **flags) -> simulator.SimConfig:
+    """``data`` read as ``SimConfig`` fields, with ``flags`` set over them.
+
+    ``where`` names ``data`` in error messages and ``sep`` joins a field name
+    to it; an error in a flag's value names the field alone.
+    """
+    if not isinstance(data, dict):
+        raise _wrong_type(where, "an object", data)
+    unknown = set(data) - _SIM_FIELDS
+    _require(not unknown, f"{where}: unknown fields {sorted(unknown)}")
     try:
-        sim_config = simulator.SimConfig(**entry)
+        return simulator.SimConfig(**{**data, **flags})
     except ValueError as exc:  # its message starts with the field name
-        raise InstanceError(f"simulate.{exc}") from None
-    return Instance(spec, components, component_ids, None, sim_config)
+        name = str(exc).partition(":")[0]
+        raise InstanceError(str(exc) if name in flags else f"{where}{sep}{exc}") from None
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as handle:
+            return handle.read()
+    except OSError as exc:
+        raise InstanceError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:  # bytes that are not UTF-8
+        raise InstanceError(f"{path}: {exc}") from exc
+
+
+def _read_json(path: str):
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
 
 
 def load_instance(path: str) -> Instance:
@@ -258,16 +293,7 @@ def load_instance(path: str) -> Instance:
             path = fixtures.fixture_path(path)
         except KeyError:
             pass
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise InstanceError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # bytes that are not UTF-8
-        raise InstanceError(f"{path}: {exc}") from exc
-    return parse_instance(doc)
+    return parse_instance(_read_json(path))
 
 
 def _provider_for(instance: Instance, budget: int) -> FeasibilityProvider:
@@ -323,22 +349,12 @@ def run_result_json(instance: Instance, result: RunResult) -> dict:
     }
 
 
-def _dump_json(doc: dict, path: Optional[str]) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if path:
-        with open(path, "w") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def _cannot_write(path: str, exc: OSError) -> InstanceError:
+    return InstanceError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _cannot_write(path: str, exc: OSError) -> int:
-    print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
-    return EXIT_INPUT
-
-
-def _writable(path: Optional[str]) -> bool:
-    """Whether ``path`` (if given) opens for writing; if not, say so on stderr.
+def _require_writable(path: Optional[str]) -> None:
+    """Fail before the run when ``path`` (if given) does not open for writing.
 
     Opened for appending, so an existing file keeps its bytes until the run
     succeeds; a file the check creates is removed again."""
@@ -350,151 +366,124 @@ def _writable(path: Optional[str]) -> bool:
             if not existed:
                 os.remove(path)
         except OSError as exc:
-            _cannot_write(path, exc)
-            return False
-    return True
+            raise _cannot_write(path, exc) from exc
+
+
+@contextlib.contextmanager
+def _output(path: Optional[str]) -> Iterator[TextIO]:
+    """Where a command writes its result: the file ``path``, else stdout."""
+    if not path:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", newline="") as handle:
+            yield handle
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+
+
+def _write_json(doc: dict, path: Optional[str]) -> None:
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        instance = load_instance(args.instance)
-        report = validate(instance.spec, strict_interval=args.strict)
-        for warning in report.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-        for problem in report.errors:
-            print(f"error: {problem}", file=sys.stderr)
-        if not report.ok:
-            return EXIT_INPUT
-        provider = _provider_for(instance, budget=args.budget)
-    except InstanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if not _writable(args.out):
-        return EXIT_INPUT
+    instance = load_instance(args.instance)
+    report = validate(instance.spec, strict_interval=args.strict)
+    for warning in report.warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    _require(report.ok, "; ".join(report.errors))
+    provider = _provider_for(instance, budget=args.budget)
+    _require_writable(args.out)
     options = {
         "a3": {"pick_seed": args.pick},
         "a4": {"extend_feasible": args.extend_feasible},
     }.get(args.algorithm, {})
-    try:
-        result = ALGORITHMS[args.algorithm](instance.spec, provider, **options)
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    doc = run_result_json(instance, result)
-    try:
-        _dump_json(doc, args.out)
-    except OSError as exc:
-        return _cannot_write(args.out, exc)
+    result = ALGORITHMS[args.algorithm](instance.spec, provider, **options)
+    _write_json(run_result_json(instance, result), args.out)
     return EXIT_OK
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        if args.config:
-            with open(args.config) as handle:
-                config = simulator.SimConfig(**json.load(handle))
-        else:
-            config = simulator.SimConfig(
-                feas=args.feas,
-                domain_size=args.n,
-                attr_count=args.m,
-                repo_size=args.r,
-                fdelay_ms=args.fdelay,
-                intra_kind=args.intra,
-                importance_kind=args.imp,
-                valuation_mode=args.valuation_mode,
-            )
-        if args.seed is not None:
-            config = dataclasses.replace(config, seed=args.seed)
-    except (OSError, TypeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    flags = {name: value for name, value in vars(args).items() if name in _SIM_FIELDS}
+    data = _read_json(args.config) if args.config else {}
+    config = _sim_config(data, args.config, ": ", **flags)
     for warning in config.range_warnings():
         print(f"warning: {warning}", file=sys.stderr)
-    if not _writable(args.csv):
-        return EXIT_INPUT
-    try:
-        records = simulator.run_experiment(config, args.algorithms, repetitions=args.reps)
-    except ValueError as exc:  # an unknown algorithm name
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    if args.csv:
-        try:
-            simulator.write_csv(records, args.csv)
-        except OSError as exc:
-            return _cannot_write(args.csv, exc)
-    else:
-        print(",".join(simulator.CSV_HEADER))
-        for record in records:
-            print(",".join(record.csv_row()))
+    _require_writable(args.csv)
+    records = simulator.run_experiment(config, args.algorithms, repetitions=args.reps)
+    with _output(args.csv) as handle:
+        simulator.write_csv(records, handle)
     return EXIT_OK
 
 
-def parse_relation_file(path: str) -> StrictOrder:
-    """Line format: header ``n=<count>``, then one ``a > b`` pair per line."""
-    with open(path) as handle:
-        lines = [line.strip() for line in handle]
-    lines = [line for line in lines if line and not line.startswith("#")]
-    if not lines or not lines[0].replace(" ", "").startswith("n="):
-        raise InstanceError(f"{path}: first line must be 'n=<count>'")
+def _closes_cycle(edges: list[tuple[int, int]], n: int) -> bool:
     try:
-        n = int(lines[0].split("=", 1)[1])
-    except ValueError:
-        raise InstanceError(f"{path}: bad element count in header") from None
+        build_order(edges, n)
+    except CycleError:
+        return True
+    return False
+
+
+def parse_relation_file(path: str) -> StrictOrder:
+    """Line format: header ``n=<count>``, then one ``a > b`` pair per line.
+
+    Blank lines and lines starting with ``#`` are skipped; an error names
+    the file and the line."""
+    lines = enumerate((line.strip() for line in _read_text(path).split("\n")), start=1)
+    numbered = [(lineno, line) for lineno, line in lines if line and not line.startswith("#")]
+    header_line, header = numbered[0] if numbered else (1, "")
+    key, _, count = header.replace(" ", "").partition("=")
+    if key != "n" or not count.isdecimal():
+        raise InstanceError(
+            f"{path}:{header_line}: expected the header 'n=<count>' with a count >= 0, got {header!r}"
+        )
+    n = int(count)
     edges = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in numbered[1:]:
         parts = line.split(">")
         if len(parts) != 2:
             raise InstanceError(f"{path}:{lineno}: expected 'a > b'")
         try:
-            edges.append((int(parts[0]), int(parts[1])))
+            x, y = int(parts[0]), int(parts[1])
         except ValueError:
             raise InstanceError(f"{path}:{lineno}: elements must be integers") from None
-    return build_order(edges, n)
+        if not (0 <= x < n and 0 <= y < n):
+            raise InstanceError(f"{path}:{lineno}: edge ({x}, {y}) outside universe of size {n}")
+        edges.append((x, y))
+    try:
+        return build_order(edges, n)
+    except CycleError:
+        # A cycle, once closed, stays closed: the shortest prefix of the edges
+        # with one ends at the edge that closes it.
+        prefixes = range(len(edges) + 1)
+        k = bisect.bisect_left(prefixes, True, key=lambda k: _closes_cycle(edges[:k], n))
+        x, y = edges[k - 1]
+        raise InstanceError(f"{path}:{numbered[k][0]}: edge {x} > {y} closes a cycle") from None
+    except ValueError as exc:  # a count too large for one matrix
+        raise InstanceError(f"{path}:{header_line}: {exc}") from None
 
 
 def cmd_check_orders(args: argparse.Namespace) -> int:
-    try:
-        order = parse_relation_file(args.relation)
-    except (OSError, ValueError) as exc:  # InstanceError and CycleError included
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    flags = classify(order)
+    flags = classify(parse_relation_file(args.relation))
     print(
         f"partial={flags.is_partial} interval={flags.is_interval} "
         f"weak={flags.is_weak} total={flags.is_total}"
     )
-    if args.expect:
-        satisfied = {
-            "partial": flags.is_partial,
-            "interval": flags.is_interval,
-            "weak": flags.is_weak,
-            "total": flags.is_total,
-        }[args.expect]
-        return EXIT_OK if satisfied else EXIT_EXPECTATION
+    if args.expect and not getattr(flags, f"is_{args.expect}"):
+        return EXIT_EXPECTATION
     return EXIT_OK
 
 
 def cmd_props(args: argparse.Namespace) -> int:
-    if args.property == "all":
-        names = properties.PROPERTY_NAMES
-    else:
-        names = (args.property,)
-    if not _writable(args.json):
-        return EXIT_INPUT
-    reports = []
-    for name in names:
-        try:
-            reports.append(properties.verify_property(name, trials=args.trials, seed=args.seed))
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+    known = properties.PROPERTY_NAMES
+    names = known if args.property == "all" else (args.property,)
+    _require(set(names) <= set(known), f"unknown property {args.property!r}; known: {', '.join(known)}")
+    _require_writable(args.json)
+    reports = [properties.verify_property(name, trials=args.trials, seed=args.seed) for name in names]
     if args.json:
-        doc = {"format": 1, "reports": [dataclasses.asdict(r) for r in reports]}
-        try:
-            _dump_json(doc, args.json)
-        except OSError as exc:
-            return _cannot_write(args.json, exc)
+        _write_json({"format": 1, "reports": [dataclasses.asdict(r) for r in reports]}, args.json)
     width_name = max(len(r.name) for r in reports)
     all_ok = True
     for report in reports:
@@ -544,6 +533,9 @@ def algorithm_names(text: str) -> list[str]:
     names = [name.strip() for name in text.split(",") if name.strip()]
     if not names:
         raise argparse.ArgumentTypeError("expected at least one algorithm name")
+    for name in names:
+        if name not in ALGORITHMS:
+            raise argparse.ArgumentTypeError(f"unknown algorithm {name!r}")
     return names
 
 
@@ -571,22 +563,25 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--out", help="write the result JSON here instead of stdout")
     solve.set_defaults(func=cmd_solve)
 
-    sim = sub.add_parser("simulate", help="batch experiment over generated instances")
-    sim.add_argument("--config", help="JSON file with generator settings")
-    sim.add_argument("--feas", type=float, default=0.5)
-    sim.add_argument("--n", type=int, default=4, help="domain size per attribute")
-    sim.add_argument("--m", type=int, default=4, help="attribute count")
-    sim.add_argument("--r", type=int, default=40, help="repository size (tree nodes)")
-    sim.add_argument("--fdelay", type=float, default=1.0,
+    # A simulate flag left out takes its value from --config or else from the
+    # SimConfig default; each dest is a SimConfig field name.
+    sim = sub.add_parser("simulate", help="batch experiment over generated instances",
+                         argument_default=argparse.SUPPRESS)
+    sim.add_argument("--config", default=None,
+                     help="JSON file with generator settings; a flag given overrides its field")
+    sim.add_argument("--feas", type=float)
+    sim.add_argument("--n", dest="domain_size", type=int, help="domain size per attribute")
+    sim.add_argument("--m", dest="attr_count", type=int, help="attribute count")
+    sim.add_argument("--r", dest="repo_size", type=int, help="repository size (tree nodes)")
+    sim.add_argument("--fdelay", dest="fdelay_ms", type=float,
                      help="simulated cost per extension call (ms)")
-    sim.add_argument("--intra", choices=("po", "to"), default="po")
-    sim.add_argument("--imp", choices=("io", "to"), default="io")
-    sim.add_argument("--valuation-mode", choices=simulator.VALUATION_MODES,
-                     default="random_per_node")
+    sim.add_argument("--intra", dest="intra_kind", metavar="{po,to,io,wo}")
+    sim.add_argument("--imp", dest="importance_kind", metavar="{po,to,io,wo}")
+    sim.add_argument("--valuation-mode", choices=simulator.VALUATION_MODES)
     sim.add_argument("--algorithms", type=algorithm_names, default="a1,a3,a4")
     sim.add_argument("--reps", type=positive_int, default=1)
-    sim.add_argument("--seed", type=int, default=None)
-    sim.add_argument("--csv", help="write records to this CSV path")
+    sim.add_argument("--seed", type=int)
+    sim.add_argument("--csv", default=None, help="write records to this CSV path")
     sim.set_defaults(func=cmd_simulate)
 
     orders = sub.add_parser("check-orders", help="classify a relation text file")
@@ -606,7 +601,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (InstanceError, BudgetExceeded) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ tracer counts calls to :func:`maximal_set`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal, Sequence, TypeVar
+from typing import Callable, Iterable, Literal, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -107,11 +107,20 @@ def ferrers_ok(mat: np.ndarray) -> bool:
     return not bool(np.any(n & n.T))
 
 
-def negatively_transitive(mat: np.ndarray) -> bool:
-    """True when x>y implies x>z or z>y for every z."""
+def negative_transitivity_violation(mat: np.ndarray) -> Optional[tuple[int, int, int]]:
+    """A triple (x, y, z) with x>y but neither x>z nor z>y, or None when x>y
+    implies x>z or z>y for every z.
+
+    The triple is the first (x, y) in row-major order, then the lowest z.
+    """
     notm = (~mat).astype(np.float64)
     gap = (notm @ notm) > 0  # gap[x,y]: exists z with neither x>z nor z>y
-    return not bool(np.any(mat & gap))
+    bad = mat & gap
+    if not bad.any():
+        return None
+    x, y = map(int, np.argwhere(bad)[0])
+    z = int(np.flatnonzero(~mat[x] & ~mat[:, y])[0])
+    return x, y, z
 
 
 def build_order(edges: Iterable[tuple[int, int]], universe_size: int) -> StrictOrder:
@@ -137,7 +146,7 @@ def classify(order: StrictOrder) -> OrderClass:
     mat = order.matrix
     n = order.universe_size
     is_interval = ferrers_ok(mat)
-    is_weak = is_interval and negatively_transitive(mat)
+    is_weak = is_interval and negative_transitivity_violation(mat) is None
     symmetric_cover = mat | mat.T
     is_total = is_weak and bool(symmetric_cover.sum() == n * n - n)
     return OrderClass(is_partial=True, is_interval=is_interval, is_weak=is_weak, is_total=is_total)

@@ -20,7 +20,7 @@ from .aggregation import Valuation, aggregate, strictly_preferred
 from .composition import Component, empty_composition, extend
 from .dominance import PackedPool, dominates, witnesses
 from .oracle import intransitivity_fixture
-from .order import build_order, classify
+from .order import build_order, classify, negative_transitivity_violation
 from .preference import PreferenceSpec
 
 PROPERTY_NAMES = (
@@ -96,19 +96,6 @@ def _transitivity_violation(matrix: np.ndarray) -> Optional[tuple[int, int, int]
     return u, v, z
 
 
-def _negative_transitivity_violation(matrix: np.ndarray) -> Optional[tuple[int, int, int]]:
-    """A triple with u>y but neither u>z nor z>y, if one exists."""
-    n = matrix.shape[0]
-    for u in range(n):
-        for y in range(n):
-            if not matrix[u, y]:
-                continue
-            for z in range(n):
-                if not matrix[u, z] and not matrix[z, y]:
-                    return u, y, z
-    return None
-
-
 def _spec_for(rng: np.random.Generator, intra_kind: str, importance_kind: str,
               m: int, n: int) -> PreferenceSpec:
     config = simulator.SimConfig(
@@ -154,8 +141,7 @@ def _check_weak_order(trials: int, seed: int, importance_kind: str,
         matrix = PackedPool(spec, pool).dominance_matrix()
         triple = _transitivity_violation(matrix)
         if triple is None:
-            neg = _negative_transitivity_violation(matrix)
-            triple = neg
+            triple = negative_transitivity_violation(matrix)
             kind = "negative-transitivity"
         else:
             kind = "transitivity"

@@ -14,7 +14,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -403,9 +403,12 @@ def run_seeded_instance(
     return run_instance(spec, tree, config, algorithms, child_seed)
 
 
-def write_csv(records: Iterable[ExperimentRecord], path: str) -> None:
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow(record.csv_row())
+def write_csv(records: Iterable[ExperimentRecord], out: Union[str, TextIO]) -> None:
+    """Write the records as CSV with LF line ends to ``out``, a path or an
+    open text file."""
+    if isinstance(out, str):
+        with open(out, "w", newline="") as handle:
+            return write_csv(records, handle)
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(record.csv_row() for record in records)

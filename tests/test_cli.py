@@ -134,6 +134,20 @@ def test_check_orders_bad_header(tmp_path):
     assert main(["check-orders", str(relation)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("text, line, message", [
+    ("", 1, "expected the header 'n=<count>' with a count >= 0, got ''"),
+    ("# count\n\nn=-2\n", 3, "expected the header 'n=<count>' with a count >= 0, got 'n=-2'"),
+    ("n=3\n# a comment\n0 > 5\n", 3, "edge (0, 5) outside universe of size 3"),
+    ("n=2\n\n0 > x\n", 3, "elements must be integers"),
+    ("# header next\nn=3\n0 > 1\n\n1 > 2\n2 > 0\n1 > 0\n", 6, "edge 2 > 0 closes a cycle"),
+], ids=["empty", "negative-count", "out-of-range", "not-an-integer", "cycle"])
+def test_check_orders_errors_name_the_line(tmp_path, capsys, text, line, message):
+    relation = tmp_path / "rel.txt"
+    relation.write_text(text)
+    assert main(["check-orders", str(relation)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {relation}:{line}: {message}\n"
+
+
 def test_props_fixture_property_passes(capsys):
     assert main(["props", "--property", "intransitivity-fixture"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -189,6 +203,7 @@ def test_simulate_total_orders_with_aggregated_values_are_exact(tmp_path):
     pytest.param(["simulate", "--reps", "0"], "--reps", id="reps=0"),
     pytest.param(["simulate", "--algorithms", ","], "--algorithms", id="algorithms=,"),
     pytest.param(["simulate", "--algorithms", ""], "--algorithms", id="algorithms=empty"),
+    pytest.param(["simulate", "--algorithms", "a1,a9"], "--algorithms", id="algorithms=a9"),
     pytest.param(["simulate", "--real-sleep"], "--real-sleep", id="real-sleep"),
     pytest.param(["solve", "courses", "--budget", "-1"], "--budget", id="budget=-1"),
 ])
@@ -198,6 +213,43 @@ def test_bad_counts_and_lists_are_usage_errors(capsys, argv, flag):
     assert exit_info.value.code == EXIT_INPUT
     captured = capsys.readouterr()
     assert flag in captured.err and not captured.out
+
+
+def test_simulate_stdout_and_csv_file_are_the_same_bytes(tmp_path, capsys):
+    args = ["simulate", "--r", "20", "--reps", "2", "--algorithms", "a1,a4"]
+    assert main(args) == EXIT_OK
+    stdout = capsys.readouterr().out
+    out = tmp_path / "out.csv"
+    assert main([*args, "--csv", str(out)]) == EXIT_OK
+    assert out.read_bytes() == stdout.encode()
+
+
+def test_simulate_flags_override_the_config_file(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"repo_size": 10, "intra_kind": "to"}))
+    assert main(["simulate", "--config", str(config), "--r", "20", "--intra", "wo",
+                 "--imp", "po", "--algorithms", "a1"]) == EXIT_OK
+    header, *rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 1
+    row = dict(zip(header, rows[0]))
+    assert (row["r"], row["intra_kind"], row["imp_kind"]) == ("20", "wo", "po")
+    # a bad flag value is named as the field alone, not as the file's
+    assert main(["simulate", "--config", str(config), "--r", "0"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: repo_size: expected an integer >= 1")
+
+
+@pytest.mark.parametrize("text, where", [
+    ('{"repo_size": 10, "bogus": 1}', ": unknown fields ['bogus']"),
+    ("[1, 2]", ": expected an object, got [1, 2]"),
+    ('{"repo_size": 10,,}', ":1:18: Expecting property name"),
+    ('{"repo_size": 0}', ": repo_size: expected an integer >= 1, got 0"),
+    ('{"intra_kind": "xo"}', ": intra_kind: expected one of"),
+], ids=["unknown-field", "not-an-object", "syntax", "bad-value", "bad-kind"])
+def test_simulate_config_errors_name_the_file(tmp_path, capsys, text, where):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--algorithms", "a3"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"error: {config}{where}")
 
 
 def test_simulate_config_file(tmp_path):

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from prefcompose.dominance import PackedPool
-from prefcompose.order import ferrers_ok, negatively_transitive, transitive_closure
+from prefcompose.order import ferrers_ok, negative_transitivity_violation, transitive_closure
 from prefcompose.oracle import plain_dominates
 from prefcompose.simulator import random_order
 
@@ -47,13 +47,16 @@ def _naive_ferrers(mat):
     )
 
 
-def _naive_negatively_transitive(mat):
+def _naive_negative_transitivity_violation(mat):
     n = mat.shape[0]
     mat = mat.tolist()
-    return all(
-        mat[x][z] or mat[z][y]
-        for x, y, z in itertools.product(range(n), repeat=3)
-        if mat[x][y]
+    return next(
+        (
+            (x, y, z)
+            for x, y, z in itertools.product(range(n), repeat=3)
+            if mat[x][y] and not mat[x][z] and not mat[z][y]
+        ),
+        None,
     )
 
 
@@ -74,7 +77,7 @@ def test_interval_predicate_paths_agree(rng):
 def test_negative_transitivity_paths_agree(rng):
     for _ in range(200):
         mat = _random_closed_matrix(rng, int(rng.integers(1, 10)))
-        assert negatively_transitive(mat) == _naive_negatively_transitive(mat)
+        assert negative_transitivity_violation(mat) == _naive_negative_transitivity_violation(mat)
 
 
 def test_known_interval_and_weak_cases():
@@ -84,7 +87,7 @@ def test_known_interval_and_weak_cases():
     single = np.zeros((3, 3), dtype=np.bool_)
     single[0, 1] = True
     assert ferrers_ok(single)
-    assert not negatively_transitive(single)
+    assert negative_transitivity_violation(single) == (0, 1, 2)
 
 
 def test_predicates_count_past_255():
@@ -95,7 +98,7 @@ def test_predicates_count_past_255():
     assert not ferrers_ok(two_chains)
     single = np.zeros((258, 258), dtype=np.bool_)
     single[0, 1] = True
-    assert not negatively_transitive(single)
+    assert negative_transitivity_violation(single) == (0, 1, 2)
 
 
 def test_witness_paths_agree_on_random_pools(rng):
