@@ -10,6 +10,16 @@ rule for many pairs at a time with boolean matrices: per attribute a
 columns of the pool, combined across attributes by the importance order.
 Pairwise queries (:func:`dominates`, :func:`witnesses`) read the same
 relations on a two-row pool, so there is one implementation of the rule.
+
+Every pool of one spec shares that spec's packing state
+(``PreferenceSpec.packing``, filled here only): the witness scopes, and per
+frontier attribute each distinct frontier packed so far, as a class with a
+membership row and an unbeaten row.  A new frontier is packed the first time
+a pool holds it; a pool then takes its entries' class rows.  So a1, a2,
+``best_on``, every a4 round and the two-row pair queries of one ``solve`` or
+one ``simulate`` instance pack each frontier once.  Sum attributes are packed
+per pool: equality within a tolerance is not an equivalence, so sums cannot
+be classed.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .aggregation import SCALAR_TOLERANCE, AggValue, Valuation
-from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
+from .preference import AggKind, PreferenceSpec, SumPolarity
 
 # Pairs evaluated per row block of a dominance matrix; bounds the size of the
 # per-attribute temporaries whatever the pool size.
@@ -30,33 +40,90 @@ class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
 
 
-def _check_shape(spec: PreferenceSpec, valuation: Valuation) -> None:
-    if len(valuation) != spec.attr_count:
-        raise ShapeError(
-            f"valuation has {len(valuation)} attributes, spec has {spec.attr_count}"
-        )
+def _rows(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> list[tuple[AggValue, ...]]:
+    """The valuations' per-attribute values, each checked against the spec."""
+    rows = [v.per_attribute for v in valuations]
+    for row in rows:
+        if len(row) != spec.attr_count:
+            raise ShapeError(f"valuation has {len(row)} attributes, spec has {spec.attr_count}")
+    return rows
+
+
+class _FrontierClasses:
+    """One frontier attribute's packing state under a spec.
+
+    Each distinct frontier packed under the spec is a class, packed once: its
+    membership row and the row of domain values it leaves unbeaten.  An empty
+    frontier holds a placeholder value (the last column) that nothing beats,
+    so it is never strictly beaten.  Products count in float64, which is
+    exact for any domain size (no wrap-around as with narrow integer types).
+    The rows grow by doubling, so K classes hold at most 2K rows of each
+    kind.
+    """
+
+    def __init__(self, intra: np.ndarray):
+        n = intra.shape[0] + 1
+        self.beats = np.zeros((n, n), dtype=np.float64)
+        self.beats[:-1, :-1] = intra
+        self.ids: dict[frozenset, int] = {}
+        self.members = np.zeros((0, n), dtype=np.float64)
+        self.unbeaten = np.zeros((0, n), dtype=np.float64)
+
+    def lookup(self, frontiers: list[frozenset]) -> np.ndarray:
+        """Class ids of the frontiers, packing those not seen before."""
+        found = list(map(self.ids.get, frontiers))
+        if None in found:
+            self._pack([f for f in dict.fromkeys(frontiers) if f not in self.ids])
+            found = list(map(self.ids.get, frontiers))
+        return np.array(found, dtype=np.intp)
+
+    def _pack(self, frontiers: list[frozenset]) -> None:
+        """Add one class per frontier (none of them seen before)."""
+        n = self.beats.shape[1]
+        start = len(self.ids)
+        end = start + len(frontiers)
+        if end > len(self.members):
+            spare = np.zeros((max(end, 2 * len(self.members)) - len(self.members), n), dtype=np.float64)
+            self.members = np.vstack((self.members, spare))
+            self.unbeaten = np.vstack((self.unbeaten, spare))
+        np.put(self.members, [(start + row) * n + x for row, f in enumerate(frontiers) for x in f or (n - 1,)], 1.0)
+        self.unbeaten[start:end] = self.members[start:end] @ self.beats == 0
+        self.ids.update(zip(frontiers, range(start, end)))
+
+
+class _SpecPacking:
+    """What every pool of one spec shares: per attribute its frontier classes
+    (None for a sum), and per witness attribute its scope."""
+
+    def __init__(self, spec: PreferenceSpec):
+        self.classes = [
+            None if attr.agg_kind is AggKind.SUM else _FrontierClasses(attr.intra_order.matrix)
+            for attr in spec.attributes
+        ]
+        # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).
+        self.scope = [
+            [k for k, more in enumerate(row) if not more] for row in spec.importance.matrix.tolist()
+        ]
+
+
+def _packing(spec: PreferenceSpec) -> _SpecPacking:
+    """The spec's packing state, made on its first pool."""
+    if spec.packing is None:
+        spec.packing = _SpecPacking(spec)
+    return spec.packing
 
 
 class _FrontierColumn:
-    """One frontier attribute of a pool: membership rows and what they beat.
+    """One frontier attribute of a pool: the rows of its entries' classes.
 
     a strictly beats b when no value of F[b] is left unbeaten by F[a], and
-    F[b] is nonempty.  An empty frontier holds a placeholder value (the last
-    column) that nothing beats, so it is never strictly beaten.  Products
-    count in float64, which is exact for any domain size (no wrap-around as
-    with narrow integer types).
+    F[b] is nonempty.
     """
 
-    def __init__(self, intra: np.ndarray, values: list[frozenset]):
-        n = intra.shape[0] + 1
-        members = np.zeros((len(values), n), dtype=np.float64)
-        members.reshape(-1)[[row * n + x for row, f in enumerate(values) for x in f or (n - 1,)]] = 1.0
-        beats = np.zeros((n, n), dtype=np.float64)
-        beats[:-1, :-1] = intra
-        classes: dict[frozenset, int] = {}
-        self.ids = np.array([classes.setdefault(f, len(classes)) for f in values], dtype=np.int64)
-        self.members = members
-        self.unbeaten = np.where(members @ beats, 0.0, 1.0)
+    def __init__(self, classes: _FrontierClasses, values: list[frozenset]):
+        self.ids = classes.lookup(values)
+        self.members = classes.members.take(self.ids, axis=0)
+        self.unbeaten = classes.unbeaten.take(self.ids, axis=0)
 
     def strict(self, rows: slice, cols: slice) -> np.ndarray:
         return self.unbeaten[rows] @ self.members[cols].T == 0
@@ -82,11 +149,12 @@ class _ScalarColumn:
         return (d >= -SCALAR_TOLERANCE) & (d <= SCALAR_TOLERANCE)
 
 
-def _column(attr: AttributeSchema, values: list[AggValue]) -> _FrontierColumn | _ScalarColumn:
-    """One attribute of a pool, packed from the pool's values on it."""
-    if attr.agg_kind is AggKind.SUM:
-        return _ScalarColumn(attr.sum_polarity, [x.scalar for x in values])
-    return _FrontierColumn(attr.intra_order.matrix, [x.frontier for x in values])
+def _column(spec: PreferenceSpec, i: int, values: list[AggValue]) -> _FrontierColumn | _ScalarColumn:
+    """Attribute i of a pool, packed from the pool's values on it."""
+    classes = _packing(spec).classes[i]
+    if classes is None:
+        return _ScalarColumn(spec.attributes[i].sum_polarity, [x.scalar for x in values])
+    return _FrontierColumn(classes, [x.frontier for x in values])
 
 
 def _row_blocks(c: int) -> Iterator[slice]:
@@ -100,15 +168,9 @@ class PackedPool:
 
     def __init__(self, spec: PreferenceSpec, valuations: Sequence[Valuation]):
         self.valuations = list(valuations)
-        for v in self.valuations:
-            _check_shape(spec, v)
-        self.columns = [
-            _column(attr, [v[i] for v in self.valuations]) for i, attr in enumerate(spec.attributes)
-        ]
-        # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).
-        self.scope = [
-            [k for k, more in enumerate(row) if not more] for row in spec.importance.matrix.tolist()
-        ]
+        rows = _rows(spec, self.valuations)
+        self.columns = [_column(spec, i, [row[i] for row in rows]) for i in range(spec.attr_count)]
+        self.scope = _packing(spec).scope
 
     def _witness_blocks(self, rows: slice, cols: slice) -> Iterator[tuple[int, np.ndarray]]:
         """Per attribute i, the pairs (rows x cols) that i witnesses."""
@@ -150,9 +212,7 @@ class PackedPool:
 def best_on(spec: PreferenceSpec, valuations: Sequence[Valuation], attr_id: int) -> list[int]:
     """Indices, in order, of the valuations no valuation strictly beats on
     one attribute; only that attribute is packed."""
-    for v in valuations:
-        _check_shape(spec, v)
-    column = _column(spec.attributes[attr_id], [v[attr_id] for v in valuations])
+    column = _column(spec, attr_id, [row[attr_id] for row in _rows(spec, valuations)])
     c = len(valuations)
     beaten = np.zeros(c, dtype=np.bool_)
     for rows in _row_blocks(c):

@@ -49,6 +49,9 @@ class PreferenceSpec:
     # Sums get None and are added every time: 0.0 and -0.0 compare equal, so a
     # kept 0.0 + -0.0 would also answer -0.0 + -0.0.
     merge_table: list[Optional[dict]] = field(init=False, repr=False, compare=False)
+    # What the dominance pools of this spec share (each distinct frontier's
+    # class rows, the witness scopes); only dominance reads or fills it.
+    packing: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.importance_class = classify(self.importance)

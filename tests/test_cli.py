@@ -69,6 +69,18 @@ def test_solve_missing_format_field(tmp_path):
     assert main(["solve", str(path)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_solve_with_no_feasible_sets_answers_no_solutions(tmp_path, algorithm):
+    # An instance nothing satisfies is well formed; its answer is empty.
+    doc = json.loads(open(fixture_path("tradeoff_compromise")).read())
+    doc["feasible_sets"] = []
+    path = tmp_path / "none.json"
+    path.write_text(json.dumps(doc))
+    code, result = _solve(tmp_path, str(path), "--algorithm", algorithm)
+    assert code == EXIT_OK
+    assert result["solutions"] == [] and result["dominance_among_solutions"] == []
+
+
 def test_solve_strict_rejects_non_interval_importance(tmp_path):
     assert main(["solve", "intransitive_importance", "--strict"]) == EXIT_INPUT
 

@@ -2,18 +2,27 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from prefcompose import (
+    AggKind,
     AggValue,
     ShapeError,
     Valuation,
+    build_order,
     dominates,
     nondominated,
     witnesses,
 )
 from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
-from prefcompose.dominance import PackedPool, best_on
+from prefcompose.algorithms import interleave_compose
+from prefcompose.cli import main
+from prefcompose.dominance import PackedPool, _FrontierClasses, best_on
+from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
 from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation
@@ -184,3 +193,86 @@ def test_frontier_of_256_unbeaten_values_is_not_beaten():
     assert not plain_dominates(spec, a, b)
     assert dominates(spec, a, b) is None
     assert nondominated(spec, [("a", a), ("b", b)]) == {"a", "b"}
+
+
+def _with_empty_frontiers(spec, pool, rng):
+    """The pool plus copies of two entries with one frontier attribute emptied."""
+    frontier_attrs = [a.attr_id for a in spec.attributes if a.agg_kind is not AggKind.SUM]
+    extra = []
+    for val in (pool[0], pool[-1]):
+        emptied = int(rng.choice(frontier_attrs))
+        extra.append(Valuation(tuple(
+            AggValue.of_frontier(()) if i == emptied else x for i, x in enumerate(val.per_attribute)
+        )))
+    return pool + extra
+
+
+def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
+    # Many pools packed under one spec, in shuffled order, so that later
+    # pools meet frontiers first seen midway; each answer must equal a pack
+    # under a fresh copy of the spec and the oracle.
+    cases = [(kind, size) for size in (None, 70, 300) for kind in ("po", "to", "io", "wo")]
+    for trial, (kind, size) in enumerate(cases):
+        spec, pool = mixed_spec_and_pool(rng, kind, domain_size=size, pool_size=10)
+        pool = _with_empty_frontiers(spec, pool, rng)
+        grew = False
+        # one entry first, so that the larger pools after it meet new frontiers
+        for count in (1, 3, 6, len(pool), int(rng.integers(1, len(pool))), len(pool)):
+            picked = rng.permutation(len(pool))[:count]
+            sub = [pool[j] for j in picked]
+            before = [len(c.ids) for c in spec.packing.classes if c] if spec.packing else []
+            fresh = replace(spec)
+            matrix = PackedPool(spec, sub).dominance_matrix()
+            grew |= bool(before) and before != [len(c.ids) for c in spec.packing.classes if c]
+            assert matrix.tolist() == PackedPool(fresh, sub).dominance_matrix().tolist()
+            assert matrix.tolist() == [[plain_dominates(spec, u, v) for v in sub] for u in sub]
+            assert PackedPool(spec, sub).undominated() == PackedPool(fresh, sub).undominated()
+            for attr in spec.attributes:
+                i = attr.attr_id
+                expected = [
+                    j for j, v in enumerate(sub)
+                    if not any(strictly_preferred(attr, u[i], v[i]) for u in sub)
+                ]
+                assert best_on(spec, sub, i) == best_on(fresh, sub, i) == expected
+            for u, v in zip(sub, sub[::-1]):
+                assert dominates(spec, u, v) == dominates(fresh, u, v)
+                assert witnesses(spec, u, v) == witnesses(fresh, u, v) == _witness_attributes(spec, u, v)
+                assert (dominates(spec, u, v) is not None) == plain_dominates(spec, u, v)
+        assert grew, f"case {trial}: no pool met a new frontier after the first"
+
+
+def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
+    built = []  # (classes, frontier) for every class row built
+    original = _FrontierClasses._pack
+
+    def counted(self, frontiers):
+        built.extend((id(self), f) for f in frontiers)
+        return original(self, frontiers)
+
+    monkeypatch.setattr(_FrontierClasses, "_pack", counted)
+    config = SimConfig(repo_size=200, attr_count=8)
+    rng = np.random.default_rng(5)
+    spec = random_spec(config, rng)
+    tree = generate_tree(spec, config, rng)
+    interleave_compose(spec, tree_provider(tree))
+    assert built and len(built) == len(set(built))
+    # each attribute's classes are exactly the frontiers built for it
+    for classes in spec.packing.classes:
+        assert sorted(map(sorted, classes.ids)) == sorted(sorted(f) for key, f in built if key == id(classes))
+
+    built.clear()
+    # an annotated solve: a1's pool, then one two-row pool per ordered pair
+    assert main(["solve", "courses", "--algorithm", "a1", "--out", str(tmp_path / "out.json")]) == 0
+    assert len(json.loads((tmp_path / "out.json").read_text())["solutions"]) > 1
+    assert built and len(built) == len(set(built))
+
+
+def test_replaced_spec_starts_with_fresh_state(rng):
+    spec, pool = mixed_spec_and_pool(rng, "to", pool_size=8)
+    PackedPool(spec, pool).dominance_matrix()
+    flat = replace(spec, importance=build_order([], spec.attr_count))
+    assert flat.packing is None
+    matrix = PackedPool(flat, pool).dominance_matrix()
+    assert flat.packing is not spec.packing
+    assert flat.packing.scope == [list(range(spec.attr_count))] * spec.attr_count
+    assert matrix.tolist() == [[plain_dominates(flat, u, v) for v in pool] for u in pool]
