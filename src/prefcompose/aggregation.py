@@ -24,6 +24,10 @@ from .preference import AggKind, AttributeSchema, SumPolarity
 
 SCALAR_TOLERANCE = 1e-9
 
+# Set cells (sets x attributes x domain span) per block of path_frontiers;
+# bounds its float64 temporaries whatever the number of sets.
+BLOCK_CELLS = 1 << 16
+
 
 class DomainError(ValueError):
     """A value id falls outside the attribute's domain, or no values were given."""
@@ -96,11 +100,55 @@ def _extremes(attr: AttributeSchema, distinct: set[int] | frozenset[int]) -> Agg
         rivals = attr.intra_order.above
     kept = [x for x in distinct if rivals[x].isdisjoint(distinct)]
     if attr.agg_kind in (AggKind.MIN, AggKind.MAX) and len(kept) != 1:
-        raise DomainError(
-            f"attribute {attr.name}: {attr.agg_kind.value} needs a unique extreme, "
-            f"got {sorted(kept)}"
-        )
+        raise _no_unique_extreme(attr, kept)
     return AggValue.of_frontier(kept)
+
+
+def _no_unique_extreme(attr: AttributeSchema, kept: Iterable[int]) -> DomainError:
+    return DomainError(
+        f"attribute {attr.name}: {attr.agg_kind.value} needs a unique extreme, got {sorted(kept)}"
+    )
+
+
+def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.ndarray:
+    """The rule of :func:`_extremes` for many value sets of frontier
+    attributes at once.
+
+    ``paths[k, j]`` packs one nonempty set of in-range value ids of
+    ``attrs[j]`` into little-endian uint64 words (value v is bit v % 64 of
+    word v // 64); the result packs each set's frontier the same way.  With
+    ``seen`` the sets as 0/1 rows and ``rivals[y, x]`` set when y rules x
+    out (x beats y for worst kinds, y beats x for best kinds), the frontier
+    is ``seen & (seen @ rivals == 0)``: one batched float64 product over the
+    attributes per block of at most ``BLOCK_CELLS`` set cells, so the
+    temporaries do not grow with the number of sets.  Float64 counts cannot
+    wrap at any domain size.  A min or max set whose frontier is not a single
+    value raises ``DomainError``, as :func:`_extremes` does.
+    """
+    rows, count, words = paths.shape
+    span = max(len(attr.domain) for attr in attrs)
+    rivals = np.zeros((count, span, span), dtype=np.float64)
+    for j, attr in enumerate(attrs):
+        n = len(attr.domain)
+        worst = attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN)
+        rivals[j, :n, :n] = attr.intra_order.matrix.T if worst else attr.intra_order.matrix
+    unique = [j for j, attr in enumerate(attrs) if attr.agg_kind in (AggKind.MIN, AggKind.MAX)]
+    out = np.zeros_like(paths)
+    packed = out.view(np.uint8)
+    step = max(1, BLOCK_CELLS // (count * span))
+    for start in range(0, rows, step):
+        block = slice(start, start + step)
+        seen = np.unpackbits(paths[block].view(np.uint8), axis=2, count=span, bitorder="little")
+        seen = seen.transpose(1, 0, 2)  # (attribute, set, value)
+        kept = (seen == 1) & (np.matmul(seen, rivals) == 0)
+        if unique:
+            sizes = kept[unique].sum(axis=2)
+            if (sizes != 1).any():
+                j, k = (int(x[0]) for x in np.nonzero(sizes != 1))
+                raise _no_unique_extreme(attrs[unique[j]], np.flatnonzero(kept[unique[j], k]).tolist())
+        bits = np.packbits(kept, axis=2, bitorder="little").transpose(1, 0, 2)
+        packed[block, :, : bits.shape[2]] = bits
+    return out
 
 
 def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:

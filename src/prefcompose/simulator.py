@@ -6,6 +6,15 @@ every other node for the one-step extension of its parent by one repository
 component.  A chosen fraction of the leaves is marked feasible.  Preference
 specs are drawn with configurable order kinds for the value orders and the
 importance order.
+
+Node valuations are drawn independently per node (``random_per_node``), or
+each component draws one valuation and a node holds the aggregate of the
+components on its root path (``aggregated``).  The aggregated mode merges
+nothing: one pass over the depth levels gives every node its path's value
+set per frontier attribute and its sums, and the frontiers of all those sets
+come from one batched product per block of nodes
+(:func:`aggregation.path_frontiers`).  The result equals folding
+``composition.merge_valuations`` along each root path, bit for bit.
 """
 
 from __future__ import annotations
@@ -19,7 +28,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Union
 import numpy as np
 
 from . import oracle
-from .aggregation import AggValue, Valuation
+from .aggregation import AggValue, Valuation, path_frontiers
 from .algorithms import ALGORITHMS
 from .composition import (
     DEFAULT_BUDGET,
@@ -27,7 +36,6 @@ from .composition import (
     Composition,
     FeasibilityProvider,
     empty_composition,
-    merge_valuations,
 )
 from .order import StrictOrder, build_order
 from .preference import AggKind, AttributeSchema, PreferenceSpec
@@ -232,31 +240,130 @@ def random_spec(config: SimConfig, rng: np.random.Generator) -> PreferenceSpec:
     return PreferenceSpec(attributes=tuple(attributes), importance=importance)
 
 
+def _random_value_ids(
+    spec: PreferenceSpec, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """A ``(count, m)`` array of uniform domain value ids, one per attribute.
+
+    One call returns the values of ``count`` rows of one scalar draw per
+    attribute and leaves the generator in the same state, so seeded
+    instances do not change with the batching.
+    """
+    sizes = [len(attr.domain) for attr in spec.attributes]
+    return rng.integers(0, sizes, size=(count, len(sizes)))
+
+
+def _singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> list[Valuation]:
+    """One valuation per row of value ids: a singleton frontier, or the
+    value's number for a sum."""
+    values = [
+        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
+        if attr.agg_kind is AggKind.SUM
+        else AggValue.of_frontier((v,))
+        for attr in spec.attributes
+        for v in range(len(attr.domain))
+    ]
+    sizes = [len(attr.domain) for attr in spec.attributes]
+    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
+
+
+def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
+    """One valuation per row of ``index``, whose entries index ``values``."""
+    table = np.fromiter(values, dtype=object, count=len(values))
+    return [Valuation(tuple(row)) for row in table[index].tolist()]
+
+
 def random_valuations(
     spec: PreferenceSpec, rng: np.random.Generator, count: int
 ) -> list[Valuation]:
-    """``count`` singleton valuations, one uniform domain value per attribute.
+    """``count`` singleton valuations, one uniform domain value per attribute."""
+    return _singleton_valuations(spec, _random_value_ids(spec, rng, count))
 
-    All values come from one ``(count, m)`` draw.  It returns the values of
-    ``count`` rows of one scalar draw per attribute and leaves the generator
-    in the same state, so seeded instances do not change with the batching.
+
+def _path_valuations(
+    spec: PreferenceSpec, parent: Sequence[int], ids: np.ndarray
+) -> list[Valuation]:
+    """The valuation of every non-root node of a tree whose node k > 0 adds
+    the component with value ids ``ids[k - 1]``: what folding
+    ``merge_valuations`` along the root path gives, with no merge.
+
+    One pass over the depth levels gives each node its path's value set per
+    frontier attribute (its parent's packed bits OR its component's bit) and
+    its sums (its parent's sums plus its component's values, the order of
+    the fold, so the float64 results match it bit for bit).  The frontiers
+    of all sets then come from :func:`aggregation.path_frontiers`, and each
+    distinct (attribute, frontier) becomes one shared ``AggValue``.
     """
-    per_value = [
-        [AggValue.of_scalar(x) for x in attr.numeric_values]  # type: ignore[union-attr]
-        if attr.agg_kind is AggKind.SUM
-        else [AggValue.of_frontier((v,)) for v in range(len(attr.domain))]
-        for attr in spec.attributes
-    ]
-    sizes = [len(attr.domain) for attr in spec.attributes]
-    rows = rng.integers(0, sizes, size=(count, len(sizes))).tolist()
-    return [Valuation(tuple(map(list.__getitem__, per_value, row))) for row in rows]
+    r, m = ids.shape
+    fronts = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is not AggKind.SUM]
+    sums = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is AggKind.SUM]
+    words = max([(len(spec.attributes[i].domain) + 63) // 64 for i in fronts], default=0)
+    bits = np.zeros((r + 1, len(fronts), words), dtype="<u8")
+    bits[np.arange(1, r + 1)[:, None], np.arange(len(fronts)), ids[:, fronts] // 64] = np.left_shift(
+        np.uint64(1), (ids[:, fronts] % 64).astype(np.uint64)
+    )
+    totals = np.zeros((r + 1, len(sums)), dtype=np.float64)
+    for j, i in enumerate(sums):
+        totals[1:, j] = np.array(spec.attributes[i].numeric_values, dtype=np.float64)[ids[:, i]]
+
+    depth = [0] * (r + 1)
+    for node in range(1, r + 1):
+        depth[node] = depth[parent[node]] + 1
+    by_depth = np.argsort(depth, kind="stable")
+    ends = np.cumsum(np.bincount(depth)).tolist()
+    up = np.array(parent)
+    for start, end in zip(ends, ends[1:]):  # depth 1, 2, ...: every parent is done
+        level = by_depth[start:end]
+        bits[level] |= bits[up[level]]
+        totals[level] = totals[up[level]] + totals[level]
+
+    index = np.empty((r, m), dtype=np.intp)
+    interned: list[AggValue] = []
+    if fronts:
+        kept = path_frontiers([spec.attributes[i] for i in fronts], bits[1:])
+        interned, index[:, fronts] = _interned_frontiers(kept)
+    index[:, sums] = len(interned) + np.arange(r * len(sums)).reshape(r, len(sums))
+    interned += [AggValue(None, x) for x in totals[1:].ravel().tolist()]
+    return _valuations(interned, index)
+
+
+def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
+    """One ``AggValue`` per distinct (attribute, frontier) of ``kept``, packed
+    ``(set, attribute, word)``, and each set's position in that list.
+
+    The keys (the frontier words, then the attribute) are sorted, and each
+    run of equal keys becomes one value.
+    """
+    sets, count, words = kept.shape
+    keys = np.empty((count, sets, words + 1), dtype=kept.dtype)
+    keys[:, :, :words] = kept.transpose(1, 0, 2)
+    keys[:, :, words] = np.arange(count)[:, None]
+    keys = keys.reshape(count * sets, words + 1)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(ranked), dtype=np.bool_)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    position = np.empty(len(ranked), dtype=np.intp)
+    position[order] = np.cumsum(new) - 1
+    frontiers = np.unpackbits(ranked[new, :words].view(np.uint8), axis=1, bitorder="little")
+    held, values = np.nonzero(frontiers)
+    ends = np.cumsum(np.bincount(held, minlength=len(frontiers))).tolist()
+    values = values.tolist()
+    interned = [AggValue(frozenset(values[a:b]), None) for a, b in zip([0, *ends], ends)]
+    return interned, position.reshape(count, sets).T
 
 
 def generate_tree(
     spec: PreferenceSpec, config: SimConfig, rng: np.random.Generator
 ) -> RecursiveTree:
     """Uniform recursive tree over the repository, with leaf feasibility and
-    node valuations drawn per the config's valuation mode."""
+    node valuations drawn per the config's valuation mode.
+
+    The generator is drawn in a fixed order: all parents in one call, then
+    all component (or node) values in one ``(r, m)`` call, then the feasible
+    leaves.  In aggregated mode ``component_base`` holds each component's
+    drawn valuation and node k's valuation aggregates those of its members.
+    """
     r = config.repo_size
     parent = [-1] + rng.integers(0, np.arange(1, r + 1)).tolist()
     children: list[list[int]] = [[] for _ in range(r + 1)]
@@ -272,11 +379,9 @@ def generate_tree(
     node_valuation: list[Valuation] = [bottom] * (r + 1)
     component_base: Optional[list[Valuation]] = None
     if config.valuation_mode == "aggregated":
-        component_base = random_valuations(spec, rng, r)
-        for node in range(1, r + 1):
-            node_valuation[node] = merge_valuations(
-                spec, node_valuation[parent[node]], component_base[node - 1]
-            )
+        ids = _random_value_ids(spec, rng, r)
+        component_base = _singleton_valuations(spec, ids)
+        node_valuation[1:] = _path_valuations(spec, parent, ids)
     else:  # random_per_node
         node_valuation[1:] = random_valuations(spec, rng, r)
 

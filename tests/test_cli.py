@@ -632,3 +632,46 @@ def test_simulate_output_is_pinned(capsys, options):
     assert main(["simulate", *options.split()]) == EXIT_OK
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == _SIMULATE_DIGESTS[options]
+
+
+# An aggregated simulate-block instance whose tree covers every aggregation
+# kind: a sum with -0.0 and 1e16 values (the summation order shows in the
+# low digits), min and max over total orders, a best frontier, and a
+# 70-value worst frontier, wider than one 64-bit word.
+_TREE_DOC = {
+    "format": 1,
+    "attributes": [
+        {"name": "cost", "domain": ["zero", "huge", "one", "half", "neg"],
+         "agg": "sum", "numeric_values": [-0.0, 1e16, 1.0, 0.5, -3.25], "sum_polarity": "lower"},
+        {"name": "tier", "domain": ["t0", "t1", "t2", "t3", "t4"],
+         "intra_edges": [["t0", "t1"], ["t1", "t2"], ["t2", "t3"], ["t3", "t4"]], "agg": "min"},
+        {"name": "grade", "domain": ["g0", "g1", "g2", "g3"],
+         "intra_edges": [["g2", "g0"], ["g0", "g3"], ["g3", "g1"]], "agg": "max"},
+        {"name": "fit", "domain": [f"f{i}" for i in range(6)],
+         "intra_edges": [["f0", "f2"], ["f1", "f2"], ["f2", "f4"], ["f3", "f5"]],
+         "agg": "best_frontier"},
+        {"name": "risk", "domain": [f"w{i}" for i in range(70)],
+         "intra_edges": [[f"w{i}", f"w{j}"] for i in range(70) for j in (i + 9, i + 31)
+                         if j < 70 and i % 4],
+         "agg": "worst_frontier"},
+    ],
+    "importance_edges": [["tier", "cost"], ["tier", "fit"], ["risk", "fit"], ["grade", "fit"]],
+    "components": [],
+    "simulate": {"repo_size": 60, "seed": 11, "feas": 0.5, "valuation_mode": "aggregated"},
+}
+
+_TREE_DIGESTS = {
+    "a1": "444c3ea78e9689e90e366efb0b3ed7b9183d898a240a1baa40db5f6998b1f7f9",
+    "a2": "faacf7c3c2aae5aa9f14913fb2083f7033e4a1920ff4454b3f5a25c715096798",
+    "a3": "017fa97f63c42743be0fe7e6ea94c9c8e620c137e256e0899d3d7315b411475e",
+    "a4": "627218ad24b1b1f4aa0b586c60b54534abafafc6f1bd33d2a03bd7a43b281046",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_TREE_DIGESTS))
+def test_solve_on_an_aggregated_tree_of_every_kind_is_pinned(tmp_path, capsys, algorithm):
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(_TREE_DOC))
+    assert main(["solve", str(path), "--algorithm", algorithm]) == EXIT_OK
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == _TREE_DIGESTS[algorithm]

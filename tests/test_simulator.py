@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,8 +10,11 @@ import pytest
 from prefcompose import (
     AggKind,
     AggValue,
+    AttributeSchema,
+    DomainError,
     PreferenceSpec,
     Valuation,
+    aggregation,
     build_order,
     classify,
     composition,
@@ -103,18 +105,10 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
 
 
 @pytest.mark.parametrize("intra_kind", ["po", "to", "io", "wo"])
-def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch):
+def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind):
     """Each aggregated node valuation is its parent's merged with its
-    component's base, and generate_tree merges each distinct frontier
-    (attribute, parent value, component value) at most once per tree."""
-    calls = Counter()
-
-    def counting_merge(attr, a, b):
-        if attr.agg_kind is not AggKind.SUM:
-            calls[attr.attr_id, a, b] += 1
-        return merge(attr, a, b)
-
-    monkeypatch.setattr(composition, "merge", counting_merge)
+    component's base, and equal frontiers of one attribute are one shared
+    object per tree."""
     for seed in range(30):
         for m in (1, 4, 16):
             rng = np.random.default_rng(seed)
@@ -123,14 +117,75 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind, monkeypatch)
             if m > 1:
                 attrs = (*spec.attributes[:-1], sum_attribute(m - 1, "cost", (4, 1, 9, 2)))
                 spec = PreferenceSpec(attrs, spec.importance)
-            calls.clear()
             tree = generate_tree(spec, config, rng)
-            assert max(calls.values()) == 1
             for node in range(1, tree.node_count):
                 up = tree.node_valuation[tree.parent[node]].per_attribute
                 base = tree.component_base[node - 1].per_attribute
                 expected = tuple(map(merge, spec.attributes, up, base))
                 assert tree.node_valuation[node] == Valuation(expected)
+            for attr in spec.attributes:
+                if attr.agg_kind is not AggKind.SUM:
+                    shared = {}
+                    for valuation in tree.node_valuation[1:]:
+                        value = valuation[attr.attr_id]
+                        assert shared.setdefault(value, value) is value
+
+
+def _every_kind_spec(n, rng):
+    """One attribute of each aggregation kind over n values: partial orders
+    for the frontiers, total orders for min and max, and a sum whose values
+    hold -0.0 and magnitudes 1e16 apart, so the summation order and the sign
+    of zero both show."""
+    kinds = [
+        (AggKind.WORST_FRONTIER, random_order(n, "partial", rng)),
+        (AggKind.BEST_FRONTIER, random_order(n, "partial", rng)),
+        (AggKind.MIN, random_order(n, "total", rng)),
+        (AggKind.MAX, random_order(n, "total", rng)),
+    ]
+    domain = tuple(f"v{j}" for j in range(n))
+    attrs = [AttributeSchema(i, f"x{i}", domain, order, kind) for i, (kind, order) in enumerate(kinds)]
+    numeric = [(-0.0, 1e16, 0.1, -1e16, 3.0)[j % 5] * (1 + j // 5) for j in range(n)]
+    attrs.append(sum_attribute(len(attrs), "cost", numeric))
+    return PreferenceSpec(tuple(attrs), random_order(len(attrs), "interval", rng))
+
+
+@pytest.mark.parametrize("block_cells", [aggregation.BLOCK_CELLS, 1])
+@pytest.mark.parametrize("n", [2, 6, 70, 300])
+def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, monkeypatch):
+    """Every aggregated node valuation, of every kind and domain size (70 and
+    300 values span two and five 64-bit words), is the ``merge_valuations``
+    fold of its members' bases; sums match to the sign of zero.  A block of
+    one set per product gives the same nodes."""
+    monkeypatch.setattr(aggregation, "BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        spec = _every_kind_spec(n, rng)
+        tree = generate_tree(spec, SimConfig(repo_size=120, valuation_mode="aggregated"), rng)
+        bottom = composition.empty_composition(spec).valuation
+        for node in range(1, tree.node_count):
+            fold = bottom
+            for comp_id in tree.node_members[node]:
+                fold = composition.merge_valuations(spec, fold, tree.component_base[comp_id])
+            assert tree.node_valuation[node] == fold
+            got, want = tree.node_valuation[node][-1].scalar, fold[-1].scalar
+            assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+@pytest.mark.parametrize("kind", [AggKind.MIN, AggKind.MAX])
+def test_min_and_max_over_a_non_total_order_raise_as_merge_does(kind):
+    """Two incomparable values on one root path have no unique extreme:
+    generate_tree raises DomainError, as the merge fold over the same draws
+    does."""
+    attr = AttributeSchema(0, "x", ("a", "b", "c"), build_order([(0, 1)], 3), kind)
+    spec = PreferenceSpec((attr,), build_order([], 1))
+    config = SimConfig(repo_size=20, valuation_mode="aggregated")
+    with pytest.raises(DomainError, match="needs a unique extreme"):
+        generate_tree(spec, config, np.random.default_rng(0))
+    parent, bases = _scalar_tree_draws(spec, 20, np.random.default_rng(0))
+    fold = [composition.empty_composition(spec).valuation]
+    with pytest.raises(DomainError, match="needs a unique extreme"):
+        for node in range(1, 21):
+            fold.append(composition.merge_valuations(spec, fold[parent[node]], bases[node - 1]))
 
 
 def test_mean_leaf_depth_tracks_log_of_size(rng):
