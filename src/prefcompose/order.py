@@ -134,11 +134,20 @@ def build_order(edges: Iterable[tuple[int, int]], universe_size: int) -> StrictO
         if not (0 <= x < universe_size and 0 <= y < universe_size):
             raise ValueError(f"edge ({x}, {y}) outside universe of size {universe_size}")
         mat[x, y] = True
-    closed = transitive_closure(mat)
+    return closed_order(mat)
+
+
+def closed_order(relation: np.ndarray) -> StrictOrder:
+    """The strict order whose relation is the transitive closure of
+    ``relation``, a square boolean matrix.
+
+    Raises :class:`CycleError` when the closure relates an element to itself.
+    """
+    closed = transitive_closure(relation)
     if bool(closed.diagonal().any()):
         cyclic = int(np.nonzero(closed.diagonal())[0][0])
         raise CycleError(f"edges close into a cycle through element {cyclic}")
-    return StrictOrder(universe_size, closed)
+    return StrictOrder(len(closed), closed)
 
 
 def classify(order: StrictOrder) -> OrderClass:

@@ -8,13 +8,16 @@ specs are drawn with configurable order kinds for the value orders and the
 importance order.
 
 Node valuations are drawn independently per node (``random_per_node``), or
-each component draws one valuation and a node holds the aggregate of the
-components on its root path (``aggregated``).  The aggregated mode merges
-nothing: one pass over the depth levels gives every node its path's value
-set per frontier attribute and its sums, and the frontiers of all those sets
-come from one batched product per block of nodes
+each component draws one value per attribute and a node holds the aggregate
+of the components on its root path (``aggregated``).  The aggregated mode
+merges nothing: one pass over the depth levels gives every node its path's
+value set per frontier attribute and its sums, and the frontiers of all
+those sets come from one batched product per block of nodes
 (:func:`aggregation.path_frontiers`).  The result equals folding
 ``composition.merge_valuations`` along each root path, bit for bit.
+
+A generated tree builds each node's :class:`Composition` once; a
+:class:`TreeProvider` hands out those objects and builds none.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, TextIO, Union
+from typing import Iterable, Sequence, TextIO, Union
 
 import numpy as np
 
@@ -37,7 +40,7 @@ from .composition import (
     FeasibilityProvider,
     empty_composition,
 )
-from .order import StrictOrder, build_order
+from .order import StrictOrder, closed_order
 from .preference import AggKind, AttributeSchema, PreferenceSpec
 
 CSV_HEADER = [
@@ -109,15 +112,20 @@ class SimConfig:
 
 @dataclass
 class RecursiveTree:
-    """A generated search tree; node k > 0 extends its parent by component k - 1."""
+    """A generated search tree; node k > 0 extends its parent by component k - 1.
+
+    ``nodes[k]`` is node k's composition, built once with the tree: its
+    members (the components on its root path), its valuation, ``k`` as its
+    ``provider_node`` and ``terminal`` when it has no children.  Every
+    provider over the tree hands out these objects.
+    """
 
     parent: list[int]                 # parent[0] == -1
     children: list[list[int]]
-    node_members: list[tuple[int, ...]]
     node_valuation: list[Valuation]
+    nodes: list[Composition]
     leaves: list[int]
     feasible_leaves: set[int]
-    component_base: Optional[list[Valuation]] = None  # aggregated mode only
 
     @property
     def node_count(self) -> int:
@@ -165,49 +173,37 @@ class ExperimentRecord:
 def random_order(
     n: int, kind: str, rng: np.random.Generator, density: float = 0.3
 ) -> StrictOrder:
-    """Draw a strict order of the requested kind over n elements.
+    """Draw a strict order of the requested kind over n elements, as one
+    relation matrix.
 
-    total    -- a random permutation chain.
-    partial  -- edges sampled (probability ``density``) consistently with a
-                random linear labeling, then closed.
+    total    -- a random permutation chain: x beats y when x comes first.
+    partial  -- the pairs of a random linear labeling, each kept with
+                probability ``density`` (one draw per pair, row by row over
+                the upper triangle), then closed.
     interval -- each element gets a random real interval; x beats y when x's
                 left endpoint clears y's right endpoint.
-    weak     -- a random surjection onto ranked levels.
+    weak     -- a random surjection onto ranked levels; x beats y when x's
+                level is lower.
     """
-    if kind == "total":
-        perm = rng.permutation(n)
-        edges = [(int(perm[i]), int(perm[j])) for i in range(n) for j in range(i + 1, n)]
-        return build_order(edges, n)
-    if kind == "partial":
-        perm = rng.permutation(n)
-        edges = []
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < density:
-                    edges.append((int(perm[i]), int(perm[j])))
-        return build_order(edges, n)
+    if kind in ("total", "partial"):
+        rank = np.argsort(rng.permutation(n))
+        if kind == "total":
+            return closed_order(rank[:, None] < rank[None, :])
+        kept = np.zeros((n, n), dtype=np.bool_)
+        kept[np.triu_indices(n, 1)] = rng.random(n * (n - 1) // 2) < density
+        return closed_order(kept[np.ix_(rank, rank)])
     if kind == "interval":
         a = rng.random(n)
         b = rng.random(n)
-        left = np.minimum(a, b)
-        right = np.maximum(a, b)
-        edges = [
-            (x, y)
-            for x in range(n)
-            for y in range(n)
-            if x != y and left[x] > right[y]
-        ]
-        return build_order(edges, n)
+        return closed_order(np.minimum(a, b)[:, None] > np.maximum(a, b)[None, :])
     if kind == "weak":
         level_count = int(rng.integers(1, n + 1))
-        levels = np.empty(n, dtype=np.int64)
         perm = rng.permutation(n)
-        for pos, elem in enumerate(perm):
-            levels[elem] = pos if pos < level_count else rng.integers(0, level_count)
-        edges = [
-            (x, y) for x in range(n) for y in range(n) if levels[x] < levels[y]
-        ]
-        return build_order(edges, n)
+        levels = np.empty(n, dtype=np.int64)
+        levels[perm] = np.concatenate(
+            [np.arange(level_count), rng.integers(0, level_count, size=n - level_count)]
+        )
+        return closed_order(levels[:, None] < levels[None, :])
     raise ValueError(f"unknown order kind {kind!r}")
 
 
@@ -253,20 +249,6 @@ def _random_value_ids(
     return rng.integers(0, sizes, size=(count, len(sizes)))
 
 
-def _singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> list[Valuation]:
-    """One valuation per row of value ids: a singleton frontier, or the
-    value's number for a sum."""
-    values = [
-        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
-        if attr.agg_kind is AggKind.SUM
-        else AggValue.of_frontier((v,))
-        for attr in spec.attributes
-        for v in range(len(attr.domain))
-    ]
-    sizes = [len(attr.domain) for attr in spec.attributes]
-    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
-
-
 def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
     """One valuation per row of ``index``, whose entries index ``values``."""
     table = np.fromiter(values, dtype=object, count=len(values))
@@ -276,8 +258,18 @@ def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
 def random_valuations(
     spec: PreferenceSpec, rng: np.random.Generator, count: int
 ) -> list[Valuation]:
-    """``count`` singleton valuations, one uniform domain value per attribute."""
-    return _singleton_valuations(spec, _random_value_ids(spec, rng, count))
+    """``count`` singleton valuations, one uniform domain value per attribute:
+    a singleton frontier, or the value's number for a sum."""
+    values = [
+        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
+        if attr.agg_kind is AggKind.SUM
+        else AggValue.of_frontier((v,))
+        for attr in spec.attributes
+        for v in range(len(attr.domain))
+    ]
+    sizes = [len(attr.domain) for attr in spec.attributes]
+    ids = _random_value_ids(spec, rng, count)
+    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
 
 
 def _path_valuations(
@@ -361,29 +353,28 @@ def generate_tree(
 
     The generator is drawn in a fixed order: all parents in one call, then
     all component (or node) values in one ``(r, m)`` call, then the feasible
-    leaves.  In aggregated mode ``component_base`` holds each component's
-    drawn valuation and node k's valuation aggregates those of its members.
+    leaves.  In aggregated mode node k's valuation aggregates the drawn
+    values of its members.
     """
     r = config.repo_size
     parent = [-1] + rng.integers(0, np.arange(1, r + 1)).tolist()
     children: list[list[int]] = [[] for _ in range(r + 1)]
     for node in range(1, r + 1):
         children[parent[node]].append(node)
+    if config.valuation_mode == "aggregated":
+        drawn = _path_valuations(spec, parent, _random_value_ids(spec, rng, r))
+    else:  # random_per_node
+        drawn = random_valuations(spec, rng, r)
+    node_valuation = [empty_composition(spec).valuation, *drawn]
     # Node k holds component k - 1.  Every ancestor's component id is below
     # this node's, so the members stay sorted.
-    node_members: list[tuple[int, ...]] = [()] * (r + 1)
+    members: list[tuple[int, ...]] = [()]
     for node in range(1, r + 1):
-        node_members[node] = node_members[parent[node]] + (node - 1,)
-
-    bottom = empty_composition(spec).valuation
-    node_valuation: list[Valuation] = [bottom] * (r + 1)
-    component_base: Optional[list[Valuation]] = None
-    if config.valuation_mode == "aggregated":
-        ids = _random_value_ids(spec, rng, r)
-        component_base = _singleton_valuations(spec, ids)
-        node_valuation[1:] = _path_valuations(spec, parent, ids)
-    else:  # random_per_node
-        node_valuation[1:] = random_valuations(spec, rng, r)
+        members.append(members[parent[node]] + (node - 1,))
+    nodes = [
+        Composition(members[node], node_valuation[node], node, terminal=not children[node])
+        for node in range(r + 1)
+    ]
 
     leaves = [node for node in range(1, r + 1) if not children[node]]
     count = math.floor(config.feas * len(leaves))
@@ -392,42 +383,36 @@ def generate_tree(
     return RecursiveTree(
         parent=parent,
         children=children,
-        node_members=node_members,
         node_valuation=node_valuation,
+        nodes=nodes,
         leaves=leaves,
         feasible_leaves=feasible_leaves,
-        component_base=component_base,
     )
 
 
 class TreeProvider(FeasibilityProvider):
-    """Feasibility provider backed by a generated recursive tree."""
+    """Feasibility provider backed by a generated recursive tree.
+
+    It hands out the tree's own node compositions; its call count, simulated
+    delay and budget are its own.
+    """
 
     def __init__(self, tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
         super().__init__(fdelay_ms=fdelay_ms, budget=budget)
         self.tree = tree
 
-    def _composition(self, node: int) -> Composition:
-        tree = self.tree
-        return Composition(
-            members=tree.node_members[node],
-            valuation=tree.node_valuation[node],
-            provider_node=node,
-            terminal=not tree.children[node],
-        )
-
     def root(self) -> Composition:
-        return self._composition(0)
+        return self.tree.nodes[0]
 
     def is_feasible(self, comp: Composition) -> bool:
         return comp.provider_node in self.tree.feasible_leaves
 
     def extensions(self, comp: Composition) -> list[Composition]:
         self._charge()
-        return [self._composition(child) for child in self.tree.children[comp.provider_node]]
+        return [self.tree.nodes[child] for child in self.tree.children[comp.provider_node]]
 
     def all_feasible(self) -> list[Composition]:
-        return [self._composition(node) for node in sorted(self.tree.feasible_leaves)]
+        return [self.tree.nodes[node] for node in sorted(self.tree.feasible_leaves)]
 
 
 def tree_provider(

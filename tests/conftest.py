@@ -113,6 +113,21 @@ def with_near_ties(spec, pool):
     return pool + [shifted(pool[0], f * SCALAR_TOLERANCE) for f in (0.6, 1.2)]
 
 
+def scalar_tree_draws(spec, r, rng):
+    """The parent and valuation draws of a tree, one scalar draw at a time:
+    node k's parent uniform in 0..k-1, then per component (or node) one
+    uniform value id per attribute."""
+    parent = [-1] + [int(rng.integers(0, k)) for k in range(1, r + 1)]
+    rows = [[int(rng.integers(0, len(attr.domain))) for attr in spec.attributes] for _ in range(r)]
+    return parent, [
+        Valuation(tuple(
+            AggValue.of_scalar(attr.numeric_values[v]) if attr.numeric_values else AggValue.of_frontier((v,))
+            for attr, v in zip(spec.attributes, row)
+        ))
+        for row in rows
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 from collections import Counter
 
@@ -28,7 +29,7 @@ from prefcompose.cli import load_instance
 from prefcompose.composition import merge_valuations
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
 
-from conftest import frontier_spec, singleton_valuation, sum_attribute
+from conftest import frontier_spec, scalar_tree_draws, singleton_valuation, sum_attribute
 
 
 @pytest.fixture(scope="module")
@@ -242,10 +243,10 @@ def test_tree_enumeration_matches_native_all_feasible(rng):
 def test_cached_valuations_match_recomputed_folds(rng):
     config = SimConfig(domain_size=4, attr_count=3, repo_size=25, valuation_mode="aggregated")
     spec = random_spec(config, rng)
+    _, bases = scalar_tree_draws(spec, config.repo_size, copy.deepcopy(rng))
     tree = generate_tree(spec, config, rng)
-    assert tree.component_base is not None
     for node in range(1, tree.node_count):
         fold = empty_composition(spec).valuation
-        for comp_id in tree.node_members[node]:
-            fold = merge_valuations(spec, fold, tree.component_base[comp_id])
+        for comp_id in tree.nodes[node].members:
+            fold = merge_valuations(spec, fold, bases[comp_id])
         assert fold == tree.node_valuation[node]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ from prefcompose import (
     AggKind,
     AggValue,
     AttributeSchema,
+    BudgetExceeded,
+    Composition,
     DomainError,
     PreferenceSpec,
     Valuation,
@@ -32,7 +35,7 @@ from prefcompose.simulator import (
     write_csv,
 )
 
-from conftest import frontier_spec, sum_attribute
+from conftest import frontier_spec, scalar_tree_draws, sum_attribute
 
 
 def test_tree_parents_precede_children(rng):
@@ -69,21 +72,6 @@ def test_empty_repository_is_rejected():
         SimConfig(repo_size=0)
 
 
-def _scalar_tree_draws(spec, r, rng):
-    """The parent and valuation draws of a tree, one scalar draw at a time:
-    node k's parent uniform in 0..k-1, then per component (or node) one
-    uniform value id per attribute."""
-    parent = [-1] + [int(rng.integers(0, k)) for k in range(1, r + 1)]
-    rows = [[int(rng.integers(0, len(attr.domain))) for attr in spec.attributes] for _ in range(r)]
-    return parent, [
-        Valuation(tuple(
-            AggValue.of_scalar(attr.numeric_values[v]) if attr.numeric_values else AggValue.of_frontier((v,))
-            for attr, v in zip(spec.attributes, row)
-        ))
-        for row in rows
-    ]
-
-
 @pytest.mark.parametrize("mode", ["random_per_node", "aggregated"])
 def test_batched_tree_draws_equal_scalar_draws(mode):
     """generate_tree draws all parents in one call and all values in one
@@ -97,10 +85,14 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
         r = 1 + 37 * seed % 250
         batched, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
         tree = generate_tree(spec, SimConfig(repo_size=r, feas=0.0, valuation_mode=mode), batched)
-        parent, valuations = _scalar_tree_draws(spec, r, scalar)
+        parent, valuations = scalar_tree_draws(spec, r, scalar)
         assert tree.parent == parent
-        drawn = tree.component_base if mode == "aggregated" else tree.node_valuation[1:]
-        assert drawn == valuations
+        if mode == "random_per_node":
+            assert tree.node_valuation[1:] == valuations
+        else:  # each node merges its component's drawn values into its parent's
+            for node in range(1, r + 1):
+                up = tree.node_valuation[parent[node]]
+                assert tree.node_valuation[node] == composition.merge_valuations(spec, up, valuations[node - 1])
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -117,10 +109,11 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind):
             if m > 1:
                 attrs = (*spec.attributes[:-1], sum_attribute(m - 1, "cost", (4, 1, 9, 2)))
                 spec = PreferenceSpec(attrs, spec.importance)
+            _, bases = scalar_tree_draws(spec, config.repo_size, copy.deepcopy(rng))
             tree = generate_tree(spec, config, rng)
             for node in range(1, tree.node_count):
                 up = tree.node_valuation[tree.parent[node]].per_attribute
-                base = tree.component_base[node - 1].per_attribute
+                base = bases[node - 1].per_attribute
                 expected = tuple(map(merge, spec.attributes, up, base))
                 assert tree.node_valuation[node] == Valuation(expected)
             for attr in spec.attributes:
@@ -160,12 +153,13 @@ def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, 
     rng = np.random.default_rng(n)
     for _ in range(3):
         spec = _every_kind_spec(n, rng)
+        _, bases = scalar_tree_draws(spec, 120, copy.deepcopy(rng))
         tree = generate_tree(spec, SimConfig(repo_size=120, valuation_mode="aggregated"), rng)
         bottom = composition.empty_composition(spec).valuation
         for node in range(1, tree.node_count):
             fold = bottom
-            for comp_id in tree.node_members[node]:
-                fold = composition.merge_valuations(spec, fold, tree.component_base[comp_id])
+            for comp_id in tree.nodes[node].members:
+                fold = composition.merge_valuations(spec, fold, bases[comp_id])
             assert tree.node_valuation[node] == fold
             got, want = tree.node_valuation[node][-1].scalar, fold[-1].scalar
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
@@ -181,7 +175,7 @@ def test_min_and_max_over_a_non_total_order_raise_as_merge_does(kind):
     config = SimConfig(repo_size=20, valuation_mode="aggregated")
     with pytest.raises(DomainError, match="needs a unique extreme"):
         generate_tree(spec, config, np.random.default_rng(0))
-    parent, bases = _scalar_tree_draws(spec, 20, np.random.default_rng(0))
+    parent, bases = scalar_tree_draws(spec, 20, np.random.default_rng(0))
     fold = [composition.empty_composition(spec).valuation]
     with pytest.raises(DomainError, match="needs a unique extreme"):
         for node in range(1, 21):
@@ -227,6 +221,43 @@ def test_zero_density_partial_order_is_empty(rng):
     assert not order.matrix.any()
 
 
+def _loop_order(n, kind, rng, density):
+    """``random_order`` as edge lists drawn one scalar at a time: the
+    reference for its matrix draws."""
+    if kind in ("total", "partial"):
+        perm = rng.permutation(n)
+        edges = [
+            (int(perm[i]), int(perm[j]))
+            for i in range(n)
+            for j in range(i + 1, n)
+            if kind == "total" or rng.random() < density
+        ]
+    elif kind == "interval":
+        a = rng.random(n)
+        b = rng.random(n)
+        left, right = np.minimum(a, b), np.maximum(a, b)
+        edges = [(x, y) for x in range(n) for y in range(n) if x != y and left[x] > right[y]]
+    else:  # weak
+        level_count = int(rng.integers(1, n + 1))
+        levels = np.empty(n, dtype=np.int64)
+        for pos, elem in enumerate(rng.permutation(n)):
+            levels[elem] = pos if pos < level_count else rng.integers(0, level_count)
+        edges = [(x, y) for x in range(n) for y in range(n) if levels[x] < levels[y]]
+    return build_order(edges, n)
+
+
+@pytest.mark.parametrize("kind", ["total", "partial", "interval", "weak"])
+def test_matrix_orders_equal_the_scalar_edge_loops(kind):
+    """Each kind's one-matrix draw gives the order the edge loops give and
+    leaves the generator in the same state, so seeded specs do not change."""
+    for n in (1, 2, 3, 6, 9, 16, 40):
+        for seed in range(40):
+            density = (0.3, 0.0, 0.7, 1.0)[seed % 4]
+            matrix, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert random_order(n, kind, matrix, density) == _loop_order(n, kind, loop, density)
+            assert matrix.bit_generator.state == loop.bit_generator.state
+
+
 def test_unknown_order_kind_rejected(rng):
     with pytest.raises(ValueError):
         random_order(3, "ring", rng)
@@ -240,12 +271,56 @@ def test_tree_provider_extensions_and_feasibility(rng):
     root = provider.root()
     assert [c.provider_node for c in provider.extensions(root)] == tree.children[0]
     leaf = tree.leaves[0]
-    leaf_comp = next(
-        c for c in provider.extensions(provider._composition(tree.parent[leaf]))
-        if c.provider_node == leaf
-    )
+    path = [leaf]
+    while tree.parent[path[-1]] > 0:
+        path.append(tree.parent[path[-1]])
+    leaf_comp = root
+    for node in reversed(path):
+        leaf_comp = next(c for c in provider.extensions(leaf_comp) if c.provider_node == node)
+    assert leaf_comp.provider_node == leaf
     assert leaf_comp.terminal
     assert provider.extensions(leaf_comp) == []
+
+
+@pytest.mark.parametrize("mode", ["random_per_node", "aggregated"])
+def test_providers_over_one_tree_share_its_compositions(mode, rng):
+    """Every provider over a tree hands out the tree's own composition
+    objects, each what the tree's parents, children and valuations give;
+    call counts and budgets stay per provider."""
+    config = SimConfig(repo_size=40, feas=0.5, valuation_mode=mode)
+    spec = random_spec(config, rng)
+    tree = generate_tree(spec, config, rng)
+    first, second = tree_provider(tree, budget=5), tree_provider(tree, budget=3)
+
+    def expected(node):
+        members, up = [], node
+        while up > 0:
+            members.append(up - 1)
+            up = tree.parent[up]
+        return Composition(tuple(reversed(members)), tree.node_valuation[node], node,
+                           terminal=not tree.children[node])
+
+    assert first.root() is second.root()
+    assert first.root() == expected(0)
+    feasible = first.all_feasible()
+    assert [c.provider_node for c in feasible] == sorted(tree.feasible_leaves)
+    assert all(a is b for a, b in zip(feasible, second.all_feasible()))
+    assert all(c == expected(c.provider_node) for c in feasible)
+    inner = [node for node in range(tree.node_count) if tree.children[node]]
+    for node in inner[:3]:
+        comp = tree.nodes[node]
+        ours, theirs = first.extensions(comp), second.extensions(comp)
+        assert ours is not theirs
+        assert all(a is b for a, b in zip(ours, theirs)) and len(ours) == len(theirs)
+        assert ours == [expected(child) for child in tree.children[node]]
+    assert (first.invocation_count, second.invocation_count) == (3, 3)
+    with pytest.raises(BudgetExceeded):
+        second.extensions(first.root())
+    first.extensions(first.root())
+    first.extensions(first.root())
+    assert (first.invocation_count, second.invocation_count) == (5, 4)
+    with pytest.raises(BudgetExceeded):
+        first.extensions(first.root())
 
 
 def test_enumeration_cost_equals_internal_node_count(rng):
