@@ -34,7 +34,6 @@ from .composition import (
     FeasibilityProvider,
     empty_composition,
     enumerate_feasible,
-    extend,
 )
 from .dominance import (
     ShapeError,
@@ -92,7 +91,6 @@ __all__ = [
     "dominates",
     "empty_composition",
     "enumerate_feasible",
-    "extend",
     "interleave_compose",
     "maximal_set",
     "merge",

@@ -1,5 +1,9 @@
 """Compositions of repository components and the feasibility-provider seam.
 
+A composition's valuation is a function of the multiset of components it
+holds: :func:`member_valuations` builds it for many member sets at once, for
+every explicit state here and every node of an aggregated simulator tree.
+
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
 calls are counted and carry a configurable simulated delay; real composition
@@ -10,9 +14,12 @@ interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, zip_longest
 from typing import Hashable, Sequence
 
-from .aggregation import AggKind, AggValue, Valuation, merge
+import numpy as np
+
+from .aggregation import AggKind, AggValue, DomainError, Valuation, _check_kind, path_frontiers
 from .dominance import ShapeError
 from .preference import PreferenceSpec
 
@@ -62,31 +69,113 @@ def empty_composition(spec: PreferenceSpec) -> Composition:
     return Composition(members=(), valuation=Valuation(tuple(values)), provider_node=(), terminal=False)
 
 
-def merge_valuations(spec: PreferenceSpec, a: Valuation, b: Valuation) -> Valuation:
-    """Merge attribute by attribute, each distinct frontier pair once per spec."""
-    xs, ys = a.per_attribute, b.per_attribute
-    if not len(xs) == len(ys) == len(spec.attributes):
-        raise ShapeError("valuation not aligned with spec")
-    values = []
-    for attr, known, x, y in zip(spec.attributes, spec.merge_table, xs, ys):
-        if known is None:  # a sum
-            value = merge(attr, x, y)
-        elif (value := known.get((x, y))) is None:
-            value = known[x, y] = merge(attr, x, y)
-        values.append(value)
-    return Valuation(tuple(values))
+def _layout(spec: PreferenceSpec) -> tuple[list[int], list[int], int]:
+    """The frontier and sum attribute ids, and the words of the widest domain."""
+    fronts = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is not AggKind.SUM]
+    sums = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is AggKind.SUM]
+    return fronts, sums, max([(len(spec.attributes[i].domain) + 63) // 64 for i in fronts], default=0)
 
 
-def extend(spec: PreferenceSpec, comp: Composition, component: Component) -> Composition:
-    """Add one component; the valuation updates by per-attribute merge."""
-    members = tuple(sorted(comp.members + (component.comp_id,)))
-    valuation = merge_valuations(spec, comp.valuation, component.base_valuation)
-    return Composition(
-        members=members,
-        valuation=valuation,
-        provider_node=members,
-        terminal=False,
+def component_values(
+    spec: PreferenceSpec, components: Sequence[Component]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each component's base valuation as :func:`member_valuations` reads it:
+    its frontier values packed per frontier attribute (value v is bit v % 64
+    of word v // 64) and its sums.  A wrong length, kind or value id raises
+    ``ShapeError``, ``KindMismatch`` or ``DomainError``, as ``merge`` does."""
+    fronts, sums, words = _layout(spec)
+    packed, totals = [], []
+    for component in components:
+        base = component.base_valuation.per_attribute
+        if len(base) != len(spec.attributes):
+            raise ShapeError(f"component {component.name}: valuation not aligned with spec")
+        for attr, value in zip(spec.attributes, base):
+            _check_kind(attr, value)
+        for i in fronts:
+            frontier, n = base[i].frontier, len(spec.attributes[i].domain)
+            if frontier and (min(frontier) < 0 or max(frontier) >= n):
+                v = min(x for x in frontier if not 0 <= x < n)
+                raise DomainError(f"attribute {spec.attributes[i].name}: value id {v} outside domain of size {n}")
+            packed.append(sum(1 << v for v in frontier).to_bytes(8 * words, "little"))
+        totals.append([base[i].scalar for i in sums])
+    bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(components), len(fronts), words)
+    return bits, np.array(totals, dtype=np.float64).reshape(len(components), len(sums))
+
+
+def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`component_values` of components that hold one in-range value id
+    per attribute, ``ids[k]`` for component k."""
+    fronts, sums, words = _layout(spec)
+    bits = np.zeros((len(ids), len(fronts), words), dtype="<u8")
+    bits[np.arange(len(ids))[:, None], np.arange(len(fronts)), ids[:, fronts] // 64] = np.left_shift(
+        np.uint64(1), (ids[:, fronts] % 64).astype(np.uint64)
     )
+    totals = np.zeros((len(ids), len(sums)))
+    for j, i in enumerate(sums):
+        totals[:, j] = np.array(spec.attributes[i].numeric_values, dtype=np.float64)[ids[:, i]]
+    return bits, totals
+
+
+def member_valuations(
+    spec: PreferenceSpec, bits: np.ndarray, sums: np.ndarray, member_sets: Sequence[tuple[int, ...]]
+) -> list[Valuation]:
+    """The valuation of each nonempty sorted multiset of components, where
+    component k holds ``bits[k]`` and ``sums[k]`` (see :func:`component_values`).
+
+    A set's frontier values are the OR of its members' bits, and
+    :func:`aggregation.path_frontiers` keeps their frontiers, one shared
+    ``AggValue`` per distinct (attribute, frontier).  Each sum folds the
+    members' values from 0.0 in ascending order, one member column at a time
+    over all sets; a shorter set adds 0.0, which changes no bit, as a fold
+    from 0.0 never holds -0.0."""
+    fronts, sum_ids, _ = _layout(spec)
+    flat = list(chain.from_iterable(member_sets))
+    starts = list(accumulate(map(len, member_sets), initial=0))[:-1]
+    index = np.empty((len(member_sets), len(spec.attributes)), dtype=np.intp)
+    interned: list[AggValue] = []
+    if fronts:
+        kept = path_frontiers([spec.attributes[i] for i in fronts], np.bitwise_or.reduceat(bits[flat], starts))
+        interned, index[:, fronts] = _interned_frontiers(kept)
+    if sum_ids:
+        padded = np.vstack([sums, np.zeros(len(sum_ids))])  # a zero row past the last component
+        totals = np.zeros((len(member_sets), len(sum_ids)))
+        for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
+            totals += padded[list(column)]
+        index[:, sum_ids] = len(interned) + np.arange(totals.size).reshape(totals.shape)
+        interned += [AggValue(None, x) for x in totals.ravel().tolist()]
+    return _valuations(interned, index)
+
+
+def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
+    """One ``AggValue`` per distinct (attribute, frontier) of ``kept``, packed
+    ``(set, attribute, word)``, and each set's position in that list.
+
+    The keys (the frontier words, then the attribute) are sorted, and each
+    run of equal keys becomes one value.
+    """
+    sets, count, words = kept.shape
+    keys = np.empty((count, sets, words + 1), dtype=kept.dtype)
+    keys[:, :, :words] = kept.transpose(1, 0, 2)
+    keys[:, :, words] = np.arange(count)[:, None]
+    keys = keys.reshape(count * sets, words + 1)
+    order = np.lexsort(keys.T)
+    ranked = keys[order]
+    new = np.ones(len(ranked), dtype=np.bool_)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    position = np.empty(len(ranked), dtype=np.intp)
+    position[order] = np.cumsum(new) - 1
+    frontiers = np.unpackbits(ranked[new, :words].view(np.uint8), axis=1, bitorder="little")
+    held, values = np.nonzero(frontiers)
+    ends = np.cumsum(np.bincount(held, minlength=len(frontiers))).tolist()
+    values = values.tolist()
+    interned = [AggValue(frozenset(values[a:b]), None) for a, b in zip([0, *ends], ends)]
+    return interned, position.reshape(count, sets).T
+
+
+def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
+    """One valuation per row of ``index``, whose entries index ``values``."""
+    table = np.fromiter(values, dtype=object, count=len(values))
+    return [Valuation(tuple(row)) for row in table[index].tolist()]
 
 
 class FeasibilityProvider:
@@ -127,7 +216,9 @@ class ExplicitProvider(FeasibilityProvider):
     states are prefixes of the sequences (compared as multisets) and the
     one-step extensions of a state are the deduplicated next elements of every
     sequence it prefixes.  A multiset is feasible when it equals some listed
-    sequence's multiset.
+    sequence's multiset.  Each state is one ``Composition``, valued by one
+    checked :func:`member_valuations` call and shared by the providers over
+    the same spec, components and sequences, as a tree's nodes are.
     """
 
     def __init__(
@@ -142,41 +233,35 @@ class ExplicitProvider(FeasibilityProvider):
         self.spec = spec
         self.components = list(components)
         self.sequences = [tuple(seq) for seq in feasible_sequences]
-        self._feasible_keys = {tuple(sorted(seq)) for seq in self.sequences}
-        # Sorted prefix -> next components, in first-seen sequence order.
-        self._next: dict[tuple[int, ...], dict[int, None]] = {}
-        for seq in self.sequences:
-            for depth, nxt in enumerate(seq):
-                self._next.setdefault(tuple(sorted(seq[:depth])), {})[nxt] = None
+        inputs = (tuple(self.components), tuple(self.sequences))
+        if spec.states is None or spec.states[0] != inputs:
+            # Sorted prefix -> next components, in first-seen sequence order.
+            nexts: dict[tuple[int, ...], dict[int, None]] = {}
+            for seq in self.sequences:
+                for depth, nxt in enumerate(seq):
+                    nexts.setdefault(tuple(sorted(seq[:depth])), {})[nxt] = None
+            feasible = [tuple(sorted(seq)) for seq in self.sequences]
+            keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
+            valuations = member_valuations(spec, *component_values(spec, self.components), keys)
+            states = {(): empty_composition(spec)}
+            for key, valuation in zip(keys, valuations):
+                states[key] = Composition(key, valuation, key, terminal=key not in nexts)
+            children = {key: [states[tuple(sorted(key + (n,)))] for n in after] for key, after in nexts.items()}
+            spec.states = (inputs, set(feasible), states, children)
+        _, self._feasible_keys, self._states, self._children = spec.states
 
     def root(self) -> Composition:
-        return empty_composition(self.spec)
+        return self._states[()]
 
     def is_feasible(self, comp: Composition) -> bool:
         return tuple(sorted(comp.members)) in self._feasible_keys
 
     def extensions(self, comp: Composition) -> list[Composition]:
         self._charge()
-        out = []
-        for comp_id in self._next.get(tuple(sorted(comp.members)), ()):
-            members = tuple(sorted(comp.members + (comp_id,)))
-            base = self.components[comp_id].base_valuation
-            out.append(Composition(
-                members=members,
-                valuation=merge_valuations(self.spec, comp.valuation, base),
-                provider_node=members,
-                terminal=members not in self._next,
-            ))
-        return out
+        return list(self._children.get(tuple(sorted(comp.members)), ()))
 
     def all_feasible(self) -> list[Composition]:
-        out = []
-        for seq in self.sequences:
-            comp = self.root()
-            for comp_id in seq:
-                comp = extend(self.spec, comp, self.components[comp_id])
-            out.append(comp)
-        return out
+        return [self._states[tuple(sorted(seq))] for seq in self.sequences]
 
 
 def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:

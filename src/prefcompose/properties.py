@@ -17,7 +17,7 @@ import numpy as np
 
 from . import simulator
 from .aggregation import Valuation, aggregate, strictly_preferred
-from .composition import Component, empty_composition, extend
+from .composition import Component, ExplicitProvider
 from .dominance import PackedPool, dominates, witnesses
 from .oracle import intransitivity_fixture
 from .order import build_order, classify, negative_transitivity_violation
@@ -164,17 +164,13 @@ def _check_extension_never_dominates(trials: int, seed: int) -> PropertyReport:
             Component(i, f"w{i}", valuation)
             for i, valuation in enumerate(simulator.random_valuations(spec, rng, 6))
         ]
-        comp = empty_composition(spec)
-        for comp_id in rng.integers(0, 6, size=int(rng.integers(1, 5))):
-            comp = extend(spec, comp, components[int(comp_id)])
-        extra = components[int(rng.integers(0, 6))]
-        extended = extend(spec, comp, extra)
-        if dominates(spec, extended.valuation, comp.valuation) is not None:
+        picks = rng.integers(0, 6, size=int(rng.integers(1, 5))).tolist()
+        sequences = [picks, picks + [int(rng.integers(0, 6))]]  # a multiset and one extension
+        comp, extended = (c.valuation for c in ExplicitProvider(spec, components, sequences).all_feasible())
+        if dominates(spec, extended, comp) is not None:
             violations += 1
             if first is None:
-                first = _serialize_case(
-                    spec, [comp.valuation, extended.valuation], seed, {"kind": "extension"}
-                )
+                first = _serialize_case(spec, [comp, extended], seed, {"kind": "extension"})
     return PropertyReport("extension-never-dominates", trials, violations, first)
 
 

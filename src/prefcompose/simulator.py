@@ -9,12 +9,10 @@ importance order.
 
 Node valuations are drawn independently per node (``random_per_node``), or
 each component draws one value per attribute and a node holds the aggregate
-of the components on its root path (``aggregated``).  The aggregated mode
-merges nothing: one pass over the depth levels gives every node its path's
-value set per frontier attribute and its sums, and the frontiers of all
-those sets come from one batched product per block of nodes
-(:func:`aggregation.path_frontiers`).  The result equals folding
-``composition.merge_valuations`` along each root path, bit for bit.
+of the components on its root path (``aggregated``).  Aggregated nodes get
+their valuations from :func:`composition.member_valuations`, as every
+explicit provider state does, which reads each node's members: its root
+path, in ascending component order.
 
 A generated tree builds each node's :class:`Composition` once; a
 :class:`TreeProvider` hands out those objects and builds none.
@@ -31,14 +29,17 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from . import oracle
-from .aggregation import AggValue, Valuation, path_frontiers
+from .aggregation import AggValue, Valuation
 from .algorithms import ALGORITHMS
 from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Composition,
     FeasibilityProvider,
+    _valuations,
+    drawn_values,
     empty_composition,
+    member_valuations,
 )
 from .order import StrictOrder, closed_order
 from .preference import AggKind, AttributeSchema, PreferenceSpec
@@ -249,12 +250,6 @@ def _random_value_ids(
     return rng.integers(0, sizes, size=(count, len(sizes)))
 
 
-def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
-    """One valuation per row of ``index``, whose entries index ``values``."""
-    table = np.fromiter(values, dtype=object, count=len(values))
-    return [Valuation(tuple(row)) for row in table[index].tolist()]
-
-
 def random_valuations(
     spec: PreferenceSpec, rng: np.random.Generator, count: int
 ) -> list[Valuation]:
@@ -270,79 +265,6 @@ def random_valuations(
     sizes = [len(attr.domain) for attr in spec.attributes]
     ids = _random_value_ids(spec, rng, count)
     return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
-
-
-def _path_valuations(
-    spec: PreferenceSpec, parent: Sequence[int], ids: np.ndarray
-) -> list[Valuation]:
-    """The valuation of every non-root node of a tree whose node k > 0 adds
-    the component with value ids ``ids[k - 1]``: what folding
-    ``merge_valuations`` along the root path gives, with no merge.
-
-    One pass over the depth levels gives each node its path's value set per
-    frontier attribute (its parent's packed bits OR its component's bit) and
-    its sums (its parent's sums plus its component's values, the order of
-    the fold, so the float64 results match it bit for bit).  The frontiers
-    of all sets then come from :func:`aggregation.path_frontiers`, and each
-    distinct (attribute, frontier) becomes one shared ``AggValue``.
-    """
-    r, m = ids.shape
-    fronts = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is not AggKind.SUM]
-    sums = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is AggKind.SUM]
-    words = max([(len(spec.attributes[i].domain) + 63) // 64 for i in fronts], default=0)
-    bits = np.zeros((r + 1, len(fronts), words), dtype="<u8")
-    bits[np.arange(1, r + 1)[:, None], np.arange(len(fronts)), ids[:, fronts] // 64] = np.left_shift(
-        np.uint64(1), (ids[:, fronts] % 64).astype(np.uint64)
-    )
-    totals = np.zeros((r + 1, len(sums)), dtype=np.float64)
-    for j, i in enumerate(sums):
-        totals[1:, j] = np.array(spec.attributes[i].numeric_values, dtype=np.float64)[ids[:, i]]
-
-    depth = [0] * (r + 1)
-    for node in range(1, r + 1):
-        depth[node] = depth[parent[node]] + 1
-    by_depth = np.argsort(depth, kind="stable")
-    ends = np.cumsum(np.bincount(depth)).tolist()
-    up = np.array(parent)
-    for start, end in zip(ends, ends[1:]):  # depth 1, 2, ...: every parent is done
-        level = by_depth[start:end]
-        bits[level] |= bits[up[level]]
-        totals[level] = totals[up[level]] + totals[level]
-
-    index = np.empty((r, m), dtype=np.intp)
-    interned: list[AggValue] = []
-    if fronts:
-        kept = path_frontiers([spec.attributes[i] for i in fronts], bits[1:])
-        interned, index[:, fronts] = _interned_frontiers(kept)
-    index[:, sums] = len(interned) + np.arange(r * len(sums)).reshape(r, len(sums))
-    interned += [AggValue(None, x) for x in totals[1:].ravel().tolist()]
-    return _valuations(interned, index)
-
-
-def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
-    """One ``AggValue`` per distinct (attribute, frontier) of ``kept``, packed
-    ``(set, attribute, word)``, and each set's position in that list.
-
-    The keys (the frontier words, then the attribute) are sorted, and each
-    run of equal keys becomes one value.
-    """
-    sets, count, words = kept.shape
-    keys = np.empty((count, sets, words + 1), dtype=kept.dtype)
-    keys[:, :, :words] = kept.transpose(1, 0, 2)
-    keys[:, :, words] = np.arange(count)[:, None]
-    keys = keys.reshape(count * sets, words + 1)
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    new = np.ones(len(ranked), dtype=np.bool_)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    position = np.empty(len(ranked), dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    frontiers = np.unpackbits(ranked[new, :words].view(np.uint8), axis=1, bitorder="little")
-    held, values = np.nonzero(frontiers)
-    ends = np.cumsum(np.bincount(held, minlength=len(frontiers))).tolist()
-    values = values.tolist()
-    interned = [AggValue(frozenset(values[a:b]), None) for a, b in zip([0, *ends], ends)]
-    return interned, position.reshape(count, sets).T
 
 
 def generate_tree(
@@ -361,16 +283,16 @@ def generate_tree(
     children: list[list[int]] = [[] for _ in range(r + 1)]
     for node in range(1, r + 1):
         children[parent[node]].append(node)
-    if config.valuation_mode == "aggregated":
-        drawn = _path_valuations(spec, parent, _random_value_ids(spec, rng, r))
-    else:  # random_per_node
-        drawn = random_valuations(spec, rng, r)
-    node_valuation = [empty_composition(spec).valuation, *drawn]
     # Node k holds component k - 1.  Every ancestor's component id is below
     # this node's, so the members stay sorted.
     members: list[tuple[int, ...]] = [()]
     for node in range(1, r + 1):
         members.append(members[parent[node]] + (node - 1,))
+    if config.valuation_mode == "aggregated":
+        drawn = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
+    else:  # random_per_node
+        drawn = random_valuations(spec, rng, r)
+    node_valuation = [empty_composition(spec).valuation, *drawn]
     nodes = [
         Composition(members[node], node_valuation[node], node, terminal=not children[node])
         for node in range(r + 1)

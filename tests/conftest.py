@@ -18,6 +18,7 @@ from prefcompose import (
     Valuation,
     aggregate,
     build_order,
+    merge,
 )
 from prefcompose.aggregation import SCALAR_TOLERANCE
 from prefcompose.simulator import SimConfig, random_spec
@@ -53,6 +54,12 @@ def frontier_spec(domains_and_edges, importance_edges):
 
 def singleton_valuation(*value_ids) -> Valuation:
     return Valuation(tuple(AggValue.of_frontier((v,)) for v in value_ids))
+
+
+def merged(spec, a, b) -> Valuation:
+    """``a`` and ``b`` merged attribute by attribute by ``aggregation.merge``:
+    one step of the reference fold that built valuations must equal."""
+    return Valuation(tuple(map(merge, spec.attributes, a.per_attribute, b.per_attribute)))
 
 
 def sum_attribute(attr_id, name, numeric, polarity=SumPolarity.LOWER_IS_BETTER):

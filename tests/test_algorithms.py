@@ -354,3 +354,25 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
         assert packs == [len(union)]
         assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)
     assert small_sum_best >= 20
+
+
+def test_a_member_set_reached_two_ways_carries_one_sum():
+    """One sum attribute with a = 1e16, b = c = 1 and e = 1e16 + 2: float64
+    sums {a, b, c} to 1e16 along (a, b, c) and to 1e16 + 2 along (b, c, a).
+    A state's sums are a function of its members, so both sequences give one
+    object, and a1-a4 answer the oracle's member sets with the same sums."""
+    attr = sum_attribute(0, "cost", (1e16, 1, 1, 1e16 + 2))
+    spec = PreferenceSpec((attr,), build_order([], 1))
+    components = [
+        Component(i, name, Valuation((AggValue.of_scalar(x),)))
+        for i, (name, x) in enumerate(zip("abce", attr.numeric_values))
+    ]
+    sequences = [[1, 2, 0], [0, 1, 2], [3]]
+    feasible = ExplicitProvider(spec, components, sequences).all_feasible()
+    assert feasible[0] is feasible[1]
+    sums = {c.key(): c.valuation[0].scalar for c in feasible}
+    truth = brute_nondominated(spec, [(c.key(), c.valuation) for c in feasible])
+    for name, algorithm in ALGORITHMS.items():
+        result = algorithm(spec, ExplicitProvider(spec, components, sequences))
+        answer = {c.key(): c.valuation[0].scalar for c in result.solutions}
+        assert answer == {key: sums[key] for key in truth}, name

@@ -3,8 +3,6 @@
 from __future__ import annotations
 
 import copy
-import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,21 +13,19 @@ from prefcompose import (
     Component,
     DomainError,
     ExplicitProvider,
+    KindMismatch,
     PreferenceSpec,
+    ShapeError,
     Valuation,
     build_order,
-    composition,
     dominates,
     empty_composition,
     enumerate_feasible,
-    extend,
 )
-from prefcompose.aggregation import merge
 from prefcompose.cli import load_instance
-from prefcompose.composition import merge_valuations
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
 
-from conftest import frontier_spec, scalar_tree_draws, singleton_valuation, sum_attribute
+from conftest import frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
 
 
 @pytest.fixture(scope="module")
@@ -56,35 +52,39 @@ def test_empty_composition_is_neutral():
     assert empty_composition(spec2).valuation[0].frontier == frozenset()
 
 
+def _state(instance, names):
+    """The feasible state of one listed sequence of named components."""
+    ids = [instance.component_ids[name] for name in names]
+    (state,) = ExplicitProvider(instance.spec, instance.components, [ids]).all_feasible()
+    return state
+
+
 def test_extending_empty_yields_component_valuation():
     spec = frontier_spec([(("a", "b"), [(0, 1)])] * 2, importance_edges=[])
     component = Component(0, "w", singleton_valuation(1, 0))
-    extended = extend(spec, empty_composition(spec), component)
+    provider = ExplicitProvider(spec, [component], [[0]])
+    (extended,) = provider.extensions(provider.root())
     assert extended.valuation == component.base_valuation
     assert extended.members == (0,)
 
 
 def test_extend_keeps_multiset_members():
-    spec = frontier_spec([(("a", "b"), [(0, 1)])], importance_edges=[])
-    w = Component(3, "w", singleton_valuation(0))
-    comp = extend(spec, extend(spec, empty_composition(spec), w), w)
-    assert comp.members == (3, 3)
+    spec = PreferenceSpec((sum_attribute(0, "cost", (2.5,)),), build_order([], 1))
+    w = Component(0, "w", Valuation((AggValue.of_scalar(2.5),)))
+    (comp,) = ExplicitProvider(spec, [w], [[0, 0]]).all_feasible()
+    assert comp.members == (0, 0)
+    assert comp.valuation[0].scalar == 5.0  # a sum counts each copy
 
 
 def test_two_component_merge_matches_expected_frontier(unsound_instance):
-    spec = unsound_instance.spec
-    comp = empty_composition(spec)
-    for name in ("W3", "W4"):
-        comp = extend(spec, comp, unsound_instance.components[unsound_instance.component_ids[name]])
+    comp = _state(unsound_instance, ["W3", "W4"])
     assert comp.valuation[0].frontier == frozenset({2, 3})  # both values survive
 
 
-def test_course_instructor_fold(rng):
+def test_course_instructor_fold():
     courses = load_instance("courses")
     spec = courses.spec
-    comp = empty_composition(spec)
-    for name in ("CS501", "CS502", "CS505", "CS506", "CS509", "CS510"):
-        comp = extend(spec, comp, courses.components[courses.component_ids[name]])
+    comp = _state(courses, ["CS501", "CS502", "CS505", "CS506", "CS509", "CS510"])
     instr = next(a for a in spec.attributes if a.name == "instructor")
     idx = spec.attributes.index(instr)
     assert sorted(instr.domain[i] for i in comp.valuation[idx].frontier) == ["Jane", "Tom"]
@@ -97,10 +97,9 @@ def test_extension_never_dominates_under_worst_frontier(rng):
     for _ in range(1000):
         spec = random_spec(config, rng)
         components = [Component(i, f"w{i}", v) for i, v in enumerate(random_valuations(spec, rng, 5))]
-        comp = empty_composition(spec)
-        for pick in rng.integers(0, 5, size=int(rng.integers(1, 4))):
-            comp = extend(spec, comp, components[int(pick)])
-        extended = extend(spec, comp, components[int(rng.integers(0, 5))])
+        picks = rng.integers(0, 5, size=int(rng.integers(1, 4))).tolist()
+        sequences = [picks, picks + [int(rng.integers(0, 5))]]
+        comp, extended = ExplicitProvider(spec, components, sequences).all_feasible()
         assert dominates(spec, extended.valuation, comp.valuation) is None
 
 
@@ -123,18 +122,10 @@ def test_explicit_provider_extension_semantics(unsound_instance):
     assert nxt[0].terminal and provider.is_feasible(nxt[0])
 
 
-def test_explicit_provider_merges_each_distinct_frontier_pair_once(monkeypatch):
-    """Sequences that share prefixes ask for the same frontier merges again;
-    each distinct (attribute, a, b) is merged at most once per spec, across
-    enumeration and the native feasible set, and every valuation equals the
-    plain fold of its members' base valuations."""
-    calls = Counter()
-
-    def counting_merge(attr, a, b):
-        calls[attr.attr_id, a, b] += 1
-        return merge(attr, a, b)
-
-    monkeypatch.setattr(composition, "merge", counting_merge)
+def test_explicit_states_equal_the_merge_fold_of_their_members():
+    """Sequences that share prefixes reach states along several paths; every
+    state, whether enumerated or native, equals the ``merge`` fold of its
+    members' base valuations, and a multiset listed twice is one object."""
     for seed in range(20):
         rng = np.random.default_rng(seed)
         config = SimConfig(attr_count=4, intra_kind=("po", "to")[seed % 2])
@@ -148,36 +139,46 @@ def test_explicit_provider_merges_each_distinct_frontier_pair_once(monkeypatch):
                       *rng.integers(0, 6, size=int(rng.integers(0, 3))).tolist()]
                      for _ in range(12)]
         provider = ExplicitProvider(spec, components, sequences)
-        calls.clear()
-        found = enumerate_feasible(provider) + provider.all_feasible()
-        frontier = {key: n for key, n in calls.items() if key[0] != 3}
-        assert max(frontier.values()) == 1
-        # the sum attribute is merged once per merge_valuations call
-        requests = sum(n for key, n in calls.items() if key[0] == 3)
-        assert len(frontier) < 3 * requests
-        for comp in found:
-            expected = empty_composition(spec).valuation.per_attribute
+        native = provider.all_feasible()
+        for comp in enumerate_feasible(provider) + native:
+            fold = empty_composition(spec).valuation
             for comp_id in comp.members:
-                base = components[comp_id].base_valuation.per_attribute
-                expected = tuple(map(merge, spec.attributes, expected, base))
-            assert comp.valuation == Valuation(expected)
+                fold = merged(spec, fold, bases[comp_id])
+            assert comp.valuation == fold
+        by_key = {}
+        for comp in native:
+            assert by_key.setdefault(comp.members, comp) is comp
 
 
-def test_sum_merges_keep_the_sign_of_zero():
-    """Sums are merged every time: 0.0 and -0.0 compare equal, so a kept
-    0.0 + -0.0 would answer -0.0 + -0.0 with 0.0."""
-    spec = PreferenceSpec((sum_attribute(0, "cost", (0,)),), build_order([], 1))
-    zero, minus = (Valuation((AggValue.of_scalar(x),)) for x in (0.0, -0.0))
-    assert math.copysign(1.0, merge_valuations(spec, zero, minus)[0].scalar) == 1.0
-    assert math.copysign(1.0, merge_valuations(spec, minus, minus)[0].scalar) == -1.0
-
-
-def test_a_frontier_pair_that_fails_its_checks_is_never_kept():
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (singleton_valuation(5), DomainError),  # value id outside the domain
+        (Valuation((AggValue.of_scalar(1.0),)), KindMismatch),  # a scalar for a frontier
+        (singleton_valuation(0, 1), ShapeError),  # one value too many
+    ],
+    ids=["domain", "kind", "shape"],
+)
+def test_a_component_valuation_that_fails_its_checks_is_rejected_on_build(bad, error):
+    """What ``merge`` checks at the first extension is checked when the
+    provider is built, for every component, listed in a sequence or not."""
     spec = frontier_spec([(("a", "b"), [(0, 1)])], importance_edges=[])
-    for _ in range(2):
-        with pytest.raises(DomainError):
-            merge_valuations(spec, singleton_valuation(0), singleton_valuation(5))
-    assert spec.merge_table == [{}]
+    components = [Component(0, "ok", singleton_valuation(1)), Component(1, "bad", bad)]
+    with pytest.raises(error):
+        ExplicitProvider(spec, components, [[0]])
+
+
+def test_providers_over_the_same_inputs_share_one_table(unsound_instance):
+    """A provider built again over one spec, components and sequences hands
+    out the same state objects and keeps its own call count; a provider over
+    other sequences gets its own states and leaves the first one's intact."""
+    first, second = _explicit(unsound_instance), _explicit(unsound_instance)
+    assert all(a is b for a, b in zip(first.all_feasible(), second.all_feasible()))
+    assert first.extensions(first.root()) == second.extensions(second.root())
+    assert (first.invocation_count, second.invocation_count) == (1, 1)
+    other = ExplicitProvider(unsound_instance.spec, unsound_instance.components, [[2, 3]])
+    assert [c.members for c in other.all_feasible()] == [(2, 3)]
+    assert [c.members for c in first.all_feasible()] == [(0,), (1,), (2, 3)]
 
 
 def test_explicit_provider_all_feasible_matches_enumeration(unsound_instance):
@@ -248,5 +249,5 @@ def test_cached_valuations_match_recomputed_folds(rng):
     for node in range(1, tree.node_count):
         fold = empty_composition(spec).valuation
         for comp_id in tree.nodes[node].members:
-            fold = merge_valuations(spec, fold, bases[comp_id])
+            fold = merged(spec, fold, bases[comp_id])
         assert fold == tree.node_valuation[node]

@@ -35,7 +35,7 @@ from prefcompose.simulator import (
     write_csv,
 )
 
-from conftest import frontier_spec, scalar_tree_draws, sum_attribute
+from conftest import frontier_spec, merged, scalar_tree_draws, sum_attribute
 
 
 def test_tree_parents_precede_children(rng):
@@ -92,7 +92,7 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
         else:  # each node merges its component's drawn values into its parent's
             for node in range(1, r + 1):
                 up = tree.node_valuation[parent[node]]
-                assert tree.node_valuation[node] == composition.merge_valuations(spec, up, valuations[node - 1])
+                assert tree.node_valuation[node] == merged(spec, up, valuations[node - 1])
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -146,8 +146,8 @@ def _every_kind_spec(n, rng):
 @pytest.mark.parametrize("n", [2, 6, 70, 300])
 def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, monkeypatch):
     """Every aggregated node valuation, of every kind and domain size (70 and
-    300 values span two and five 64-bit words), is the ``merge_valuations``
-    fold of its members' bases; sums match to the sign of zero.  A block of
+    300 values span two and five 64-bit words), is the ``merge`` fold of its
+    members' bases; sums match to the sign of zero.  A block of
     one set per product gives the same nodes."""
     monkeypatch.setattr(aggregation, "BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(n)
@@ -159,10 +159,28 @@ def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, 
         for node in range(1, tree.node_count):
             fold = bottom
             for comp_id in tree.nodes[node].members:
-                fold = composition.merge_valuations(spec, fold, bases[comp_id])
+                fold = merged(spec, fold, bases[comp_id])
             assert tree.node_valuation[node] == fold
             got, want = tree.node_valuation[node][-1].scalar, fold[-1].scalar
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def test_deep_tree_sums_equal_the_ascending_merge_fold_bit_for_bit():
+    """Root paths longer than 8 members, where a pairwise sum would regroup
+    the terms: every node sum is the ``merge`` fold of its members in
+    ascending order, bit for bit, with magnitudes 1e16 apart and -0.0 among
+    the values."""
+    attr = sum_attribute(0, "cost", (-0.0, 1e16, 1.0, -1e16, 0.1, 3.0))
+    spec = PreferenceSpec((attr,), build_order([], 1))
+    _, bases = scalar_tree_draws(spec, 800, np.random.default_rng(3))
+    config = SimConfig(repo_size=800, valuation_mode="aggregated")
+    tree = generate_tree(spec, config, np.random.default_rng(3))
+    assert max(len(comp.members) for comp in tree.nodes) > 8
+    for comp in tree.nodes[1:]:
+        fold = tree.nodes[0].valuation
+        for comp_id in comp.members:
+            fold = merged(spec, fold, bases[comp_id])
+        assert comp.valuation[0].scalar.hex() == fold[0].scalar.hex()
 
 
 @pytest.mark.parametrize("kind", [AggKind.MIN, AggKind.MAX])
@@ -179,7 +197,7 @@ def test_min_and_max_over_a_non_total_order_raise_as_merge_does(kind):
     fold = [composition.empty_composition(spec).valuation]
     with pytest.raises(DomainError, match="needs a unique extreme"):
         for node in range(1, 21):
-            fold.append(composition.merge_valuations(spec, fold[parent[node]], bases[node - 1]))
+            fold.append(merged(spec, fold[parent[node]], bases[node - 1]))
 
 
 def test_mean_leaf_depth_tracks_log_of_size(rng):
