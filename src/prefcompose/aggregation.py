@@ -78,7 +78,9 @@ class Valuation:
         return len(self.per_attribute)
 
 
-def _check_kind(attr: AttributeSchema, value: AggValue) -> None:
+def check_kind(attr: AttributeSchema, value: AggValue) -> None:
+    """Raise ``KindMismatch`` unless ``value`` is a frontier exactly when
+    ``attr`` aggregates as one."""
     wants_frontier = attr.agg_kind is not AggKind.SUM
     if wants_frontier != value.is_frontier:
         raise KindMismatch(
@@ -114,16 +116,19 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
     """The rule of :func:`_extremes` for many value sets of frontier
     attributes at once.
 
-    ``paths[k, j]`` packs one nonempty set of in-range value ids of
-    ``attrs[j]`` into little-endian uint64 words (value v is bit v % 64 of
-    word v // 64); the result packs each set's frontier the same way.  With
+    ``paths[k, j]`` packs one set of in-range value ids of ``attrs[j]`` into
+    little-endian uint64 words (value v is bit v % 64 of word v // 64).  The
+    result holds one row of flags per set and attribute, over the widest
+    domain: ``[k, j, v]`` is set when v is in the frontier of set k.  With
     ``seen`` the sets as 0/1 rows and ``rivals[y, x]`` set when y rules x
     out (x beats y for worst kinds, y beats x for best kinds), the frontier
     is ``seen & (seen @ rivals == 0)``: one batched float64 product over the
     attributes per block of at most ``BLOCK_CELLS`` set cells, so the
     temporaries do not grow with the number of sets.  Float64 counts cannot
-    wrap at any domain size.  A min or max set whose frontier is not a single
-    value raises ``DomainError``, as :func:`_extremes` does.
+    wrap at any domain size.  An empty set keeps the empty frontier, the
+    neutral element of :func:`merge`; a nonempty set always keeps a value,
+    as the intra orders are strict.  A min or max set that keeps more than
+    one value raises ``DomainError``, as :func:`_extremes` does.
     """
     rows, count, words = paths.shape
     span = max(len(attr.domain) for attr in attrs)
@@ -133,21 +138,19 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
         worst = attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN)
         rivals[j, :n, :n] = attr.intra_order.matrix.T if worst else attr.intra_order.matrix
     unique = [j for j, attr in enumerate(attrs) if attr.agg_kind in (AggKind.MIN, AggKind.MAX)]
-    out = np.zeros_like(paths)
-    packed = out.view(np.uint8)
+    out = np.empty((rows, count, span), dtype=np.bool_)
     step = max(1, BLOCK_CELLS // (count * span))
     for start in range(0, rows, step):
         block = slice(start, start + step)
         seen = np.unpackbits(paths[block].view(np.uint8), axis=2, count=span, bitorder="little")
         seen = seen.transpose(1, 0, 2)  # (attribute, set, value)
-        kept = (seen == 1) & (np.matmul(seen, rivals) == 0)
+        kept = seen > np.matmul(seen, rivals)  # in the set, and ruled out by none of it
         if unique:
             sizes = kept[unique].sum(axis=2)
-            if (sizes != 1).any():
-                j, k = (int(x[0]) for x in np.nonzero(sizes != 1))
+            if (sizes > 1).any():
+                j, k = (int(x[0]) for x in np.nonzero(sizes > 1))
                 raise _no_unique_extreme(attrs[unique[j]], np.flatnonzero(kept[unique[j], k]).tolist())
-        bits = np.packbits(kept, axis=2, bitorder="little").transpose(1, 0, 2)
-        packed[block, :, : bits.shape[2]] = bits
+        out[block] = kept.transpose(1, 0, 2)
     return out
 
 
@@ -176,8 +179,8 @@ def merge(attr: AttributeSchema, a: AggValue, b: AggValue) -> AggValue:
     Commutative and associative; frontier kinds re-minimize (or re-maximize)
     the union, sums add.  An empty frontier is the neutral element.
     """
-    _check_kind(attr, a)
-    _check_kind(attr, b)
+    check_kind(attr, a)
+    check_kind(attr, b)
     if attr.agg_kind is AggKind.SUM:
         return AggValue.of_scalar(a.scalar + b.scalar)  # type: ignore[operator]
     union = a.frontier | b.frontier  # type: ignore[operator]
@@ -218,15 +221,15 @@ def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     (false when b is the empty bottom placeholder).  Scalars: better per the
     attribute polarity, with ties inside the tolerance counting as equal.
     """
-    _check_kind(attr, a)
-    _check_kind(attr, b)
+    check_kind(attr, a)
+    check_kind(attr, b)
     return _beats(attr, a, (b,))[0]
 
 
 def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     """Equal (frontier set equality / scalar tolerance) or strictly preferred."""
-    _check_kind(attr, a)
-    _check_kind(attr, b)
+    check_kind(attr, a)
+    check_kind(attr, b)
     return _ties(attr, a, (b,))[0] or _beats(attr, a, (b,))[0]
 
 
@@ -241,7 +244,7 @@ def comparison_tables(
     once.
     """
     for value in values:
-        _check_kind(attr, value)
+        check_kind(attr, value)
     d = len(values)
     strict = np.array([_beats(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)
     ties = np.array([_ties(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)

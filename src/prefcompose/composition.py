@@ -14,12 +14,12 @@ interface.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, zip_longest
+from itertools import accumulate, chain, compress, zip_longest
 from typing import Hashable, Sequence
 
 import numpy as np
 
-from .aggregation import AggKind, AggValue, DomainError, Valuation, _check_kind, path_frontiers
+from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, path_frontiers
 from .dominance import ShapeError
 from .preference import PreferenceSpec
 
@@ -84,22 +84,25 @@ def component_values(
     of word v // 64) and its sums.  A wrong length, kind or value id raises
     ``ShapeError``, ``KindMismatch`` or ``DomainError``, as ``merge`` does."""
     fronts, sums, words = _layout(spec)
-    packed, totals = [], []
-    for component in components:
-        base = component.base_valuation.per_attribute
-        if len(base) != len(spec.attributes):
+    rows = [component.base_valuation.per_attribute for component in components]
+    for component, row in zip(components, rows):
+        if len(row) != len(spec.attributes):
             raise ShapeError(f"component {component.name}: valuation not aligned with spec")
-        for attr, value in zip(spec.attributes, base):
-            _check_kind(attr, value)
-        for i in fronts:
-            frontier, n = base[i].frontier, len(spec.attributes[i].domain)
-            if frontier and (min(frontier) < 0 or max(frontier) >= n):
-                v = min(x for x in frontier if not 0 <= x < n)
-                raise DomainError(f"attribute {spec.attributes[i].name}: value id {v} outside domain of size {n}")
-            packed.append(sum(1 << v for v in frontier).to_bytes(8 * words, "little"))
-        totals.append([base[i].scalar for i in sums])
-    bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(components), len(fronts), words)
-    return bits, np.array(totals, dtype=np.float64).reshape(len(components), len(sums))
+    columns = list(zip(*rows)) or [()] * len(spec.attributes)  # per attribute, every component's value
+    for attr, column in zip(spec.attributes, columns):
+        for value in column:
+            check_kind(attr, value)
+    packed = []
+    for i in fronts:
+        attr, frontiers = spec.attributes[i], [value.frontier for value in columns[i]]
+        held, n = frozenset().union(*frontiers), len(attr.domain)
+        if held and (min(held) < 0 or max(held) >= n):
+            v = min(x for x in held if not 0 <= x < n)
+            raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+        packed += [sum(1 << v for v in frontier).to_bytes(8 * words, "little") for frontier in frontiers]
+    totals = np.array([[value.scalar for value in columns[i]] for i in sums], dtype=np.float64)
+    bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(fronts), len(components), words)
+    return bits.transpose(1, 0, 2), totals.reshape(len(sums), len(components)).T
 
 
 def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -116,6 +119,21 @@ def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.
     return bits, totals
 
 
+def singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> list[Valuation]:
+    """The base valuation of each component of :func:`drawn_values`: a
+    singleton frontier, or the value's number for a sum, one shared
+    ``AggValue`` per (attribute, value id)."""
+    values = [
+        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
+        if attr.agg_kind is AggKind.SUM
+        else AggValue.of_frontier((v,))
+        for attr in spec.attributes
+        for v in range(len(attr.domain))
+    ]
+    sizes = [len(attr.domain) for attr in spec.attributes]
+    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
+
+
 def member_valuations(
     spec: PreferenceSpec, bits: np.ndarray, sums: np.ndarray, member_sets: Sequence[tuple[int, ...]]
 ) -> list[Valuation]:
@@ -124,7 +142,7 @@ def member_valuations(
 
     A set's frontier values are the OR of its members' bits, and
     :func:`aggregation.path_frontiers` keeps their frontiers, one shared
-    ``AggValue`` per distinct (attribute, frontier).  Each sum folds the
+    ``AggValue`` per distinct frontier.  Each sum folds the
     members' values from 0.0 in ascending order, one member column at a time
     over all sets; a shorter set adds 0.0, which changes no bit, as a fold
     from 0.0 never holds -0.0."""
@@ -137,7 +155,7 @@ def member_valuations(
         kept = path_frontiers([spec.attributes[i] for i in fronts], np.bitwise_or.reduceat(bits[flat], starts))
         interned, index[:, fronts] = _interned_frontiers(kept)
     if sum_ids:
-        padded = np.vstack([sums, np.zeros(len(sum_ids))])  # a zero row past the last component
+        padded = np.concatenate([sums, np.zeros((1, len(sum_ids)))])  # a zero row past the last component
         totals = np.zeros((len(member_sets), len(sum_ids)))
         for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
             totals += padded[list(column)]
@@ -147,29 +165,18 @@ def member_valuations(
 
 
 def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
-    """One ``AggValue`` per distinct (attribute, frontier) of ``kept``, packed
-    ``(set, attribute, word)``, and each set's position in that list.
+    """One ``AggValue`` per distinct frontier of ``kept`` (flag rows as
+    :func:`aggregation.path_frontiers` returns them), and each (set,
+    attribute)'s position in that list.
 
-    The keys (the frontier words, then the attribute) are sorted, and each
-    run of equal keys becomes one value.
+    Each row's flags are one bytes key.  Attributes holding equal frontiers
+    share the value, as ``AggValue`` is a plain value.
     """
-    sets, count, words = kept.shape
-    keys = np.empty((count, sets, words + 1), dtype=kept.dtype)
-    keys[:, :, :words] = kept.transpose(1, 0, 2)
-    keys[:, :, words] = np.arange(count)[:, None]
-    keys = keys.reshape(count * sets, words + 1)
-    order = np.lexsort(keys.T)
-    ranked = keys[order]
-    new = np.ones(len(ranked), dtype=np.bool_)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    position = np.empty(len(ranked), dtype=np.intp)
-    position[order] = np.cumsum(new) - 1
-    frontiers = np.unpackbits(ranked[new, :words].view(np.uint8), axis=1, bitorder="little")
-    held, values = np.nonzero(frontiers)
-    ends = np.cumsum(np.bincount(held, minlength=len(frontiers))).tolist()
-    values = values.tolist()
-    interned = [AggValue(frozenset(values[a:b]), None) for a, b in zip([0, *ends], ends)]
-    return interned, position.reshape(count, sets).T
+    sets, count, span = kept.shape
+    keys = kept.reshape(sets * count, span).view(np.dtype((np.void, span))).ravel().tolist()
+    first = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    interned = [AggValue(frozenset(compress(range(span), key)), None) for key in first]
+    return interned, np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=len(keys)).reshape(sets, count)
 
 
 def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
@@ -216,9 +223,9 @@ class ExplicitProvider(FeasibilityProvider):
     states are prefixes of the sequences (compared as multisets) and the
     one-step extensions of a state are the deduplicated next elements of every
     sequence it prefixes.  A multiset is feasible when it equals some listed
-    sequence's multiset.  Each state is one ``Composition``, valued by one
-    checked :func:`member_valuations` call and shared by the providers over
-    the same spec, components and sequences, as a tree's nodes are.
+    sequence's multiset.  Each state is one ``Composition``, built with the
+    provider, as a tree's nodes are: one checked :func:`member_valuations`
+    call values every state from its members.
     """
 
     def __init__(
@@ -232,23 +239,23 @@ class ExplicitProvider(FeasibilityProvider):
         super().__init__(fdelay_ms=fdelay_ms, budget=budget)
         self.spec = spec
         self.components = list(components)
-        self.sequences = [tuple(seq) for seq in feasible_sequences]
-        inputs = (tuple(self.components), tuple(self.sequences))
-        if spec.states is None or spec.states[0] != inputs:
-            # Sorted prefix -> next components, in first-seen sequence order.
-            nexts: dict[tuple[int, ...], dict[int, None]] = {}
-            for seq in self.sequences:
-                for depth, nxt in enumerate(seq):
-                    nexts.setdefault(tuple(sorted(seq[:depth])), {})[nxt] = None
-            feasible = [tuple(sorted(seq)) for seq in self.sequences]
-            keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
-            valuations = member_valuations(spec, *component_values(spec, self.components), keys)
-            states = {(): empty_composition(spec)}
-            for key, valuation in zip(keys, valuations):
-                states[key] = Composition(key, valuation, key, terminal=key not in nexts)
-            children = {key: [states[tuple(sorted(key + (n,)))] for n in after] for key, after in nexts.items()}
-            spec.states = (inputs, set(feasible), states, children)
-        _, self._feasible_keys, self._states, self._children = spec.states
+        self.sequences = list(map(tuple, feasible_sequences))
+        # Sorted prefix -> next component -> sorted child, in first-seen order.
+        nexts: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
+        feasible = []
+        for seq in self.sequences:
+            key: tuple[int, ...] = ()
+            for nxt in seq:
+                nexts.setdefault(key, {})[nxt] = child = tuple(sorted((*key, nxt)))
+                key = child
+            feasible.append(key)
+        keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
+        valuations = member_valuations(spec, *component_values(spec, self.components), keys)
+        self._feasible_keys = set(feasible)
+        self._states = {(): empty_composition(spec)}
+        for key, valuation in zip(keys, valuations):
+            self._states[key] = Composition(key, valuation, key, terminal=key not in nexts)
+        self._children = {key: [self._states[child] for child in after.values()] for key, after in nexts.items()}
 
     def root(self) -> Composition:
         return self._states[()]

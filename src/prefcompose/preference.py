@@ -48,9 +48,6 @@ class PreferenceSpec:
     # What the dominance pools of this spec share (each distinct frontier's
     # class rows, the witness scopes); only dominance reads or fills it.
     packing: Optional[object] = field(default=None, init=False, repr=False, compare=False)
-    # The state table of the last ExplicitProvider over this spec, with the
-    # components and sequences it holds; only composition reads or fills it.
-    states: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self.importance_class = classify(self.importance)

@@ -29,17 +29,17 @@ from typing import Iterable, Sequence, TextIO, Union
 import numpy as np
 
 from . import oracle
-from .aggregation import AggValue, Valuation
+from .aggregation import Valuation
 from .algorithms import ALGORITHMS
 from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Composition,
     FeasibilityProvider,
-    _valuations,
     drawn_values,
     empty_composition,
     member_valuations,
+    singleton_valuations,
 )
 from .order import StrictOrder, closed_order
 from .preference import AggKind, AttributeSchema, PreferenceSpec
@@ -255,16 +255,7 @@ def random_valuations(
 ) -> list[Valuation]:
     """``count`` singleton valuations, one uniform domain value per attribute:
     a singleton frontier, or the value's number for a sum."""
-    values = [
-        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
-        if attr.agg_kind is AggKind.SUM
-        else AggValue.of_frontier((v,))
-        for attr in spec.attributes
-        for v in range(len(attr.domain))
-    ]
-    sizes = [len(attr.domain) for attr in spec.attributes]
-    ids = _random_value_ids(spec, rng, count)
-    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
+    return singleton_valuations(spec, _random_value_ids(spec, rng, count))
 
 
 def generate_tree(

@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from prefcompose import (
+    AggKind,
     AggValue,
+    AttributeSchema,
     BudgetExceeded,
     Component,
     DomainError,
@@ -168,17 +170,26 @@ def test_a_component_valuation_that_fails_its_checks_is_rejected_on_build(bad, e
         ExplicitProvider(spec, components, [[0]])
 
 
-def test_providers_over_the_same_inputs_share_one_table(unsound_instance):
-    """A provider built again over one spec, components and sequences hands
-    out the same state objects and keeps its own call count; a provider over
-    other sequences gets its own states and leaves the first one's intact."""
-    first, second = _explicit(unsound_instance), _explicit(unsound_instance)
-    assert all(a is b for a, b in zip(first.all_feasible(), second.all_feasible()))
-    assert first.extensions(first.root()) == second.extensions(second.root())
-    assert (first.invocation_count, second.invocation_count) == (1, 1)
-    other = ExplicitProvider(unsound_instance.spec, unsound_instance.components, [[2, 3]])
-    assert [c.members for c in other.all_feasible()] == [(2, 3)]
-    assert [c.members for c in first.all_feasible()] == [(0,), (1,), (2, 3)]
+@pytest.mark.parametrize("kind", [AggKind.MIN, AggKind.MAX, AggKind.WORST_FRONTIER], ids=lambda kind: kind.value)
+def test_empty_frontier_components_are_neutral(kind):
+    """A component with an empty frontier (the neutral element ``merge``
+    accepts) adds nothing: a set of such components keeps the empty
+    frontier, also on a min or max attribute, and a set with one valued
+    member keeps that member's value."""
+    attr = AttributeSchema(
+        attr_id=0, name="x0", domain=("a", "b"), intra_order=build_order([(0, 1)], 2), agg_kind=kind
+    )
+    spec = PreferenceSpec(attributes=(attr,), importance=build_order([], 1))
+    empty = Valuation((AggValue.of_frontier(()),))
+    bases = [empty, singleton_valuation(1), empty]
+    components = [Component(i, f"w{i}", v) for i, v in enumerate(bases)]
+    provider = ExplicitProvider(spec, components, [[0], [0, 2], [2, 0, 1]])
+    assert [c.valuation for c in provider.all_feasible()] == [empty, empty, bases[1]]
+    for comp in provider.all_feasible():
+        fold = empty_composition(spec).valuation
+        for comp_id in comp.members:
+            fold = merged(spec, fold, bases[comp_id])
+        assert comp.valuation == fold
 
 
 def test_explicit_provider_all_feasible_matches_enumeration(unsound_instance):
