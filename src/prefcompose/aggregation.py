@@ -5,18 +5,18 @@ or best frontier of the contributing values); sum-aggregated attributes carry
 a scalar.  Min/max aggregation is the total-order special case of the
 frontiers and also yields (singleton) frontiers.
 
-Each comparison rule has one copy: :func:`_beats` (strictly preferred) and
-:func:`_ties` (equal) compare one value with a list of values, so a
-frontier's beaten set is formed once per value.  The pairwise
-:func:`strictly_preferred` and :func:`at_least_as_preferred` read them for
-one pair; :func:`comparison_tables` reads them for every ordered pair of a
-list of values, checking each value's kind once.
+Every rule reads the attribute's value order as its closed matrix.  Each
+comparison rule has one copy, :func:`comparison_tables`: the strict and the
+tie rule over every ordered pair of a list of values, with each value's kind
+checked once and every frontier's beaten set formed by one matrix product.
+The pairwise :func:`strictly_preferred` and :func:`at_least_as_preferred`
+read it for one pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -89,18 +89,28 @@ def check_kind(attr: AttributeSchema, value: AggValue) -> None:
         )
 
 
+def check_range(attr: AttributeSchema, ids: Collection[int]) -> None:
+    """Raise ``DomainError`` naming the smallest of ``ids`` outside the
+    attribute's domain."""
+    n = len(attr.domain)
+    if ids and (min(ids) < 0 or max(ids) >= n):
+        v = min(x for x in ids if not 0 <= x < n)
+        raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+
+
 def _extremes(attr: AttributeSchema, distinct: set[int] | frozenset[int]) -> AggValue:
     """The frontier of a set of distinct in-range value ids.
 
-    Worst kinds keep the values that beat nothing in the set, best kinds
-    those that nothing in the set beats; min/max also need that frontier to
-    be a single value.
+    Worst kinds keep the values that beat nothing in the set (an empty row
+    of the order restricted to the set), best kinds those that nothing in
+    the set beats (an empty column); min/max also need that frontier to be
+    a single value.
     """
-    if attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN):
-        rivals = attr.intra_order.below
-    else:
-        rivals = attr.intra_order.above
-    kept = [x for x in distinct if rivals[x].isdisjoint(distinct)]
+    ids = list(distinct)
+    among = attr.intra_order.matrix[np.ix_(ids, ids)]
+    worst = attr.agg_kind in (AggKind.WORST_FRONTIER, AggKind.MIN)
+    ruled_out = among.any(axis=1 if worst else 0).tolist()
+    kept = [x for x, out in zip(ids, ruled_out) if not out]
     if attr.agg_kind in (AggKind.MIN, AggKind.MAX) and len(kept) != 1:
         raise _no_unique_extreme(attr, kept)
     return AggValue.of_frontier(kept)
@@ -163,10 +173,7 @@ def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     values = list(values)
     if not values:
         raise DomainError(f"attribute {attr.name}: cannot aggregate zero values")
-    n = len(attr.domain)
-    for v in values:
-        if not (0 <= v < n):
-            raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+    check_range(attr, values)
     if attr.agg_kind is AggKind.SUM:
         assert attr.numeric_values is not None
         return AggValue.of_scalar(sum(attr.numeric_values[v] for v in values))
@@ -186,66 +193,55 @@ def merge(attr: AttributeSchema, a: AggValue, b: AggValue) -> AggValue:
     union = a.frontier | b.frontier  # type: ignore[operator]
     if not union:
         return AggValue.of_frontier(())
-    n = len(attr.domain)
-    if min(union) < 0 or max(union) >= n:
-        v = min(x for x in union if not 0 <= x < n)
-        raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+    check_range(attr, union)
     return _extremes(attr, union)
-
-
-def _beats(attr: AttributeSchema, a: AggValue, others: Sequence[AggValue]) -> list[bool]:
-    """The rule of :func:`strictly_preferred`, for ``a`` against each of
-    ``others``; a frontier's beaten set is formed once."""
-    if attr.agg_kind is AggKind.SUM:
-        x = a.scalar
-        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-            return [x < b.scalar - SCALAR_TOLERANCE for b in others]
-        return [x > b.scalar + SCALAR_TOLERANCE for b in others]
-    below = attr.intra_order.below
-    beaten = frozenset().union(*(below[x] for x in a.frontier))
-    return [bool(b.frontier) and b.frontier <= beaten for b in others]
-
-
-def _ties(attr: AttributeSchema, a: AggValue, others: Sequence[AggValue]) -> list[bool]:
-    """Whether ``a`` equals each of ``others``: the same frontier, or scalars
-    within the tolerance."""
-    if attr.agg_kind is AggKind.SUM:
-        return [abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE for b in others]
-    return [a.frontier == b.frontier for b in others]
-
-
-def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
-    """The strict comparison of aggregated values for one attribute.
-
-    Frontiers: every element of b is strictly beaten by some element of a
-    (false when b is the empty bottom placeholder).  Scalars: better per the
-    attribute polarity, with ties inside the tolerance counting as equal.
-    """
-    check_kind(attr, a)
-    check_kind(attr, b)
-    return _beats(attr, a, (b,))[0]
-
-
-def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
-    """Equal (frontier set equality / scalar tolerance) or strictly preferred."""
-    check_kind(attr, a)
-    check_kind(attr, b)
-    return _ties(attr, a, (b,))[0] or _beats(attr, a, (b,))[0]
 
 
 def comparison_tables(
     attr: AttributeSchema, values: Sequence[AggValue]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``(strict, at_least)`` over every ordered pair of ``values``.
+    """``(strict, at_least)`` over every ordered pair of ``values``: the one
+    copy of the strict rule and the tie rule.
 
-    ``strict[i, j]`` is ``strictly_preferred(attr, values[i], values[j])`` and
-    ``at_least[i, j]`` is ``at_least_as_preferred(attr, values[i], values[j])``;
-    each value's kind is checked once and each frontier's beaten set formed
-    once.
+    ``strict[i, j]`` when ``values[i]`` is strictly preferred to
+    ``values[j]``.  Frontiers: every element of j is beaten by some element
+    of i (false when j is the empty bottom placeholder).  Scalars: better
+    per the attribute polarity, by more than the tolerance.
+    ``at_least[i, j]`` when the pair is strict or tied: the same frontier,
+    or scalars within the tolerance.  Each value's kind is checked once;
+    each distinct frontier is one 0/1 membership row, and one product of
+    those rows with the order matrix gives every beaten set.
     """
     for value in values:
         check_kind(attr, value)
-    d = len(values)
-    strict = np.array([_beats(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)
-    ties = np.array([_ties(attr, a, values) for a in values], dtype=np.bool_).reshape(d, d)
-    return strict, strict | ties
+    if attr.agg_kind is AggKind.SUM:
+        x = np.array([value.scalar for value in values], dtype=np.float64)
+        a, b = x[:, None], x[None, :]
+        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
+            strict = a < b - SCALAR_TOLERANCE
+        else:
+            strict = a > b + SCALAR_TOLERANCE
+        return strict, strict | (abs(a - b) <= SCALAR_TOLERANCE)
+    ids: dict[frozenset, int] = {}
+    of = np.array([ids.setdefault(value.frontier, len(ids)) for value in values], dtype=np.intp)
+    check_range(attr, frozenset().union(*ids))
+    n = len(attr.domain)
+    members = np.zeros((len(ids), n), dtype=np.bool_)
+    members.flat[[row * n + x for row, frontier in enumerate(ids) for x in frontier]] = True
+    # i beats j when j holds no value that i leaves unbeaten, and j is nonempty
+    strict = ~(~(members @ attr.intra_order.matrix) @ members.T)
+    if frozenset() in ids:
+        strict[:, ids[frozenset()]] = False
+    strict = strict.take(of, 0).take(of, 1)
+    return strict, strict | (of[:, None] == of[None, :])
+
+
+def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
+    """Whether ``a`` is strictly preferred to ``b`` (:func:`comparison_tables`)."""
+    return bool(comparison_tables(attr, (a, b))[0][0, 1])
+
+
+def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
+    """Whether ``a`` is tied with or strictly preferred to ``b``
+    (:func:`comparison_tables`)."""
+    return bool(comparison_tables(attr, (a, b))[1][0, 1])

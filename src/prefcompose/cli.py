@@ -144,6 +144,17 @@ def _resolve(ids: dict, labels: list, what: str, where: str) -> list[int]:
     return resolved
 
 
+def _closed_order(edges: list[tuple[int, int]], n: int, edges_path: str, size_path: str) -> StrictOrder:
+    """``build_order``, with a cycle an error at ``edges_path`` and an order
+    too large to allocate one at ``size_path``."""
+    try:
+        return build_order(edges, n)
+    except CycleError as exc:
+        raise InstanceError(f"{edges_path}: {exc}") from exc
+    except MemoryError as exc:
+        raise InstanceError(f"{size_path}: {exc}") from None
+
+
 def _parse_attribute(index: int, data: dict) -> tuple[AttributeSchema, dict]:
     """The attribute at ``attributes[index]`` and its label -> value id table."""
     where = f"attributes[{index}]"
@@ -155,10 +166,7 @@ def _parse_attribute(index: int, data: dict) -> tuple[AttributeSchema, dict]:
         _resolve(label_ids, pair, "label", f"{where}.intra_edges[{j}]")
         for j, pair in enumerate(_items(data, "intra_edges", "a pair", where, []))
     ]
-    try:
-        intra = build_order(edges, len(domain))
-    except CycleError as exc:
-        raise InstanceError(f"{where}.intra_edges: {exc}") from exc
+    intra = _closed_order(edges, len(domain), f"{where}.intra_edges", f"{where}.domain")
     numeric = _items(data, "numeric_values", "a number", where, None)
     schema = AttributeSchema(
         index, name, tuple(domain), intra,
@@ -211,10 +219,7 @@ def parse_instance(doc: dict) -> Instance:
         _resolve(attr_ids, pair, "attribute", f"importance_edges[{j}]")
         for j, pair in enumerate(_items(doc, "importance_edges", "a pair", "", []))
     ]
-    try:
-        importance = build_order(edges, len(attributes))
-    except CycleError as exc:
-        raise InstanceError(f"importance_edges: {exc}") from exc
+    importance = _closed_order(edges, len(attributes), "importance_edges", "attributes")
     spec = PreferenceSpec(attributes=attributes, importance=importance)
 
     label_ids = [ids for _, ids in parsed]
@@ -461,7 +466,7 @@ def parse_relation_file(path: str) -> StrictOrder:
         k = bisect.bisect_left(prefixes, True, key=lambda k: _closes_cycle(edges[:k], n))
         x, y = edges[k - 1]
         raise InstanceError(f"{path}:{numbered[k][0]}: edge {x} > {y} closes a cycle") from None
-    except ValueError as exc:  # a count too large for one matrix
+    except (ValueError, MemoryError) as exc:  # a count too large for one matrix
         raise InstanceError(f"{path}:{header_line}: {exc}") from None
 
 

@@ -19,7 +19,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, path_frontiers
+from .aggregation import AggKind, AggValue, Valuation, check_kind, check_range, path_frontiers
 from .dominance import ShapeError
 from .preference import PreferenceSpec
 
@@ -95,10 +95,7 @@ def component_values(
     packed = []
     for i in fronts:
         attr, frontiers = spec.attributes[i], [value.frontier for value in columns[i]]
-        held, n = frozenset().union(*frontiers), len(attr.domain)
-        if held and (min(held) < 0 or max(held) >= n):
-            v = min(x for x in held if not 0 <= x < n)
-            raise DomainError(f"attribute {attr.name}: value id {v} outside domain of size {n}")
+        check_range(attr, frozenset().union(*frontiers))
         packed += [sum(1 << v for v in frontier).to_bytes(8 * words, "little") for frontier in frontiers]
     totals = np.array([[value.scalar for value in columns[i]] for i in sums], dtype=np.float64)
     bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(fronts), len(components), words)

@@ -28,8 +28,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import SCALAR_TOLERANCE, AggValue, Valuation
-from .preference import AggKind, PreferenceSpec, SumPolarity
+from .aggregation import SCALAR_TOLERANCE, AggValue, Valuation, check_range
+from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
 
 # Pairs evaluated per row block of a dominance matrix; bounds the size of the
 # per-attribute temporaries whatever the pool size.
@@ -61,10 +61,11 @@ class _FrontierClasses:
     kind.
     """
 
-    def __init__(self, intra: np.ndarray):
-        n = intra.shape[0] + 1
+    def __init__(self, attr: AttributeSchema):
+        self.attr = attr
+        n = attr.intra_order.universe_size + 1
         self.beats = np.zeros((n, n), dtype=np.float64)
-        self.beats[:-1, :-1] = intra
+        self.beats[:-1, :-1] = attr.intra_order.matrix
         self.ids: dict[frozenset, int] = {}
         self.members = np.zeros((0, n), dtype=np.float64)
         self.unbeaten = np.zeros((0, n), dtype=np.float64)
@@ -78,7 +79,9 @@ class _FrontierClasses:
         return np.array(found, dtype=np.intp)
 
     def _pack(self, frontiers: list[frozenset]) -> None:
-        """Add one class per frontier (none of them seen before)."""
+        """Add one class per frontier (none of them seen before); an id
+        outside the domain raises ``DomainError``."""
+        check_range(self.attr, frozenset().union(*frontiers))
         n = self.beats.shape[1]
         start = len(self.ids)
         end = start + len(frontiers)
@@ -97,7 +100,7 @@ class _SpecPacking:
 
     def __init__(self, spec: PreferenceSpec):
         self.classes = [
-            None if attr.agg_kind is AggKind.SUM else _FrontierClasses(attr.intra_order.matrix)
+            None if attr.agg_kind is AggKind.SUM else _FrontierClasses(attr)
             for attr in spec.attributes
         ]
         # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).

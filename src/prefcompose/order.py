@@ -1,9 +1,10 @@
 """Finite strict-order machinery shared by the whole package.
 
-A :class:`StrictOrder` stores the transitive closure of its input edges as a
-dense boolean matrix.  Element universes here are small (domains and attribute
-sets of a preference problem), so the O(n^2) storage buys O(1) dominance
-lookups everywhere else.
+A :class:`StrictOrder` is the transitive closure of its input edges as a
+dense boolean matrix, and holds nothing else: aggregation's frontier and
+comparison rules, dominance packing and the oracle's witness scopes all read
+that matrix.  Element universes here are small (domains and attribute sets of
+a preference problem), so the O(n^2) storage buys O(1) dominance lookups.
 
 :func:`maximal_set` (a block-nested-loops filter), :func:`comparator_from`
 and :func:`width` serve no production path: the pool filters read a
@@ -51,20 +52,18 @@ class OrderClass:
 
 
 class StrictOrder:
-    """A transitively closed irreflexive relation over elements 0..n-1.
+    """A transitively closed irreflexive relation over elements 0..n-1,
+    held as its n x n boolean matrix: ``matrix[x, y]`` when x beats y."""
 
-    ``below[x]`` holds the elements x beats and ``above[x]`` those that beat
-    x, so a set-level question (does x beat anything in S?) is one set test.
-    """
+    __slots__ = ("matrix",)
 
-    __slots__ = ("universe_size", "matrix", "below", "above")
-
-    def __init__(self, universe_size: int, matrix: np.ndarray):
-        self.universe_size = universe_size
+    def __init__(self, matrix: np.ndarray):
         self.matrix = matrix
         self.matrix.setflags(write=False)
-        self.below = tuple(frozenset(np.flatnonzero(row).tolist()) for row in matrix)
-        self.above = tuple(frozenset(np.flatnonzero(col).tolist()) for col in matrix.T)
+
+    @property
+    def universe_size(self) -> int:
+        return len(self.matrix)
 
     def dominates(self, x: int, y: int) -> bool:
         return bool(self.matrix[x, y])
@@ -74,11 +73,7 @@ class StrictOrder:
         return list(zip(xs.tolist(), ys.tolist()))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, StrictOrder)
-            and self.universe_size == other.universe_size
-            and bool(np.array_equal(self.matrix, other.matrix))
-        )
+        return isinstance(other, StrictOrder) and bool(np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self) -> int:
         return hash((self.universe_size, self.matrix.tobytes()))
@@ -147,7 +142,7 @@ def closed_order(relation: np.ndarray) -> StrictOrder:
     if bool(closed.diagonal().any()):
         cyclic = int(np.nonzero(closed.diagonal())[0][0])
         raise CycleError(f"edges close into a cycle through element {cyclic}")
-    return StrictOrder(len(closed), closed)
+    return StrictOrder(closed)
 
 
 def classify(order: StrictOrder) -> OrderClass:

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .order import OrderClass, StrictOrder, classify
+from .order import StrictOrder, classify
 
 
 class AggKind(enum.Enum):
@@ -44,13 +44,9 @@ class PreferenceSpec:
 
     attributes: tuple[AttributeSchema, ...]
     importance: StrictOrder
-    importance_class: OrderClass = field(init=False)
     # What the dominance pools of this spec share (each distinct frontier's
     # class rows, the witness scopes); only dominance reads or fills it.
     packing: Optional[object] = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.importance_class = classify(self.importance)
 
     @property
     def attr_count(self) -> int:
@@ -98,7 +94,7 @@ def validate(spec: PreferenceSpec, strict_interval: bool = False) -> ValidationR
             f"importance order covers {spec.importance.universe_size} attributes "
             f"but the spec has {len(spec.attributes)}"
         )
-    if not spec.importance_class.is_interval:
+    if not classify(spec.importance).is_interval:
         message = (
             "importance is not an interval order: dominance may be intransitive"
         )

@@ -183,7 +183,7 @@ def _check_top_attribute(trials: int, seed: int) -> PropertyReport:
         m = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
         spec = _spec_for(rng, "po", "io", m, n)
-        # Rebuild importance with attribute 0 above everything else and a
+        # Rebuild importance with attribute 0 more important than every other and a
         # random interval order among the rest (none is drawn for one).
         edges = [(0, k) for k in range(1, m)]
         if m > 2:

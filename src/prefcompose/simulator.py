@@ -274,7 +274,7 @@ def generate_tree(
     children: list[list[int]] = [[] for _ in range(r + 1)]
     for node in range(1, r + 1):
         children[parent[node]].append(node)
-    # Node k holds component k - 1.  Every ancestor's component id is below
+    # Node k holds component k - 1.  Every ancestor's component id is less than
     # this node's, so the members stay sorted.
     members: list[tuple[int, ...]] = [()]
     for node in range(1, r + 1):

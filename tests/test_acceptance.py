@@ -342,7 +342,7 @@ def test_criterion_08_efficiency_invariants(announce):
         reach = (steps @ steps) > 0
         if np.any(reach & ~matrix) or matrix.diagonal().any():
             continue  # dominance not an order here; width undefined
-        dominance_order = StrictOrder(len(pool), matrix)
+        dominance_order = StrictOrder(matrix)
         kept, count = maximal_set(list(range(len(pool))), comparator_from(dominance_order))
         assert count <= 2 * width(dominance_order) * len(pool)
         assert {pool[i][0] for i in kept} == nondominated(spec, pool)

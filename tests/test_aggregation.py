@@ -298,6 +298,7 @@ def _naive_kept(mat, kind, values):
 def test_comparisons_match_the_closure_matrix(rng, n):
     from prefcompose.simulator import random_order
 
+    no_unique = set()
     for kind in ("partial", "total", "interval", "weak"):
         order = random_order(n, kind, rng, density=0.3)
         mat = order.matrix
@@ -310,8 +311,10 @@ def test_comparisons_match_the_closure_matrix(rng, n):
             for agg, attr in attrs.items():
                 expected = _naive_kept(mat, agg, picks)
                 if agg in (AggKind.MIN, AggKind.MAX) and len(expected) != 1:
-                    with pytest.raises(DomainError):
+                    with pytest.raises(DomainError) as info:
                         aggregate(attr, picks)
+                    assert str(info.value).endswith(f"{agg.value} needs a unique extreme, got {sorted(expected)}")
+                    no_unique.add((kind, agg))
                     continue
                 assert aggregate(attr, picks).frontier == expected
             frontiers.append(aggregate(worst, picks))
@@ -321,6 +324,9 @@ def test_comparisons_match_the_closure_matrix(rng, n):
                 strict = _naive_strict(mat, a.frontier, b.frontier)
                 assert strictly_preferred(worst, a, b) == strict
                 assert at_least_as_preferred(worst, a, b) == (a.frontier == b.frontier or strict)
+    # min and max without a unique extreme were reached, and never under a total order
+    assert {agg for _, agg in no_unique} == {AggKind.MIN, AggKind.MAX}
+    assert "total" not in {kind for kind, _ in no_unique}
 
 
 def test_agg_value_is_an_immutable_hashable_pair():
@@ -370,41 +376,73 @@ def _frontier_values(rng, attr, worst):
 
 
 def _sum_values(rng):
-    """Sums with ties inside the tolerance and just outside it, and repeats."""
+    """Sums with ties inside the tolerance and just outside it, a pair exactly
+    the tolerance apart, and repeats."""
     base = [float(x) for x in rng.integers(-3, 4, size=int(rng.integers(1, 5)))]
     shifts = (0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001)
     values = [AggValue.of_scalar(b + f * SCALAR_TOLERANCE) for b in base for f in shifts
               if rng.random() < 0.6]
     values += [AggValue.of_scalar(base[0])] * 2
+    values += [AggValue.of_scalar(0.0), AggValue.of_scalar(SCALAR_TOLERANCE)]
     rng.shuffle(values)
     return values
 
 
+def _reference_tables(attr, values):
+    """The strict and at-least-as tables of ``values``, read off
+    ``order.dominates`` and the scalar polarity one pair at a time."""
+    order = attr.intra_order
+
+    def strict(a, b):
+        if attr.agg_kind is AggKind.SUM:
+            if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
+                return a.scalar < b.scalar - SCALAR_TOLERANCE
+            return a.scalar > b.scalar + SCALAR_TOLERANCE
+        if not b.frontier:
+            return False
+        return all(any(order.dominates(x, y) for x in a.frontier) for y in b.frontier)
+
+    def tied(a, b):
+        if attr.agg_kind is AggKind.SUM:
+            return abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE
+        return a.frontier == b.frontier
+
+    table = [[strict(a, b) for b in values] for a in values]
+    return table, [[table[i][j] or tied(a, b) for j, b in enumerate(values)]
+                   for i, a in enumerate(values)]
+
+
 @pytest.mark.parametrize("order_kind", ["partial", "total", "interval", "weak"])
 def test_comparison_tables_equal_the_pairwise_comparisons(rng, order_kind):
-    """The batch tables equal strictly_preferred and at_least_as_preferred
-    read pair by pair: every frontier kind over every order class, and sums
-    of both polarities, on lists with repeats and near ties."""
+    """The batch tables and the pairwise comparisons equal the rules read
+    off the order one pair at a time (``_reference_tables``): every frontier
+    kind over every order class at domain sizes 1 to 300, with empty
+    frontiers and frontiers that are not antichains, and sums of both
+    polarities, on lists with repeats and near ties."""
     from prefcompose.simulator import random_order
 
-    for trial in range(40):
-        n = int(rng.integers(1, 8))
+    for n, trials in ((1, 8), (2, 8), (6, 24), (70, 2), (300, 1)):
         domain = tuple(f"v{i}" for i in range(n))
-        order = random_order(n, order_kind, rng, density=0.4)
-        worst = AttributeSchema(0, "x", domain, order, AggKind.WORST_FRONTIER)
-        cases = [
-            (AttributeSchema(0, "x", domain, order, kind), None)
-            for kind in (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
-        ]
-        cases += [(sum_attribute(0, "s", range(n), polarity), _sum_values(rng))
-                  for polarity in SumPolarity]
-        for attr, values in cases:
-            values = values if values is not None else _frontier_values(rng, attr, worst)
-            for prefix in (0, 1, len(values)):
-                strict, at_least = comparison_tables(attr, values[:prefix])
-                assert strict.dtype == at_least.dtype == np.bool_
-                assert strict.shape == at_least.shape == (prefix, prefix)
-                assert (strict.tolist(), at_least.tolist()) == _pairwise_tables(attr, values[:prefix])
+        for trial in range(trials):
+            order = random_order(n, order_kind, rng, density=0.4)
+            worst = AttributeSchema(0, "x", domain, order, AggKind.WORST_FRONTIER)
+            cases = [
+                (AttributeSchema(0, "x", domain, order, kind), None)
+                for kind in (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
+            ]
+            cases += [(sum_attribute(0, "s", range(n), polarity), _sum_values(rng))
+                      for polarity in SumPolarity]
+            for attr, values in cases:
+                if values is None:
+                    values = _frontier_values(rng, attr, worst)
+                    values.append(AggValue.of_frontier(rng.integers(0, n, size=3).tolist()))
+                for prefix in (0, 1, len(values)):
+                    strict, at_least = comparison_tables(attr, values[:prefix])
+                    assert strict.dtype == at_least.dtype == np.bool_
+                    assert strict.shape == at_least.shape == (prefix, prefix)
+                    expected = _reference_tables(attr, values[:prefix])
+                    assert (strict.tolist(), at_least.tolist()) == expected
+                    assert _pairwise_tables(attr, values[:prefix]) == expected
 
 
 def _error(call, *args):

@@ -6,13 +6,18 @@ import copy
 import hashlib
 import json
 import os
+import pathlib
+import resource
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prefcompose import properties, simulator
+import prefcompose
+from prefcompose import cli, properties, simulator
 from prefcompose.cli import (
     ALGORITHMS,
     EXIT_BUDGET,
@@ -497,6 +502,57 @@ def test_malformed_instance_names_the_field(tmp_path, capsys, where, value, path
     assert main(["solve", str(instance)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error:") and f" {path}:" in err, err
+
+
+# Address space of the child runs below: enough to import the package, far
+# too little for an order matrix over 10^5 or 10^6 elements.
+_CHILD_ADDRESS_SPACE = 3 << 30
+
+
+def _limited_cli(cwd, *argv):
+    """The CLI run in a child process whose address space is capped, so an
+    allocation too large for the cap fails there and nowhere else."""
+    env = {**os.environ, "PYTHONPATH": str(pathlib.Path(prefcompose.__file__).parents[1]),
+           "OPENBLAS_NUM_THREADS": "1"}
+    cap = (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE)
+    return subprocess.run(
+        [sys.executable, "-m", "prefcompose.cli", *argv], cwd=cwd, env=env, capture_output=True,
+        text=True, timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, cap),
+    )
+
+
+@pytest.mark.parametrize("command", ["check-orders", "solve"])
+def test_an_order_too_large_to_allocate_is_an_input_error(tmp_path, command):
+    """An order matrix that cannot be allocated exits 2 naming the line or
+    field that sized it, not with a traceback."""
+    if command == "check-orders":
+        (tmp_path / "big.txt").write_text("n=1000000\n")
+        argv, where = ["check-orders", "big.txt"], "big.txt:1"
+    else:
+        doc = copy.deepcopy(_GOOD)
+        doc["attributes"][0]["domain"] += [f"v{i}" for i in range(100_000)]
+        (tmp_path / "big.json").write_text(json.dumps(doc))
+        argv, where = ["solve", "big.json"], "attributes[0].domain"
+    run = _limited_cli(tmp_path, *argv)
+    assert run.returncode == EXIT_INPUT, run.stderr
+    assert run.stderr.startswith(f"error: {where}: Unable to allocate"), run.stderr
+
+
+def test_an_importance_order_too_large_to_allocate_names_the_attributes(tmp_path, capsys, monkeypatch):
+    doc = copy.deepcopy(_GOOD)
+    doc["attributes"].append({"name": "speed", "domain": ["fast", "slow"]})
+    build_order = cli.build_order
+
+    def importance_too_large(edges, n):
+        if n == len(doc["attributes"]):
+            raise MemoryError("Unable to allocate the importance matrix")
+        return build_order(edges, n)
+
+    monkeypatch.setattr(cli, "build_order", importance_too_large)
+    instance = tmp_path / "doc.json"
+    instance.write_text(json.dumps(doc))
+    assert main(["solve", str(instance)]) == EXIT_INPUT
+    assert capsys.readouterr().err == "error: attributes: Unable to allocate the importance matrix\n"
 
 
 @pytest.mark.parametrize("args, field", [

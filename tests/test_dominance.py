@@ -18,7 +18,7 @@ from prefcompose import (
     nondominated,
     witnesses,
 )
-from prefcompose.aggregation import at_least_as_preferred, strictly_preferred
+from prefcompose.aggregation import DomainError, at_least_as_preferred, merge, strictly_preferred
 from prefcompose.algorithms import interleave_compose
 from prefcompose.cli import main
 from prefcompose.dominance import PackedPool, _FrontierClasses, best_on
@@ -276,3 +276,35 @@ def test_replaced_spec_starts_with_fresh_state(rng):
     assert flat.packing is not spec.packing
     assert flat.packing.scope == [list(range(spec.attr_count))] * spec.attr_count
     assert matrix.tolist() == [[plain_dominates(flat, u, v) for v in pool] for u in pool]
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+def test_out_of_range_frontier_ids_raise_the_merge_error(bad):
+    """A frontier id outside the domain raises DomainError with merge's
+    message from every pairwise and pool reading, in both positions: no
+    negative id wraps to the last value, and no id past the end reads the
+    empty-frontier placeholder."""
+    spec = frontier_spec([("abc", [(0, 1), (1, 2)])], [])
+    attr = spec.attributes[0]
+    good, wrong = singleton_valuation(0), Valuation((AggValue.of_frontier((bad, 1)),))
+    with pytest.raises(DomainError) as info:
+        merge(attr, wrong[0], good[0])
+    expected = str(info.value)
+    assert expected == f"attribute x0: value id {bad} outside domain of size 3"
+    for u, v in ((good, wrong), (wrong, good)):
+        readings = [
+            lambda: dominates(spec, u, v),
+            lambda: witnesses(spec, u, v),
+            lambda: nondominated(spec, [(0, u), (1, v)]),
+            lambda: plain_dominates(spec, u, v),
+            lambda: strictly_preferred(attr, u[0], v[0]),
+            lambda: at_least_as_preferred(attr, u[0], v[0]),
+            lambda: brute_nondominated(spec, [(0, u), (1, v)]),
+        ]
+        for reading in readings:
+            with pytest.raises(DomainError) as info:
+                reading()
+            assert str(info.value) == expected
+    # the spec's packing kept no class for the rejected frontier
+    assert dominates(spec, good, singleton_valuation(2)) == 0
+    assert wrong[0].frontier not in spec.packing.classes[0].ids

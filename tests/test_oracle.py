@@ -14,6 +14,7 @@ from prefcompose import (
     ExplicitProvider,
     PreferenceSpec,
     build_order,
+    classify,
     compose_and_filter,
     interleave_compose,
     nondominated,
@@ -101,7 +102,7 @@ def test_brute_filter_matches_the_pairwise_definition(rng):
                 )
                 if importance_kind == "2+2" and spec.attr_count >= 4:
                     spec = PreferenceSpec(spec.attributes, build_order([(0, 2), (1, 3)], spec.attr_count))
-                interval.add(spec.importance_class.is_interval)
+                interval.add(classify(spec.importance).is_interval)
                 pool = with_near_ties(spec, pool) + [empty_composition(spec).valuation]
                 for size in (0, 1, 2, len(pool)):
                     keyed = list(enumerate(pool[len(pool) - size:]))

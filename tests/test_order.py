@@ -49,6 +49,17 @@ def test_closure_adds_implied_edge():
     assert order.dominates(0, 2)
 
 
+def test_an_order_holds_only_its_read_only_matrix():
+    order = build_order([(0, 1), (1, 2)], 3)
+    assert type(order).__slots__ == ("matrix",)
+    assert order.universe_size == len(order.matrix) == 3
+    assert not order.matrix.flags.writeable
+    with pytest.raises(AttributeError):
+        order.below = ()
+    assert order == build_order([(0, 2), (0, 1), (1, 2)], 3)
+    assert order != build_order([(0, 1)], 3) and order != build_order([(0, 1), (1, 2)], 4)
+
+
 def test_two_cycle_rejected():
     with pytest.raises(CycleError):
         build_order([(0, 1), (1, 0)], 2)
