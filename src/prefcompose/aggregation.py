@@ -149,7 +149,7 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
         rivals[j, :n, :n] = attr.intra_order.matrix.T if worst else attr.intra_order.matrix
     unique = [j for j, attr in enumerate(attrs) if attr.agg_kind in (AggKind.MIN, AggKind.MAX)]
     out = np.empty((rows, count, span), dtype=np.bool_)
-    step = max(1, BLOCK_CELLS // (count * span))
+    step = max(1, BLOCK_CELLS // max(1, count * span))  # span is 0 when every domain is empty
     for start in range(0, rows, step):
         block = slice(start, start + step)
         seen = np.unpackbits(paths[block].view(np.uint8), axis=2, count=span, bitorder="little")

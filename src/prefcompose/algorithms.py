@@ -137,40 +137,34 @@ def interleave_compose(
     extension never dominates what it extends.
     """
     cost = _Cost(provider)
-    working = [provider.root()]
+    root = provider.root()
+    working = {root.key(): root}  # the working list, keyed by state
     extended: set = set()
 
     while working:
-        best = _filter_dominance(spec, working)
-        best_keys = {c.key() for c in best}
-        replacement: list[Composition] = []
-        replacement_keys: set = set()
-
-        def absorb(comp: Composition) -> None:
-            if comp.key() not in replacement_keys:
-                replacement_keys.add(comp.key())
-                replacement.append(comp)
-
-        for comp in best:
+        best = {c.key(): c for c in _filter_dominance(spec, list(working.values()))}
+        replacement: dict = {}
+        for comp in best.values():
             if provider.is_feasible(comp):
-                absorb(comp)
+                replacement.setdefault(comp.key(), comp)
                 if extend_feasible and not comp.terminal and comp.key() not in extended:
                     extended.add(comp.key())
                     for ext in provider.extensions(comp):
-                        absorb(ext)
+                        replacement.setdefault(ext.key(), ext)
             elif not comp.terminal:
                 # Dead-end partials (terminal and infeasible) extend to
                 # nothing and drop out of the working list here.
                 for ext in provider.extensions(comp):
-                    absorb(ext)
-        if replacement_keys == best_keys:
+                    replacement.setdefault(ext.key(), ext)
+        if replacement.keys() == best.keys():
             break
-        rest = [c for c in working if c.key() not in best_keys]
-        rest_keys = {c.key() for c in rest}
-        working = rest + [c for c in replacement if c.key() not in rest_keys]
+        # The rest of the working list first, then the new replacements.
+        working = {key: c for key, c in working.items() if key not in best}
+        for key, comp in replacement.items():
+            working.setdefault(key, comp)
     else:  # the working list ran out
-        best = []
-    return cost.result("a4", best, extend_feasible=extend_feasible)
+        best = {}
+    return cost.result("a4", best.values(), extend_feasible=extend_feasible)
 
 
 # The algorithms by the names the command line and the simulator use.

@@ -26,7 +26,7 @@ import sys
 from typing import Iterator, Optional, Sequence, TextIO
 
 from . import fixtures, properties, simulator
-from .aggregation import AggValue, Valuation
+from .aggregation import AggValue, DomainError, Valuation
 from .algorithms import ALGORITHMS, RunResult
 from .composition import (
     DEFAULT_BUDGET,
@@ -608,7 +608,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InstanceError, BudgetExceeded) as exc:
+    except (InstanceError, DomainError, BudgetExceeded) as exc:  # DomainError: e.g. a sum past float64
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INPUT
 

@@ -8,7 +8,10 @@ A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
 calls are counted and carry a configurable simulated delay; real composition
 engines (planners, service matchmakers) would plug in behind the same
-interface.
+interface.  Both providers here are one :class:`StateTable` of prebuilt
+states keyed by ``Composition.key()``: :class:`ExplicitProvider` builds its
+table from listed sequences, and ``simulator.tree_provider`` reads a
+generated tree's node table.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from typing import Hashable, Sequence
 
 import numpy as np
 
-from .aggregation import AggKind, AggValue, Valuation, check_kind, check_range, path_frontiers
+from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, check_range, path_frontiers
 from .dominance import ShapeError
 from .preference import PreferenceSpec
 
@@ -44,8 +47,9 @@ class Composition:
     """An unordered collection of component ids with its cached valuation.
 
     ``provider_node`` identifies the provider-side search state (a tree node,
-    a sequence prefix); algorithm bookkeeping keys on it, never on the
-    valuation, because distinct states may share equal valuations.
+    a sorted sequence prefix); a :class:`StateTable` and algorithm bookkeeping
+    key on it, never on the valuation, because distinct states may share
+    equal valuations.
     ``terminal`` marks states the provider cannot extend further.
     """
 
@@ -142,7 +146,8 @@ def member_valuations(
     ``AggValue`` per distinct frontier.  Each sum folds the
     members' values from 0.0 in ascending order, one member column at a time
     over all sets; a shorter set adds 0.0, which changes no bit, as a fold
-    from 0.0 never holds -0.0."""
+    from 0.0 never holds -0.0.  A sum past the float64 range raises
+    ``DomainError`` naming ``attributes[i]``."""
     fronts, sum_ids, _ = _layout(spec)
     flat = list(chain.from_iterable(member_sets))
     starts = list(accumulate(map(len, member_sets), initial=0))[:-1]
@@ -154,8 +159,12 @@ def member_valuations(
     if sum_ids:
         padded = np.concatenate([sums, np.zeros((1, len(sum_ids)))])  # a zero row past the last component
         totals = np.zeros((len(member_sets), len(sum_ids)))
-        for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
-            totals += padded[list(column)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
+                totals += padded[list(column)]
+        if not np.isfinite(totals).all():
+            i = sum_ids[int(np.argmin(np.isfinite(totals).all(axis=0)))]
+            raise DomainError(f"attributes[{i}] ({spec.attributes[i].name}): a composition's sum is not finite")
         index[:, sum_ids] = len(interned) + np.arange(totals.size).reshape(totals.shape)
         interned += [AggValue(None, x) for x in totals.ravel().tolist()]
     return _valuations(interned, index)
@@ -213,14 +222,48 @@ class FeasibilityProvider:
         raise NotImplementedError
 
 
-class ExplicitProvider(FeasibilityProvider):
+class StateTable(FeasibilityProvider):
+    """A provider over prebuilt states, keyed by ``Composition.key()``.
+
+    ``states[key]`` is a state (a dict, or a list keyed by position),
+    ``children[key]`` the keys of its one-step extensions (empty when
+    terminal) and ``feasible`` the feasible keys in ``all_feasible`` order.
+    Providers over one table hand out its own objects and keep their own
+    call counts, delays and budgets.  Extending a state the table does not
+    hold raises ``KeyError`` (``IndexError`` for a list).
+    """
+
+    def __init__(self, states, children, feasible: Sequence[Hashable], root_key: Hashable,
+                 fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
+        super().__init__(fdelay_ms=fdelay_ms, budget=budget)
+        self.states = states
+        self.children = children
+        self.feasible = feasible
+        self.root_key = root_key
+        self._feasible_keys = frozenset(feasible)
+
+    def root(self) -> Composition:
+        return self.states[self.root_key]
+
+    def is_feasible(self, comp: Composition) -> bool:
+        return comp.key() in self._feasible_keys
+
+    def extensions(self, comp: Composition) -> list[Composition]:
+        self._charge()
+        return [self.states[child] for child in self.children[comp.key()]]
+
+    def all_feasible(self) -> list[Composition]:
+        return [self.states[key] for key in self.feasible]
+
+
+class ExplicitProvider(StateTable):
     """Search space given by explicit feasible component sequences.
 
     Each listed sequence is one way to build a feasible composition; partial
-    states are prefixes of the sequences (compared as multisets) and the
-    one-step extensions of a state are the deduplicated next elements of every
-    sequence it prefixes.  A multiset is feasible when it equals some listed
-    sequence's multiset.  Each state is one ``Composition``, built with the
+    states are prefixes of the sequences, keyed by their sorted members (a
+    multiset), and the one-step extensions of a state are the deduplicated
+    next elements of every sequence it prefixes.  A multiset is feasible when
+    it equals some listed sequence's multiset.  The table is built with the
     provider, as a tree's nodes are: one checked :func:`member_valuations`
     call values every state from its members.
     """
@@ -233,39 +276,22 @@ class ExplicitProvider(FeasibilityProvider):
         fdelay_ms: float = 0.0,
         budget: int = DEFAULT_BUDGET,
     ):
-        super().__init__(fdelay_ms=fdelay_ms, budget=budget)
-        self.spec = spec
-        self.components = list(components)
-        self.sequences = list(map(tuple, feasible_sequences))
         # Sorted prefix -> next component -> sorted child, in first-seen order.
         nexts: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {}
         feasible = []
-        for seq in self.sequences:
+        for seq in feasible_sequences:
             key: tuple[int, ...] = ()
             for nxt in seq:
                 nexts.setdefault(key, {})[nxt] = child = tuple(sorted((*key, nxt)))
                 key = child
             feasible.append(key)
         keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
-        valuations = member_valuations(spec, *component_values(spec, self.components), keys)
-        self._feasible_keys = set(feasible)
-        self._states = {(): empty_composition(spec)}
+        valuations = member_valuations(spec, *component_values(spec, components), keys)
+        states = {(): empty_composition(spec)}
         for key, valuation in zip(keys, valuations):
-            self._states[key] = Composition(key, valuation, key, terminal=key not in nexts)
-        self._children = {key: [self._states[child] for child in after.values()] for key, after in nexts.items()}
-
-    def root(self) -> Composition:
-        return self._states[()]
-
-    def is_feasible(self, comp: Composition) -> bool:
-        return tuple(sorted(comp.members)) in self._feasible_keys
-
-    def extensions(self, comp: Composition) -> list[Composition]:
-        self._charge()
-        return list(self._children.get(tuple(sorted(comp.members)), ()))
-
-    def all_feasible(self) -> list[Composition]:
-        return [self._states[tuple(sorted(seq))] for seq in self.sequences]
+            states[key] = Composition(key, valuation, key, terminal=key not in nexts)
+        children = {key: list(nexts.get(key, {}).values()) for key in states}
+        super().__init__(states, children, feasible, (), fdelay_ms=fdelay_ms, budget=budget)
 
 
 def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:

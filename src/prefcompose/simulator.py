@@ -14,8 +14,9 @@ their valuations from :func:`composition.member_valuations`, as every
 explicit provider state does, which reads each node's members: its root
 path, in ascending component order.
 
-A generated tree builds each node's :class:`Composition` once; a
-:class:`TreeProvider` hands out those objects and builds none.
+A generated tree builds each node's :class:`Composition` once, and
+:func:`tree_provider` serves them as a :class:`composition.StateTable` keyed
+by node number, which hands out those objects and builds none.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Composition,
-    FeasibilityProvider,
+    StateTable,
     drawn_values,
     empty_composition,
     member_valuations,
@@ -123,7 +124,6 @@ class RecursiveTree:
 
     parent: list[int]                 # parent[0] == -1
     children: list[list[int]]
-    node_valuation: list[Valuation]
     nodes: list[Composition]
     leaves: list[int]
     feasible_leaves: set[int]
@@ -131,6 +131,11 @@ class RecursiveTree:
     @property
     def node_count(self) -> int:
         return len(self.parent)
+
+    @property
+    def node_valuation(self) -> list[Valuation]:
+        """Each node's valuation, for ``perfbench``'s pool recorder."""
+        return [node.valuation for node in self.nodes]
 
 
 @dataclass
@@ -283,10 +288,9 @@ def generate_tree(
         drawn = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
     else:  # random_per_node
         drawn = random_valuations(spec, rng, r)
-    node_valuation = [empty_composition(spec).valuation, *drawn]
     nodes = [
-        Composition(members[node], node_valuation[node], node, terminal=not children[node])
-        for node in range(r + 1)
+        Composition(members[node], valuation, node, terminal=not children[node])
+        for node, valuation in enumerate([empty_composition(spec).valuation, *drawn])
     ]
 
     leaves = [node for node in range(1, r + 1) if not children[node]]
@@ -296,42 +300,17 @@ def generate_tree(
     return RecursiveTree(
         parent=parent,
         children=children,
-        node_valuation=node_valuation,
         nodes=nodes,
         leaves=leaves,
         feasible_leaves=feasible_leaves,
     )
 
 
-class TreeProvider(FeasibilityProvider):
-    """Feasibility provider backed by a generated recursive tree.
-
-    It hands out the tree's own node compositions; its call count, simulated
-    delay and budget are its own.
-    """
-
-    def __init__(self, tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
-        super().__init__(fdelay_ms=fdelay_ms, budget=budget)
-        self.tree = tree
-
-    def root(self) -> Composition:
-        return self.tree.nodes[0]
-
-    def is_feasible(self, comp: Composition) -> bool:
-        return comp.provider_node in self.tree.feasible_leaves
-
-    def extensions(self, comp: Composition) -> list[Composition]:
-        self._charge()
-        return [self.tree.nodes[child] for child in self.tree.children[comp.provider_node]]
-
-    def all_feasible(self) -> list[Composition]:
-        return [self.tree.nodes[node] for node in sorted(self.tree.feasible_leaves)]
-
-
 def tree_provider(
     tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET
-) -> TreeProvider:
-    return TreeProvider(tree, fdelay_ms=fdelay_ms, budget=budget)
+) -> StateTable:
+    """A provider over the tree's own node compositions, rooted at node 0."""
+    return StateTable(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget)
 
 
 def run_instance(

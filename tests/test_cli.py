@@ -11,6 +11,7 @@ import resource
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -414,6 +415,46 @@ def test_simulate_block_requires_domain_values(tmp_path):
     path = tmp_path / "emptydomain.json"
     path.write_text(json.dumps(doc))
     assert main(["solve", str(path)]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("feasible_sets, members", [([[]], [[]]), ([], [])])
+def test_a_frontier_attribute_with_an_empty_domain_solves(tmp_path, feasible_sets, members):
+    """With every frontier domain empty, the only state is the empty
+    composition: feasible when an empty set is listed, else no answer."""
+    doc = {"format": 1, "attributes": [{"name": "a", "domain": []}], "components": [],
+           "feasible_sets": feasible_sets}
+    path = tmp_path / "emptydomain.json"
+    path.write_text(json.dumps(doc))
+    for algorithm in ALGORITHMS:
+        code, result = _solve(tmp_path, str(path), "--algorithm", algorithm)
+        assert code == EXIT_OK
+        assert [s["members"] for s in result["solutions"]] == members
+
+
+def _overflowing_sum_instance(search_space):
+    return {
+        "format": 1,
+        "attributes": [{"name": "gain", "domain": ["big", "one"], "agg": "sum",
+                        "numeric_values": [1e308, 1.0], "sum_polarity": "higher"}],
+        "components": [{"name": "a", "valuation": {"gain": 1e308}},
+                       {"name": "b", "valuation": {"gain": 1e308}},
+                       {"name": "c", "valuation": {"gain": 5}}],
+        **search_space,
+    }
+
+
+@pytest.mark.parametrize("search_space", [
+    {"feasible_sets": [["a", "b"], ["c"], ["b", "a", "a"]]},
+    {"simulate": {"repo_size": 20, "valuation_mode": "aggregated"}},
+], ids=["explicit", "simulate"])
+def test_a_sum_past_the_float_range_is_an_input_error(tmp_path, capsys, search_space):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(_overflowing_sum_instance(search_space)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no NumPy overflow warning either
+        assert main(["solve", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "attributes[0]" in err and "not finite" in err and "Traceback" not in err
 
 
 def test_instance_with_simulate_block_solves(tmp_path):

@@ -25,6 +25,7 @@ from prefcompose import (
     enumerate_feasible,
 )
 from prefcompose.cli import load_instance
+from prefcompose.composition import StateTable
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
 
 from conftest import frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
@@ -261,4 +262,60 @@ def test_cached_valuations_match_recomputed_folds(rng):
         fold = empty_composition(spec).valuation
         for comp_id in tree.nodes[node].members:
             fold = merged(spec, fold, bases[comp_id])
-        assert fold == tree.node_valuation[node]
+        assert fold == tree.nodes[node].valuation
+
+
+def _two_providers_over_one_table(case, rng):
+    """A provider with budget 5 and one with budget 3, over one state table:
+    a generated tree's in either valuation mode, or an explicit instance that
+    lists the multiset {W3, W4} twice, in both orders."""
+    if case == "explicit":
+        instance = load_instance("interleave_unsound")
+        sequences = [*instance.feasible_sequences, list(reversed(instance.feasible_sequences[-1]))]
+        first = ExplicitProvider(instance.spec, instance.components, sequences, budget=5)
+        return first, StateTable(first.states, first.children, first.feasible, first.root_key, budget=3)
+    config = SimConfig(repo_size=40, feas=0.5, valuation_mode=case)
+    tree = generate_tree(random_spec(config, rng), config, rng)
+    return tree_provider(tree, budget=5), tree_provider(tree, budget=3)
+
+
+@pytest.mark.parametrize("case", ["random_per_node", "aggregated", "explicit"])
+def test_every_provider_serves_its_state_table(case, rng):
+    """The root and every extension are the table's own objects, every state
+    is reached, ``is_feasible`` holds exactly on ``all_feasible``'s keys, and
+    providers over one table share objects but count and budget apart."""
+    first, second = _two_providers_over_one_table(case, rng)
+    walker = StateTable(first.states, first.children, first.feasible, first.root_key)
+    root = walker.root()
+    assert root is first.root() is second.root() is first.states[first.root_key]
+    feasible = walker.all_feasible()
+    assert all(c is walker.states[c.key()] for c in feasible)
+    feasible_keys = {c.key() for c in feasible}
+    reached, stack = {root.key(): root}, [root]
+    while stack:
+        comp = stack.pop()
+        assert walker.is_feasible(comp) == (comp.key() in feasible_keys)
+        extensions = walker.extensions(comp)
+        assert not (comp.terminal and extensions)
+        for ext in extensions:
+            assert ext is walker.states[ext.key()]
+            if ext.key() not in reached:
+                reached[ext.key()] = ext
+                stack.append(ext)
+    assert len(reached) == len(first.states)
+    assert feasible_keys <= reached.keys()
+    if case == "explicit":
+        assert len(feasible) == 4 and feasible[2] is feasible[3]
+
+    ours, theirs = first.extensions(root), second.extensions(root)
+    assert ours is not theirs and len(ours) == len(theirs)
+    assert all(a is b for a, b in zip(ours, theirs))
+    for _ in range(2):
+        second.extensions(root)
+    with pytest.raises(BudgetExceeded):
+        second.extensions(root)
+    for _ in range(4):
+        first.extensions(root)
+    assert (first.invocation_count, second.invocation_count) == (5, 4)
+    with pytest.raises(BudgetExceeded):
+        first.extensions(root)

@@ -88,11 +88,11 @@ def test_batched_tree_draws_equal_scalar_draws(mode):
         parent, valuations = scalar_tree_draws(spec, r, scalar)
         assert tree.parent == parent
         if mode == "random_per_node":
-            assert tree.node_valuation[1:] == valuations
+            assert [c.valuation for c in tree.nodes[1:]] == valuations
         else:  # each node merges its component's drawn values into its parent's
             for node in range(1, r + 1):
-                up = tree.node_valuation[parent[node]]
-                assert tree.node_valuation[node] == merged(spec, up, valuations[node - 1])
+                up = tree.nodes[parent[node]].valuation
+                assert tree.nodes[node].valuation == merged(spec, up, valuations[node - 1])
         assert batched.bit_generator.state == scalar.bit_generator.state
 
 
@@ -112,15 +112,15 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind):
             _, bases = scalar_tree_draws(spec, config.repo_size, copy.deepcopy(rng))
             tree = generate_tree(spec, config, rng)
             for node in range(1, tree.node_count):
-                up = tree.node_valuation[tree.parent[node]].per_attribute
+                up = tree.nodes[tree.parent[node]].valuation.per_attribute
                 base = bases[node - 1].per_attribute
                 expected = tuple(map(merge, spec.attributes, up, base))
-                assert tree.node_valuation[node] == Valuation(expected)
+                assert tree.nodes[node].valuation == Valuation(expected)
             for attr in spec.attributes:
                 if attr.agg_kind is not AggKind.SUM:
                     shared = {}
-                    for valuation in tree.node_valuation[1:]:
-                        value = valuation[attr.attr_id]
+                    for comp in tree.nodes[1:]:
+                        value = comp.valuation[attr.attr_id]
                         assert shared.setdefault(value, value) is value
 
 
@@ -160,8 +160,8 @@ def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, 
             fold = bottom
             for comp_id in tree.nodes[node].members:
                 fold = merged(spec, fold, bases[comp_id])
-            assert tree.node_valuation[node] == fold
-            got, want = tree.node_valuation[node][-1].scalar, fold[-1].scalar
+            assert tree.nodes[node].valuation == fold
+            got, want = tree.nodes[node].valuation[-1].scalar, fold[-1].scalar
             assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
 
@@ -315,7 +315,7 @@ def test_providers_over_one_tree_share_its_compositions(mode, rng):
         while up > 0:
             members.append(up - 1)
             up = tree.parent[up]
-        return Composition(tuple(reversed(members)), tree.node_valuation[node], node,
+        return Composition(tuple(reversed(members)), tree.nodes[node].valuation, node,
                            terminal=not tree.children[node])
 
     assert first.root() is second.root()
