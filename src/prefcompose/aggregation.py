@@ -5,17 +5,18 @@ or best frontier of the contributing values); sum-aggregated attributes carry
 a scalar.  Min/max aggregation is the total-order special case of the
 frontiers and also yields (singleton) frontiers.
 
-Every rule reads the attribute's value order as its closed matrix.  Each
-comparison rule has one copy, :func:`comparison_tables`: the strict and the
-tie rule over every ordered pair of a list of values, with each value's kind
-checked once and every frontier's beaten set formed by one matrix product.
-The pairwise :func:`strictly_preferred` and :func:`at_least_as_preferred`
-read it for one pair.
+Every rule reads the attribute's value order as its closed matrix.
+:func:`comparison_tables` applies the strict and the tie rule to every
+ordered pair of a list of values, with each value's kind checked once and
+every frontier's beaten set formed by one matrix product.  The pairwise
+:func:`strictly_preferred` and :func:`at_least_as_preferred` read the same
+rules for one pair element by element, at a few microseconds a call where a
+two-value table costs several times that; the tests hold the two readings
+equal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -65,24 +66,24 @@ class AggValue(NamedTuple):
         return f"AggValue({self.scalar})"
 
 
-@dataclass(frozen=True)
-class Valuation:
-    """Aggregated values of a composition, index-aligned with the attributes."""
+class Valuation(tuple):
+    """Aggregated values of a composition, index-aligned with the attributes:
+    a tuple of ``AggValue``, so it is built, indexed and hashed in C.
 
-    per_attribute: tuple[AggValue, ...]
+    ``Valuation(values)`` takes any iterable of ``AggValue``.
+    """
 
-    def __getitem__(self, attr_id: int) -> AggValue:
-        return self.per_attribute[attr_id]
+    __slots__ = ()
 
-    def __len__(self) -> int:
-        return len(self.per_attribute)
+    @property
+    def per_attribute(self) -> tuple[AggValue, ...]:
+        return self
 
 
 def check_kind(attr: AttributeSchema, value: AggValue) -> None:
     """Raise ``KindMismatch`` unless ``value`` is a frontier exactly when
     ``attr`` aggregates as one."""
-    wants_frontier = attr.agg_kind is not AggKind.SUM
-    if wants_frontier != value.is_frontier:
+    if (attr.agg_kind is AggKind.SUM) != (value.frontier is None):
         raise KindMismatch(
             f"attribute {attr.name} aggregates as {attr.agg_kind.value}; got "
             f"{'frontier' if value.is_frontier else 'scalar'} value"
@@ -221,7 +222,8 @@ def comparison_tables(
             strict = a < b - SCALAR_TOLERANCE
         else:
             strict = a > b + SCALAR_TOLERANCE
-        return strict, strict | (abs(a - b) <= SCALAR_TOLERANCE)
+        with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
+            return strict, strict | (abs(a - b) <= SCALAR_TOLERANCE)
     ids: dict[frozenset, int] = {}
     of = np.array([ids.setdefault(value.frontier, len(ids)) for value in values], dtype=np.intp)
     check_range(attr, frozenset().union(*ids))
@@ -237,11 +239,25 @@ def comparison_tables(
 
 
 def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
-    """Whether ``a`` is strictly preferred to ``b`` (:func:`comparison_tables`)."""
-    return bool(comparison_tables(attr, (a, b))[0][0, 1])
+    """Whether ``a`` is strictly preferred to ``b``: the strict rule of
+    :func:`comparison_tables`, read directly for one pair."""
+    check_kind(attr, a)
+    check_kind(attr, b)
+    if attr.agg_kind is AggKind.SUM:
+        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
+            return a.scalar < b.scalar - SCALAR_TOLERANCE  # type: ignore[operator]
+        return a.scalar > b.scalar + SCALAR_TOLERANCE  # type: ignore[operator]
+    mine, theirs = a.frontier, b.frontier
+    check_range(attr, mine | theirs)  # type: ignore[operator]
+    beats = attr.intra_order.matrix
+    return bool(theirs) and all(any(beats[x, y] for x in mine) for y in theirs)  # type: ignore[union-attr]
 
 
 def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
-    """Whether ``a`` is tied with or strictly preferred to ``b``
-    (:func:`comparison_tables`)."""
-    return bool(comparison_tables(attr, (a, b))[1][0, 1])
+    """Whether ``a`` is tied with or strictly preferred to ``b``: the tie rule
+    of :func:`comparison_tables`, read directly for one pair."""
+    if strictly_preferred(attr, a, b):
+        return True
+    if attr.agg_kind is AggKind.SUM:
+        return abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE  # type: ignore[operator]
+    return a.frontier == b.frontier

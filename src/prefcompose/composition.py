@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress, zip_longest
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,15 +42,15 @@ class Component:
     base_valuation: Valuation
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(NamedTuple):
     """An unordered collection of component ids with its cached valuation.
 
     ``provider_node`` identifies the provider-side search state (a tree node,
     a sorted sequence prefix); a :class:`StateTable` and algorithm bookkeeping
     key on it, never on the valuation, because distinct states may share
     equal valuations.
-    ``terminal`` marks states the provider cannot extend further.
+    ``terminal`` marks states the provider cannot extend further.  A named
+    tuple, so it is built, read and hashed in C.
     """
 
     members: tuple[int, ...]
@@ -70,7 +70,7 @@ def empty_composition(spec: PreferenceSpec) -> Composition:
             values.append(AggValue.of_scalar(0.0))
         else:
             values.append(AggValue.of_frontier(()))
-    return Composition(members=(), valuation=Valuation(tuple(values)), provider_node=(), terminal=False)
+    return Composition(members=(), valuation=Valuation(values), provider_node=())
 
 
 def _layout(spec: PreferenceSpec) -> tuple[list[int], list[int], int]:
@@ -88,7 +88,7 @@ def component_values(
     of word v // 64) and its sums.  A wrong length, kind or value id raises
     ``ShapeError``, ``KindMismatch`` or ``DomainError``, as ``merge`` does."""
     fronts, sums, words = _layout(spec)
-    rows = [component.base_valuation.per_attribute for component in components]
+    rows = [component.base_valuation for component in components]
     for component, row in zip(components, rows):
         if len(row) != len(spec.attributes):
             raise ShapeError(f"component {component.name}: valuation not aligned with spec")
@@ -188,7 +188,7 @@ def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
 def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
     """One valuation per row of ``index``, whose entries index ``values``."""
     table = np.fromiter(values, dtype=object, count=len(values))
-    return [Valuation(tuple(row)) for row in table[index].tolist()]
+    return list(map(Valuation, table[index].tolist()))
 
 
 class FeasibilityProvider:

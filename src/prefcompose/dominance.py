@@ -40,13 +40,12 @@ class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
 
 
-def _rows(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> list[tuple[AggValue, ...]]:
-    """The valuations' per-attribute values, each checked against the spec."""
-    rows = [v.per_attribute for v in valuations]
-    for row in rows:
+def _rows(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Sequence[Valuation]:
+    """The valuations, each checked against the spec."""
+    for row in valuations:
         if len(row) != spec.attr_count:
             raise ShapeError(f"valuation has {len(row)} attributes, spec has {spec.attr_count}")
-    return rows
+    return valuations
 
 
 class _FrontierClasses:
@@ -148,7 +147,8 @@ class _ScalarColumn:
         return a < b - SCALAR_TOLERANCE
 
     def equal(self, rows: slice, cols: slice) -> np.ndarray:
-        d = self.values[rows, None] - self.values[None, cols]
+        with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
+            d = self.values[rows, None] - self.values[None, cols]
         return (d >= -SCALAR_TOLERANCE) & (d <= SCALAR_TOLERANCE)
 
 

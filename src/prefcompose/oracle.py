@@ -17,8 +17,8 @@ either.  It reads the dominance definition with array operations:
 * an entry is kept when no other entry dominates it.
 
 :func:`plain_dominates` reads the same definition for one pair of valuations
-through the pairwise comparisons.  The property-verification harness lives in
-:mod:`prefcompose.properties`.
+through the pairwise comparisons, evaluating each attribute's at most once.
+The property-verification harness lives in :mod:`prefcompose.properties`.
 """
 
 from __future__ import annotations
@@ -48,9 +48,21 @@ def plain_dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> bool:
     some attribute i is strictly preferred while every attribute k that i is
     not more important than is at least as preferred."""
     attrs = spec.attributes
+    strict_on: dict[int, bool] = {}  # each attribute's comparisons, made when first needed
+    at_least_on: dict[int, bool] = {}
+
+    def strict(k: int) -> bool:
+        if k not in strict_on:
+            strict_on[k] = strictly_preferred(attrs[k], u[k], v[k])
+        return strict_on[k]
+
+    def at_least(k: int) -> bool:
+        if k not in at_least_on:
+            at_least_on[k] = strict(k) or at_least_as_preferred(attrs[k], u[k], v[k])
+        return at_least_on[k]
+
     return any(
-        strictly_preferred(attrs[i], u[i], v[i])
-        and all(more or at_least_as_preferred(attrs[k], u[k], v[k]) for k, more in enumerate(row))
+        strict(i) and all(more or at_least(k) for k, more in enumerate(row))
         for i, row in enumerate(spec.importance.matrix.tolist())
     )
 
@@ -80,10 +92,10 @@ def brute_nondominated(
     step = max(1, _BLOCK_PAIRS // max(n, 1))
     for start in range(0, n, step):
         rows = ids[start:start + step]
-        geq = [table[np.ix_(rows[:, k], ids[:, k])] for k, (_, table) in enumerate(tables)]
+        geq = [table[rows[:, k, None], ids[None, :, k]] for k, (_, table) in enumerate(tables)]
         witnessed = np.zeros((len(rows), n), dtype=np.bool_)
         for i, ((strict, _), scope) in enumerate(zip(tables, scopes)):
-            by_i = strict[np.ix_(rows[:, i], ids[:, i])]
+            by_i = strict[rows[:, i, None], ids[None, :, i]]
             for k in scope:
                 by_i &= geq[k]
             witnessed |= by_i

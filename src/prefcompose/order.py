@@ -83,10 +83,11 @@ class StrictOrder:
 
 
 def transitive_closure(mat: np.ndarray) -> np.ndarray:
-    """Warshall closure of a boolean adjacency matrix (returns a new array)."""
+    """Warshall closure of a boolean adjacency matrix, or of each matrix of a
+    stack over its last two axes (returns a new array)."""
     out = mat.copy()
-    for k in range(out.shape[0]):
-        out |= np.outer(out[:, k], out[k, :])
+    for k in range(out.shape[-1]):
+        out |= out[..., :, k, None] & out[..., None, k, :]
     return out
 
 
@@ -129,16 +130,7 @@ def build_order(edges: Iterable[tuple[int, int]], universe_size: int) -> StrictO
         if not (0 <= x < universe_size and 0 <= y < universe_size):
             raise ValueError(f"edge ({x}, {y}) outside universe of size {universe_size}")
         mat[x, y] = True
-    return closed_order(mat)
-
-
-def closed_order(relation: np.ndarray) -> StrictOrder:
-    """The strict order whose relation is the transitive closure of
-    ``relation``, a square boolean matrix.
-
-    Raises :class:`CycleError` when the closure relates an element to itself.
-    """
-    closed = transitive_closure(relation)
+    closed = transitive_closure(mat)
     if bool(closed.diagonal().any()):
         cyclic = int(np.nonzero(closed.diagonal())[0][0])
         raise CycleError(f"edges close into a cycle through element {cyclic}")

@@ -42,7 +42,7 @@ from .composition import (
     member_valuations,
     singleton_valuations,
 )
-from .order import StrictOrder, closed_order
+from .order import StrictOrder, transitive_closure
 from .preference import AggKind, AttributeSchema, PreferenceSpec
 
 CSV_HEADER = [
@@ -176,11 +176,13 @@ class ExperimentRecord:
         ]
 
 
-def random_order(
-    n: int, kind: str, rng: np.random.Generator, density: float = 0.3
-) -> StrictOrder:
-    """Draw a strict order of the requested kind over n elements, as one
-    relation matrix.
+def random_orders(
+    count: int, n: int, kind: str, rng: np.random.Generator, density: float = 0.3
+) -> list[StrictOrder]:
+    """Draw ``count`` strict orders of the requested kind over n elements.
+
+    Each order's relation matrix is drawn in turn, and one
+    :func:`order.transitive_closure` call closes them all as a stack.
 
     total    -- a random permutation chain: x beats y when x comes first.
     partial  -- the pairs of a random linear labeling, each kept with
@@ -191,26 +193,35 @@ def random_order(
     weak     -- a random surjection onto ranked levels; x beats y when x's
                 level is lower.
     """
-    if kind in ("total", "partial"):
-        rank = np.argsort(rng.permutation(n))
-        if kind == "total":
-            return closed_order(rank[:, None] < rank[None, :])
-        kept = np.zeros((n, n), dtype=np.bool_)
-        kept[np.triu_indices(n, 1)] = rng.random(n * (n - 1) // 2) < density
-        return closed_order(kept[np.ix_(rank, rank)])
-    if kind == "interval":
-        a = rng.random(n)
-        b = rng.random(n)
-        return closed_order(np.minimum(a, b)[:, None] > np.maximum(a, b)[None, :])
-    if kind == "weak":
-        level_count = int(rng.integers(1, n + 1))
-        perm = rng.permutation(n)
-        levels = np.empty(n, dtype=np.int64)
-        levels[perm] = np.concatenate(
-            [np.arange(level_count), rng.integers(0, level_count, size=n - level_count)]
-        )
-        return closed_order(levels[:, None] < levels[None, :])
-    raise ValueError(f"unknown order kind {kind!r}")
+    if kind not in _KIND_ALIASES.values():
+        raise ValueError(f"unknown order kind {kind!r}")
+    relations = np.zeros((count, n, n), dtype=np.bool_)
+    first, second = np.triu_indices(n, 1)  # position pairs, first before second
+    for relation in relations:
+        if kind in ("total", "partial"):
+            perm = rng.permutation(n)
+            kept = True if kind == "total" else rng.random(len(first)) < density
+            relation[perm[first], perm[second]] = kept
+        elif kind == "interval":
+            a = rng.random(n)
+            b = rng.random(n)
+            relation[...] = np.minimum(a, b)[:, None] > np.maximum(a, b)[None, :]
+        else:  # weak
+            level_count = int(rng.integers(1, n + 1))
+            perm = rng.permutation(n)
+            levels = np.empty(n, dtype=np.int64)
+            levels[perm] = np.concatenate(
+                [np.arange(level_count), rng.integers(0, level_count, size=n - level_count)]
+            )
+            relation[...] = levels[:, None] < levels[None, :]
+    return [StrictOrder(closed) for closed in transitive_closure(relations)]
+
+
+def random_order(
+    n: int, kind: str, rng: np.random.Generator, density: float = 0.3
+) -> StrictOrder:
+    """One strict order of :func:`random_orders`."""
+    return random_orders(1, n, kind, rng, density)[0]
 
 
 _KIND_ALIASES = {"po": "partial", "to": "total", "io": "interval", "wo": "weak"}
@@ -221,25 +232,27 @@ def _order_kind(short: str) -> str:
 
 
 def random_spec(config: SimConfig, rng: np.random.Generator) -> PreferenceSpec:
-    """A worst-frontier preference spec drawn per the config's order kinds."""
-    attributes = []
-    for i in range(config.attr_count):
-        intra = random_order(
-            config.domain_size, _order_kind(config.intra_kind), rng, config.density
+    """A worst-frontier preference spec drawn per the config's order kinds:
+    every attribute's value order from one :func:`random_orders` call, then
+    the importance order."""
+    domain = tuple(f"v{j}" for j in range(config.domain_size))
+    intra = random_orders(
+        config.attr_count, config.domain_size, _order_kind(config.intra_kind), rng, config.density
+    )
+    attributes = tuple(
+        AttributeSchema(
+            attr_id=i,
+            name=f"attr{i}",
+            domain=domain,
+            intra_order=order,
+            agg_kind=AggKind.WORST_FRONTIER,
         )
-        attributes.append(
-            AttributeSchema(
-                attr_id=i,
-                name=f"attr{i}",
-                domain=tuple(f"v{j}" for j in range(config.domain_size)),
-                intra_order=intra,
-                agg_kind=AggKind.WORST_FRONTIER,
-            )
-        )
+        for i, order in enumerate(intra)
+    )
     importance = random_order(
         config.attr_count, _order_kind(config.importance_kind), rng, config.density
     )
-    return PreferenceSpec(attributes=tuple(attributes), importance=importance)
+    return PreferenceSpec(attributes=attributes, importance=importance)
 
 
 def _random_value_ids(

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import prefcompose
-from prefcompose import cli, properties, simulator
+from prefcompose import cli, oracle, properties, simulator
 from prefcompose.cli import (
     ALGORITHMS,
     EXIT_BUDGET,
@@ -26,9 +26,11 @@ from prefcompose.cli import (
     EXIT_INPUT,
     EXIT_OK,
     InstanceError,
+    load_instance,
     main,
     parse_instance,
 )
+from prefcompose.composition import ExplicitProvider
 from prefcompose.fixtures import NAMES, fixture_path
 
 
@@ -455,6 +457,30 @@ def test_a_sum_past_the_float_range_is_an_input_error(tmp_path, capsys, search_s
         assert main(["solve", str(path)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "attributes[0]" in err and "not finite" in err and "Traceback" not in err
+
+
+def test_sums_whose_difference_overflows_compare_without_warnings(tmp_path):
+    """Finite sums on either side of the float range are no tie: ``solve``
+    and the oracle keep the higher one and raise no NumPy overflow warning."""
+    path = tmp_path / "far_apart.json"
+    path.write_text(json.dumps({
+        "format": 1,
+        "attributes": [{"name": "gain", "domain": ["up", "down"], "agg": "sum",
+                        "numeric_values": [1.5e308, -1.5e308], "sum_polarity": "higher"}],
+        "components": [{"name": "a", "valuation": {"gain": 1.5e308}},
+                       {"name": "b", "valuation": {"gain": -1.5e308}}],
+        "feasible_sets": [["a"], ["b"]],
+    }))
+    instance = load_instance(str(path))
+    feasible = ExplicitProvider(instance.spec, instance.components, instance.feasible_sequences).all_feasible()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for algorithm in ("a1", "a2", "a3", "a4"):
+            code, doc = _solve(tmp_path, str(path), "--algorithm", algorithm)
+            assert code == EXIT_OK
+            assert [s["members"] for s in doc["solutions"]] == [["a"]]
+        truth = oracle.brute_nondominated(instance.spec, [(c.key(), c.valuation) for c in feasible])
+    assert truth == {(0,)}
 
 
 def test_instance_with_simulate_block_solves(tmp_path):

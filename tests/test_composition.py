@@ -13,6 +13,7 @@ from prefcompose import (
     AttributeSchema,
     BudgetExceeded,
     Component,
+    Composition,
     DomainError,
     ExplicitProvider,
     KindMismatch,
@@ -53,6 +54,22 @@ def test_empty_composition_is_neutral():
     assert bottom.valuation[0].scalar == 0.0
     spec2 = frontier_spec([(("a", "b"), [(0, 1)])], importance_edges=[])
     assert empty_composition(spec2).valuation[0].frontier == frozenset()
+
+
+def test_composition_is_an_immutable_hashable_record():
+    """A Composition reads, compares and hashes as the tuple of its fields,
+    is keyed by its provider node, is not terminal unless told so, and no
+    field can be assigned."""
+    valuation = Valuation((AggValue.of_frontier((0,)),))
+    comp = Composition((0, 2), valuation, (0, 2))
+    assert comp.members == (0, 2) and comp.valuation is valuation and comp.provider_node == (0, 2)
+    assert comp.terminal is False and comp.key() == (0, 2)
+    same = Composition(members=(0, 2), valuation=Valuation(valuation), provider_node=(0, 2), terminal=False)
+    assert comp == same and hash(comp) == hash(same)
+    assert comp != Composition((0, 2), valuation, (0, 2), terminal=True)
+    for field in ("members", "valuation", "provider_node", "terminal"):
+        with pytest.raises(AttributeError):
+            setattr(comp, field, None)
 
 
 def _state(instance, names):

@@ -1,7 +1,8 @@
 """The numeric kernels against direct readings of their definitions.
 
 The order predicates of :mod:`prefcompose.order` (closure, Ferrers,
-negative transitivity) are checked against naive loops, and the pool
+negative transitivity) are checked against naive loops, a stack's closure
+against its matrices' closures one at a time, and the pool
 dominance matrix against ``oracle.plain_dominates``.
 """
 
@@ -66,6 +67,19 @@ def test_closure_paths_agree(rng):
         mat = rng.random((n, n)) < 0.2
         np.fill_diagonal(mat, False)
         assert np.array_equal(transitive_closure(mat), _naive_closure(mat))
+
+
+def test_closure_of_a_stack_closes_each_matrix(rng):
+    """A stack of matrices closes as its matrices do one at a time, with no
+    matrices, with empty ones and with single elements too."""
+    sizes = [(0, 4), (0, 0), (3, 0), (3, 1)] + [(int(rng.integers(1, 6)), int(rng.integers(1, 10))) for _ in range(60)]
+    for m, n in sizes:
+        stack = rng.random((m, n, n)) < 0.2
+        closed = transitive_closure(stack)
+        assert closed.shape == (m, n, n) and closed.dtype == np.bool_
+        assert not np.shares_memory(closed, stack)
+        for matrix, want in zip(stack, closed):
+            assert np.array_equal(want, transitive_closure(matrix))
 
 
 def test_interval_predicate_paths_agree(rng):

@@ -276,6 +276,28 @@ def test_matrix_orders_equal_the_scalar_edge_loops(kind):
             assert matrix.bit_generator.state == loop.bit_generator.state
 
 
+@pytest.mark.parametrize("kind", ["po", "to", "io", "wo"])
+def test_spec_orders_equal_one_order_draw_each(kind):
+    """``random_spec`` draws its value orders as one stack; each equals the
+    order a ``random_order`` call per attribute draws, the importance order
+    follows, and the generator ends in the same state."""
+    long = {"po": "partial", "to": "total", "io": "interval", "wo": "weak"}[kind]
+    for m in (1, 2, 5, 16):
+        for n in (1, 2, 4, 9):
+            for seed in range(6):
+                config = SimConfig(domain_size=n, attr_count=m, intra_kind=kind, importance_kind=kind,
+                                   density=(0.3, 0.0, 0.7)[seed % 3])
+                stacked, loop = np.random.default_rng(seed), np.random.default_rng(seed)
+                spec = random_spec(config, stacked)
+                each = [random_order(n, long, loop, config.density) for _ in range(m)]
+                assert [attr.intra_order for attr in spec.attributes] == each
+                assert spec.importance == random_order(m, long, loop, config.density)
+                assert stacked.bit_generator.state == loop.bit_generator.state
+                for attr in spec.attributes:
+                    assert attr.domain == tuple(f"v{j}" for j in range(n))
+                    assert not attr.intra_order.matrix.flags.writeable
+
+
 def test_unknown_order_kind_rejected(rng):
     with pytest.raises(ValueError):
         random_order(3, "ring", rng)
