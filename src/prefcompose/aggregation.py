@@ -75,10 +75,6 @@ class Valuation(tuple):
 
     __slots__ = ()
 
-    @property
-    def per_attribute(self) -> tuple[AggValue, ...]:
-        return self
-
 
 def check_kind(attr: AttributeSchema, value: AggValue) -> None:
     """Raise ``KindMismatch`` unless ``value`` is a frontier exactly when

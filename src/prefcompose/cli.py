@@ -332,7 +332,7 @@ def run_result_json(instance: Instance, result: RunResult) -> dict:
         solutions.append(
             {
                 "members": sorted(names.get(m, str(m)) for m in comp.members),
-                "valuation": [_agg_value_json(v) for v in comp.valuation.per_attribute],
+                "valuation": [_agg_value_json(v) for v in comp.valuation],
             }
         )
     annotations = []

@@ -6,12 +6,11 @@ every explicit state here and every node of an aggregated simulator tree.
 
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
-calls are counted and carry a configurable simulated delay; real composition
-engines (planners, service matchmakers) would plug in behind the same
-interface.  Both providers here are one :class:`StateTable` of prebuilt
-states keyed by ``Composition.key()``: :class:`ExplicitProvider` builds its
-table from listed sequences, and ``simulator.tree_provider`` reads a
-generated tree's node table.
+calls are counted and carry a configurable simulated delay.  The one
+:class:`FeasibilityProvider` serves a table of prebuilt states keyed by
+``Composition.key()``, so a search space plugs in by building that table:
+:class:`ExplicitProvider` builds it from listed sequences, and
+``simulator.tree_provider`` reads a generated tree's node table.
 """
 
 from __future__ import annotations
@@ -46,9 +45,9 @@ class Composition(NamedTuple):
     """An unordered collection of component ids with its cached valuation.
 
     ``provider_node`` identifies the provider-side search state (a tree node,
-    a sorted sequence prefix); a :class:`StateTable` and algorithm bookkeeping
-    key on it, never on the valuation, because distinct states may share
-    equal valuations.
+    a sorted sequence prefix); a provider's state table and algorithm
+    bookkeeping key on it, never on the valuation, because distinct states
+    may share equal valuations.
     ``terminal`` marks states the provider cannot extend further.  A named
     tuple, so it is built, read and hashed in C.
     """
@@ -192,38 +191,8 @@ def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
 
 
 class FeasibilityProvider:
-    """Counted, delayed access to a search space of compositions."""
-
-    def __init__(self, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
-        self.fdelay_ms = fdelay_ms
-        self.budget = budget
-        self.invocation_count = 0
-        self.simulated_ms = 0.0
-
-    def _charge(self) -> None:
-        self.invocation_count += 1
-        self.simulated_ms += self.fdelay_ms
-        if self.invocation_count > self.budget:
-            raise BudgetExceeded(
-                f"extension budget of {self.budget} calls exhausted"
-            )
-
-    def root(self) -> Composition:
-        raise NotImplementedError
-
-    def is_feasible(self, comp: Composition) -> bool:
-        raise NotImplementedError
-
-    def extensions(self, comp: Composition) -> list[Composition]:
-        raise NotImplementedError
-
-    def all_feasible(self) -> list[Composition]:
-        """Native feasible set; equals what recursive extension reaches."""
-        raise NotImplementedError
-
-
-class StateTable(FeasibilityProvider):
-    """A provider over prebuilt states, keyed by ``Composition.key()``.
+    """Counted, delayed access to a search space of prebuilt compositions,
+    keyed by ``Composition.key()``.
 
     ``states[key]`` is a state (a dict, or a list keyed by position),
     ``children[key]`` the keys of its one-step extensions (empty when
@@ -235,12 +204,15 @@ class StateTable(FeasibilityProvider):
 
     def __init__(self, states, children, feasible: Sequence[Hashable], root_key: Hashable,
                  fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
-        super().__init__(fdelay_ms=fdelay_ms, budget=budget)
         self.states = states
         self.children = children
         self.feasible = feasible
         self.root_key = root_key
         self._feasible_keys = frozenset(feasible)
+        self.fdelay_ms = fdelay_ms
+        self.budget = budget
+        self.invocation_count = 0
+        self.simulated_ms = 0.0
 
     def root(self) -> Composition:
         return self.states[self.root_key]
@@ -249,14 +221,18 @@ class StateTable(FeasibilityProvider):
         return comp.key() in self._feasible_keys
 
     def extensions(self, comp: Composition) -> list[Composition]:
-        self._charge()
+        self.invocation_count += 1
+        self.simulated_ms += self.fdelay_ms
+        if self.invocation_count > self.budget:
+            raise BudgetExceeded(f"extension budget of {self.budget} calls exhausted")
         return [self.states[child] for child in self.children[comp.key()]]
 
     def all_feasible(self) -> list[Composition]:
+        """Native feasible set; equals what recursive extension reaches."""
         return [self.states[key] for key in self.feasible]
 
 
-class ExplicitProvider(StateTable):
+class ExplicitProvider(FeasibilityProvider):
     """Search space given by explicit feasible component sequences.
 
     Each listed sequence is one way to build a feasible composition; partial

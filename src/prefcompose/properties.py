@@ -73,7 +73,7 @@ def _serialize_case(spec: PreferenceSpec, pool: Sequence[Valuation], seed: int,
         "importance_edges": spec.importance.edges(),
         "intra_edges": [a.intra_order.edges() for a in spec.attributes],
         "valuations": [
-            [sorted(v.frontier) if v.is_frontier else v.scalar for v in val.per_attribute]
+            [sorted(v.frontier) if v.is_frontier else v.scalar for v in val]
             for val in pool
         ],
         "detail": detail,
@@ -105,50 +105,32 @@ def _spec_for(rng: np.random.Generator, intra_kind: str, importance_kind: str,
     return simulator.random_spec(config, rng)
 
 
-def _check_transitivity(trials: int, seed: int) -> PropertyReport:
+def _check_order(trials: int, seed: int, name: str, intra_kind: str,
+                 importance_kind: str, info_only: bool = False) -> PropertyReport:
+    """Dominance on random frontier pools is an order of the named kind:
+    ``transitivity`` checks irreflexivity, then transitivity; the weak-order
+    properties check transitivity, then negative transitivity."""
     rng = np.random.default_rng(seed)
+    weak = name != "transitivity"
     violations = 0
     first = None
     for _ in range(trials):
         m = int(rng.integers(2, 6))
         n = int(rng.integers(2, 7))
-        spec = _spec_for(rng, "po", "io", m, n)
+        spec = _spec_for(rng, intra_kind, importance_kind, m, n)
         pool = _frontier_pool(spec, rng, int(rng.integers(4, 13)))
         matrix = PackedPool(spec, pool).dominance_matrix()
-        if bool(matrix.diagonal().any()):
-            violations += 1
-            if first is None:
-                first = _serialize_case(spec, pool, seed, {"kind": "irreflexivity"})
-            continue
-        triple = _transitivity_violation(matrix)
-        if triple is not None:
-            violations += 1
-            if first is None:
-                first = _serialize_case(spec, pool, seed, {"kind": "transitivity", "triple": triple})
-    return PropertyReport("transitivity", trials, violations, first)
-
-
-def _check_weak_order(trials: int, seed: int, importance_kind: str,
-                      name: str, info_only: bool) -> PropertyReport:
-    rng = np.random.default_rng(seed)
-    violations = 0
-    first = None
-    for _ in range(trials):
-        m = int(rng.integers(2, 6))
-        n = int(rng.integers(2, 7))
-        spec = _spec_for(rng, "to", importance_kind, m, n)
-        pool = _frontier_pool(spec, rng, int(rng.integers(4, 13)))
-        matrix = PackedPool(spec, pool).dominance_matrix()
-        triple = _transitivity_violation(matrix)
-        if triple is None:
-            triple = negative_transitivity_violation(matrix)
-            kind = "negative-transitivity"
+        if not weak and matrix.diagonal().any():
+            detail: dict = {"kind": "irreflexivity"}
+        elif (triple := _transitivity_violation(matrix)) is not None:
+            detail = {"kind": "transitivity", "triple": triple}
+        elif weak and (triple := negative_transitivity_violation(matrix)) is not None:
+            detail = {"kind": "negative-transitivity", "triple": triple}
         else:
-            kind = "transitivity"
-        if triple is not None:
-            violations += 1
-            if first is None:
-                first = _serialize_case(spec, pool, seed, {"kind": kind, "triple": triple})
+            continue
+        violations += 1
+        if first is None:
+            first = _serialize_case(spec, pool, seed, detail)
     return PropertyReport(name, trials, violations, first, info_only=info_only)
 
 
@@ -227,13 +209,11 @@ def verify_property(name: str, trials: int = 500, seed: int = 0) -> PropertyRepo
     probe only reports.
     """
     if name == "transitivity":
-        return _check_transitivity(trials, seed)
+        return _check_order(trials, seed, name, "po", "io")
     if name == "weak-order":
-        return _check_weak_order(trials, seed, "to", "weak-order", info_only=False)
+        return _check_order(trials, seed, name, "to", "to")
     if name == "interval-total-weak-order":
-        return _check_weak_order(
-            trials, seed, "io", "interval-total-weak-order", info_only=True
-        )
+        return _check_order(trials, seed, name, "to", "io", info_only=True)
     if name == "extension-never-dominates":
         return _check_extension_never_dominates(trials, seed)
     if name == "top-attribute-inclusion":

@@ -15,8 +15,8 @@ explicit provider state does, which reads each node's members: its root
 path, in ascending component order.
 
 A generated tree builds each node's :class:`Composition` once, and
-:func:`tree_provider` serves them as a :class:`composition.StateTable` keyed
-by node number, which hands out those objects and builds none.
+:func:`tree_provider` serves them as a :class:`composition.FeasibilityProvider`
+keyed by node number, which hands out those objects and builds none.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .composition import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     Composition,
-    StateTable,
+    FeasibilityProvider,
     drawn_values,
     empty_composition,
     member_valuations,
@@ -321,9 +321,9 @@ def generate_tree(
 
 def tree_provider(
     tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET
-) -> StateTable:
+) -> FeasibilityProvider:
     """A provider over the tree's own node compositions, rooted at node 0."""
-    return StateTable(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget)
+    return FeasibilityProvider(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget)
 
 
 def run_instance(

@@ -59,7 +59,7 @@ def singleton_valuation(*value_ids) -> Valuation:
 def merged(spec, a, b) -> Valuation:
     """``a`` and ``b`` merged attribute by attribute by ``aggregation.merge``:
     one step of the reference fold that built valuations must equal."""
-    return Valuation(tuple(map(merge, spec.attributes, a.per_attribute, b.per_attribute)))
+    return Valuation(map(merge, spec.attributes, a, b))
 
 
 def sum_attribute(attr_id, name, numeric, polarity=SumPolarity.LOWER_IS_BETTER):
@@ -114,7 +114,7 @@ def with_near_ties(spec, pool):
     def shifted(val, delta):
         return Valuation(tuple(
             AggValue.of_scalar(x.scalar + delta) if attr.agg_kind is AggKind.SUM else x
-            for attr, x in zip(spec.attributes, val.per_attribute)
+            for attr, x in zip(spec.attributes, val)
         ))
 
     return pool + [shifted(pool[0], f * SCALAR_TOLERANCE) for f in (0.6, 1.2)]

@@ -354,16 +354,13 @@ def test_agg_value_is_an_immutable_hashable_pair():
 
 def test_valuation_is_an_immutable_hashable_tuple():
     """A Valuation is the tuple of its AggValues: indexed, sized, compared and
-    hashed as one, with ``per_attribute`` itself, and nothing assignable."""
+    hashed as one, with nothing assignable."""
     values = (AggValue.of_frontier((1,)), AggValue.of_scalar(2.0))
     valuation = Valuation(values)
     assert valuation[0] == values[0] and valuation[-1] == values[1] and len(valuation) == 2
-    assert valuation.per_attribute is valuation
     assert valuation == Valuation(list(values)) == values
     assert hash(valuation) == hash(Valuation(iter(values))) == hash(values)
     assert len({valuation, Valuation(values), Valuation(values[:1])}) == 2
-    with pytest.raises(AttributeError):
-        valuation.per_attribute = values
     with pytest.raises(AttributeError):
         valuation.extra = values
     with pytest.raises(TypeError):

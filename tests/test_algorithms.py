@@ -308,7 +308,7 @@ def _a2_cases(rng):
         edges = [(cost, k) for k in range(cost)] if trial % 2 else []
         spec = PreferenceSpec(spec.attributes, build_order(edges, m))
         pool = [
-            Valuation(v.per_attribute[:cost] + (AggValue.of_scalar(float(j)),))
+            Valuation(v[:cost] + (AggValue.of_scalar(float(j)),))
             for j, v in enumerate(pool)
         ]
         yield spec, with_near_ties(spec, pool) if trial % 4 < 2 else pool, True

@@ -70,7 +70,7 @@ def test_solve_malformed_json_exits_with_input_error(tmp_path, capsys):
 
 
 def test_solve_missing_format_field(tmp_path):
-    doc = json.loads(open(fixture_path("tradeoff_compromise")).read())
+    doc = json.loads(pathlib.Path(fixture_path("tradeoff_compromise")).read_text())
     del doc["format"]
     path = tmp_path / "noformat.json"
     path.write_text(json.dumps(doc))
@@ -80,7 +80,7 @@ def test_solve_missing_format_field(tmp_path):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_solve_with_no_feasible_sets_answers_no_solutions(tmp_path, algorithm):
     # An instance nothing satisfies is well formed; its answer is empty.
-    doc = json.loads(open(fixture_path("tradeoff_compromise")).read())
+    doc = json.loads(pathlib.Path(fixture_path("tradeoff_compromise")).read_text())
     doc["feasible_sets"] = []
     path = tmp_path / "none.json"
     path.write_text(json.dumps(doc))
@@ -313,7 +313,7 @@ def test_every_bundled_fixture_solves(tmp_path):
 
 
 def test_instance_requires_exactly_one_search_space():
-    doc = json.loads(open(fixture_path("tradeoff_compromise")).read())
+    doc = json.loads(pathlib.Path(fixture_path("tradeoff_compromise")).read_text())
     doc["simulate"] = {"repo_size": 5}
     with pytest.raises(InstanceError):
         parse_instance(doc)
@@ -652,7 +652,7 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=5,
 )
-_FIXTURE_DOCS = {name: json.loads(open(fixture_path(name)).read()) for name in NAMES}
+_FIXTURE_DOCS = {name: json.loads(pathlib.Path(fixture_path(name)).read_text()) for name in NAMES}
 
 
 @settings(max_examples=150, deadline=None)

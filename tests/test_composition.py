@@ -16,6 +16,7 @@ from prefcompose import (
     Composition,
     DomainError,
     ExplicitProvider,
+    FeasibilityProvider,
     KindMismatch,
     PreferenceSpec,
     ShapeError,
@@ -26,7 +27,6 @@ from prefcompose import (
     enumerate_feasible,
 )
 from prefcompose.cli import load_instance
-from prefcompose.composition import StateTable
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
 
 from conftest import frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
@@ -290,7 +290,7 @@ def _two_providers_over_one_table(case, rng):
         instance = load_instance("interleave_unsound")
         sequences = [*instance.feasible_sequences, list(reversed(instance.feasible_sequences[-1]))]
         first = ExplicitProvider(instance.spec, instance.components, sequences, budget=5)
-        return first, StateTable(first.states, first.children, first.feasible, first.root_key, budget=3)
+        return first, FeasibilityProvider(first.states, first.children, first.feasible, first.root_key, budget=3)
     config = SimConfig(repo_size=40, feas=0.5, valuation_mode=case)
     tree = generate_tree(random_spec(config, rng), config, rng)
     return tree_provider(tree, budget=5), tree_provider(tree, budget=3)
@@ -300,9 +300,12 @@ def _two_providers_over_one_table(case, rng):
 def test_every_provider_serves_its_state_table(case, rng):
     """The root and every extension are the table's own objects, every state
     is reached, ``is_feasible`` holds exactly on ``all_feasible``'s keys, and
-    providers over one table share objects but count and budget apart."""
+    providers over one table share objects but count and budget apart.  A
+    tree's provider is the plain ``FeasibilityProvider``."""
     first, second = _two_providers_over_one_table(case, rng)
-    walker = StateTable(first.states, first.children, first.feasible, first.root_key)
+    if case != "explicit":
+        assert type(first) is type(second) is FeasibilityProvider
+    walker = FeasibilityProvider(first.states, first.children, first.feasible, first.root_key)
     root = walker.root()
     assert root is first.root() is second.root() is first.states[first.root_key]
     feasible = walker.all_feasible()

@@ -63,7 +63,7 @@ def test_dominates_indifferent_both_ways():
 
 def test_shape_error_on_misaligned_valuation():
     spec, u, _, _ = intransitivity_fixture()
-    short = Valuation(u.per_attribute[:2])
+    short = Valuation(u[:2])
     with pytest.raises(ShapeError):
         dominates(spec, short, u)
 
@@ -202,7 +202,7 @@ def _with_empty_frontiers(spec, pool, rng):
     for val in (pool[0], pool[-1]):
         emptied = int(rng.choice(frontier_attrs))
         extra.append(Valuation(tuple(
-            AggValue.of_frontier(()) if i == emptied else x for i, x in enumerate(val.per_attribute)
+            AggValue.of_frontier(()) if i == emptied else x for i, x in enumerate(val)
         )))
     return pool + extra
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import json
+import pathlib
 from dataclasses import replace
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_oracle_imports_neither_dominance_nor_simulator():
     simulator's runs are checked against, so it imports neither module, not
     even inside a function."""
     imported = set()
-    for node in ast.walk(ast.parse(open(oracle.__file__).read())):
+    for node in ast.walk(ast.parse(pathlib.Path(oracle.__file__).read_text())):
         if isinstance(node, ast.ImportFrom):
             imported.update((node.module or "").split("."))
             imported.update(alias.name for alias in node.names)

@@ -112,8 +112,8 @@ def test_aggregated_nodes_merge_each_distinct_pair_once(intra_kind):
             _, bases = scalar_tree_draws(spec, config.repo_size, copy.deepcopy(rng))
             tree = generate_tree(spec, config, rng)
             for node in range(1, tree.node_count):
-                up = tree.nodes[tree.parent[node]].valuation.per_attribute
-                base = bases[node - 1].per_attribute
+                up = tree.nodes[tree.parent[node]].valuation
+                base = bases[node - 1]
                 expected = tuple(map(merge, spec.attributes, up, base))
                 assert tree.nodes[node].valuation == Valuation(expected)
             for attr in spec.attributes:
