@@ -41,8 +41,10 @@ def _sorted_solutions(comps: Iterable[Composition]) -> list[Composition]:
     return sorted(comps, key=lambda c: (c.members, str(c.provider_node)))
 
 
-def _filter_dominance(spec: PreferenceSpec, comps: Sequence[Composition]) -> list[Composition]:
-    kept = PackedPool(spec, [c.valuation for c in comps]).undominated()
+def _filter_dominance(
+    spec: PreferenceSpec, comps: Sequence[Composition], pool: Optional[PackedPool] = None
+) -> list[Composition]:
+    kept = (pool or PackedPool(spec, [c.valuation for c in comps])).undominated()  # a given pool packs comps in order
     return [comps[i] for i in kept]
 
 
@@ -135,14 +137,20 @@ def interleave_compose(
     needed when aggregation kinds allow an extension to improve (sums,
     min/max), and pointless under worst-frontier aggregation where an
     extension never dominates what it extends.
+
+    The provider's whole state table is packed once; each round filters the
+    working list's rows of that pool.
     """
     cost = _Cost(provider)
+    states, row_of = provider.table()
+    table = PackedPool(spec, [c.valuation for c in states])
     root = provider.root()
     working = {root.key(): root}  # the working list, keyed by state
     extended: set = set()
 
     while working:
-        best = {c.key(): c for c in _filter_dominance(spec, list(working.values()))}
+        kept = _filter_dominance(spec, list(working.values()), table.take([row_of[key] for key in working]))
+        best = {c.key(): c for c in kept}
         replacement: dict = {}
         for comp in best.values():
             if provider.is_feasible(comp):

@@ -227,6 +227,11 @@ class FeasibilityProvider:
             raise BudgetExceeded(f"extension budget of {self.budget} calls exhausted")
         return [self.states[child] for child in self.children[comp.key()]]
 
+    def table(self) -> tuple[Sequence[Composition], dict[Hashable, int]]:
+        """Every state in table order, and each state's row by key."""
+        states = list(self.states.values()) if isinstance(self.states, dict) else self.states
+        return states, {state.key(): row for row, state in enumerate(states)}
+
     def all_feasible(self) -> list[Composition]:
         """Native feasible set; equals what recursive extension reaches."""
         return [self.states[key] for key in self.feasible]

@@ -5,21 +5,22 @@ every attribute that is at least as important (strictly more important or
 incomparable, including the witness itself) stays at least as preferred.
 
 A :class:`PackedPool` encodes a list of valuations once and evaluates that
-rule for many pairs at a time with boolean matrices: per attribute a
-"strictly preferred" and an "at least as preferred" relation between rows and
-columns of the pool, combined across attributes by the importance order.
-Pairwise queries (:func:`dominates`, :func:`witnesses`) read the same
-relations on a two-row pool, so there is one implementation of the rule.
-
-Every pool of one spec shares that spec's packing state
-(``PreferenceSpec.packing``, filled here only): the witness scopes, and per
-frontier attribute each distinct frontier packed so far, as a class with a
-membership row and an unbeaten row.  A new frontier is packed the first time
-a pool holds it; a pool then takes its entries' class rows.  So a1, a2,
-``best_on``, every a4 round and the two-row pair queries of one ``solve`` or
-one ``simulate`` instance pack each frontier once.  Sum attributes are packed
-per pool: equality within a tolerance is not an equivalence, so sums cannot
-be classed.
+rule for many pairs at a time, every attribute at once.  The pools of one
+spec share its packing state (``PreferenceSpec.packing``, filled here only):
+each distinct frontier, packed the first time a pool holds it, is a class of
+its attribute with a membership row and an unbeaten row (the values it
+leaves unbeaten) in one ``(2, m, K, span + 1)`` stack, over the widest
+domain plus a placeholder column for the empty frontier.  A pool holds an
+``(m, c)`` array of its entries' class ids and gathers their rows with one
+``take``.  Per block of rows, one batched product of unbeaten rows with
+membership rows gives every attribute's strict relation, one class-id
+comparison every tie, and one product with the spec's ``(m, m)`` "not more
+important" matrix counts, for every witness at once, the attributes of its
+scope that are lost.  Sums compare within ``SCALAR_TOLERANCE`` per pool,
+written into their rows of the strict and tie stacks: equality within a
+tolerance is not an equivalence, so sums cannot be classed.
+:func:`dominates`, :func:`witnesses` and :func:`best_on` read the same
+relations, so there is one implementation of the rule.
 """
 
 from __future__ import annotations
@@ -28,84 +29,74 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import SCALAR_TOLERANCE, AggValue, Valuation, check_range
+from .aggregation import SCALAR_TOLERANCE, Valuation, check_range
 from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
 
-# Pairs evaluated per row block of a dominance matrix; bounds the size of the
-# per-attribute temporaries whatever the pool size.
-BLOCK_PAIRS = 1 << 14
+# (attribute, pair) cells per row block of a pool's relations; bounds the
+# temporaries (float32 products at most 128 KiB) whatever the pool size.
+BLOCK_CELLS = 1 << 15
 
 
 class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
 
 
-def _rows(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Sequence[Valuation]:
-    """The valuations, each checked against the spec."""
-    for row in valuations:
-        if len(row) != spec.attr_count:
-            raise ShapeError(f"valuation has {len(row)} attributes, spec has {spec.attr_count}")
-    return valuations
-
-
 class _FrontierClasses:
-    """One frontier attribute's packing state under a spec.
+    """Frontier attribute i's classes under a spec: the id of each distinct
+    frontier packed so far, whose rows sit at ``stack[:, i, id]``.  An empty
+    frontier holds the placeholder value (the last column), which nothing
+    beats, so it is never strictly beaten."""
 
-    Each distinct frontier packed under the spec is a class, packed once: its
-    membership row and the row of domain values it leaves unbeaten.  An empty
-    frontier holds a placeholder value (the last column) that nothing beats,
-    so it is never strictly beaten.  Products count in float64, which is
-    exact for any domain size (no wrap-around as with narrow integer types).
-    The rows grow by doubling, so K classes hold at most 2K rows of each
-    kind.
-    """
-
-    def __init__(self, attr: AttributeSchema):
-        self.attr = attr
-        n = attr.intra_order.universe_size + 1
-        self.beats = np.zeros((n, n), dtype=np.float64)
-        self.beats[:-1, :-1] = attr.intra_order.matrix
+    def __init__(self, packing: _SpecPacking, i: int, attr: AttributeSchema):
+        self.packing, self.i, self.attr = packing, i, attr
+        n, d = packing.stack.shape[-1], attr.intra_order.universe_size
+        self.beats = np.zeros((n, n), dtype=np.float32)
+        self.beats[:d, :d] = attr.intra_order.matrix
         self.ids: dict[frozenset, int] = {}
-        self.members = np.zeros((0, n), dtype=np.float64)
-        self.unbeaten = np.zeros((0, n), dtype=np.float64)
 
-    def lookup(self, frontiers: list[frozenset]) -> np.ndarray:
+    def lookup(self, frontiers: list[frozenset]) -> list[int]:
         """Class ids of the frontiers, packing those not seen before."""
         found = list(map(self.ids.get, frontiers))
         if None in found:
             self._pack([f for f in dict.fromkeys(frontiers) if f not in self.ids])
             found = list(map(self.ids.get, frontiers))
-        return np.array(found, dtype=np.intp)
+        return found
 
     def _pack(self, frontiers: list[frozenset]) -> None:
         """Add one class per frontier (none of them seen before); an id
         outside the domain raises ``DomainError``."""
         check_range(self.attr, frozenset().union(*frontiers))
-        n = self.beats.shape[1]
         start = len(self.ids)
         end = start + len(frontiers)
-        if end > len(self.members):
-            spare = np.zeros((max(end, 2 * len(self.members)) - len(self.members), n), dtype=np.float64)
-            self.members = np.vstack((self.members, spare))
-            self.unbeaten = np.vstack((self.unbeaten, spare))
-        np.put(self.members, [(start + row) * n + x for row, f in enumerate(frontiers) for x in f or (n - 1,)], 1.0)
-        self.unbeaten[start:end] = self.members[start:end] @ self.beats == 0
+        members, unbeaten = self.packing.reserve(end)[:, self.i]
+        n = members.shape[1]
+        np.put(members, [(start + row) * n + x for row, f in enumerate(frontiers) for x in f or (n - 1,)], 1.0)
+        unbeaten[start:end] = members[start:end] @ self.beats == 0
         self.ids.update(zip(frontiers, range(start, end)))
 
 
 class _SpecPacking:
-    """What every pool of one spec shares: per attribute its frontier classes
-    (None for a sum), and per witness attribute its scope."""
+    """What every pool of one spec shares: the class rows, per attribute its
+    frontier classes (None for a sum) and its sign (-1.0 for a sum where
+    higher is better), and the witness scopes.  The stack doubles as it
+    grows, so K classes hold at most 2K rows of each kind.  Products count in
+    float32: exact below 2**24, and a domain that large could not hold its
+    order matrix."""
 
     def __init__(self, spec: PreferenceSpec):
-        self.classes = [
-            None if attr.agg_kind is AggKind.SUM else _FrontierClasses(attr)
-            for attr in spec.attributes
-        ]
-        # scope[i]: the attributes a witness i must not lose on (not imp[i, k]).
-        self.scope = [
-            [k for k, more in enumerate(row) if not more] for row in spec.importance.matrix.tolist()
-        ]
+        attrs = spec.attributes
+        span = max((a.intra_order.universe_size for a in attrs if a.agg_kind is not AggKind.SUM), default=0)
+        self.stack = np.zeros((2, len(attrs), 1, span + 1), dtype=np.float32)  # membership, unbeaten
+        self.classes = [None if a.agg_kind is AggKind.SUM else _FrontierClasses(self, i, a) for i, a in enumerate(attrs)]
+        self.signs = [-1.0 if a.sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0 for a in attrs]
+        # scope[i, k]: a witness i must not lose on k (i is not more important than k)
+        self.scope = (~spec.importance.matrix).astype(np.float32)
+
+    def reserve(self, classes: int) -> np.ndarray:
+        """The stack, grown to hold ``classes`` classes of every attribute."""
+        while classes > self.stack.shape[2]:
+            self.stack = np.concatenate((self.stack, np.zeros_like(self.stack)), axis=2)
+        return self.stack
 
 
 def _packing(spec: PreferenceSpec) -> _SpecPacking:
@@ -115,84 +106,85 @@ def _packing(spec: PreferenceSpec) -> _SpecPacking:
     return spec.packing
 
 
-class _FrontierColumn:
-    """One frontier attribute of a pool: the rows of its entries' classes.
-
-    a strictly beats b when no value of F[b] is left unbeaten by F[a], and
-    F[b] is nonempty.
-    """
-
-    def __init__(self, classes: _FrontierClasses, values: list[frozenset]):
-        self.ids = classes.lookup(values)
-        self.members = classes.members.take(self.ids, axis=0)
-        self.unbeaten = classes.unbeaten.take(self.ids, axis=0)
-
-    def strict(self, rows: slice, cols: slice) -> np.ndarray:
-        return self.unbeaten[rows] @ self.members[cols].T == 0
-
-    def equal(self, rows: slice, cols: slice) -> np.ndarray:
-        return self.ids[rows, None] == self.ids[None, cols]
-
-
-class _ScalarColumn:
-    """One sum attribute of a pool, compared within ``SCALAR_TOLERANCE``."""
-
-    def __init__(self, polarity: SumPolarity, values: list[float]):
-        self.sign = 1.0 if polarity is SumPolarity.LOWER_IS_BETTER else -1.0
-        self.values = np.array(values, dtype=np.float64)
-
-    def strict(self, rows: slice, cols: slice) -> np.ndarray:
-        a = self.sign * self.values[rows, None]
-        b = self.sign * self.values[None, cols]
-        return a < b - SCALAR_TOLERANCE
-
-    def equal(self, rows: slice, cols: slice) -> np.ndarray:
-        with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
-            d = self.values[rows, None] - self.values[None, cols]
-        return (d >= -SCALAR_TOLERANCE) & (d <= SCALAR_TOLERANCE)
+def _pack(
+    spec: PreferenceSpec, valuations: Sequence[Valuation], attrs: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """Attributes ``attrs`` of the valuations, packed: per attribute and
+    entry its class id (0 on a sum), the class rows gathered in one ``take``
+    (membership, unbeaten), the sums' signed values, and the positions in
+    ``attrs`` of the sums."""
+    for row in valuations:
+        if len(row) != spec.attr_count:
+            raise ShapeError(f"valuation has {len(row)} attributes, spec has {spec.attr_count}")
+    packing = _packing(spec)
+    ids = np.zeros((len(attrs), len(valuations)), dtype=np.int32)  # narrow ids compare faster
+    sums, signed = [], []
+    for j, i in enumerate(attrs):
+        if packing.classes[i] is None:
+            sums.append(j)
+            signed.append([packing.signs[i] * row[i].scalar for row in valuations])
+        else:
+            ids[j] = packing.classes[i].lookup([row[i].frontier for row in valuations])
+    two, m, held, n = packing.stack.shape
+    flat = ids + held * np.array(attrs, dtype=np.intp)[:, None]  # rows of the stack with attributes flattened
+    stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
+    return ids, stack, np.array(signed, dtype=np.float64).reshape(len(sums), len(valuations)), sums
 
 
-def _column(spec: PreferenceSpec, i: int, values: list[AggValue]) -> _FrontierColumn | _ScalarColumn:
-    """Attribute i of a pool, packed from the pool's values on it."""
-    classes = _packing(spec).classes[i]
-    if classes is None:
-        return _ScalarColumn(spec.attributes[i].sum_polarity, [x.scalar for x in values])
-    return _FrontierColumn(classes, [x.frontier for x in values])
+def _strict(stack: np.ndarray, signed: np.ndarray, sums: list[int], rows: slice, cols: slice) -> np.ndarray:
+    """(attributes, rows, cols) of packed entries: [j, a, b] when a is
+    strictly preferred to b on attribute j.  A frontier a strictly beats b
+    when no value of b is left unbeaten by a, and b is nonempty; a sum when
+    it is better by more than the tolerance."""
+    members, unbeaten = stack
+    strict = np.matmul(unbeaten[:, rows], members[:, cols].transpose(0, 2, 1)) == 0
+    if sums:
+        strict[sums] = signed[:, rows, None] < signed[:, None, cols] - SCALAR_TOLERANCE
+    return strict
 
 
-def _row_blocks(c: int) -> Iterator[slice]:
-    """Row slices of a c-row pool, each holding at most ``BLOCK_PAIRS`` pairs."""
-    step = max(1, BLOCK_PAIRS // max(c, 1))
+def _row_blocks(m: int, c: int) -> Iterator[slice]:
+    """Row slices of a c-entry pool, each holding at most ``BLOCK_CELLS``
+    cells of m attributes' relations."""
+    step = max(1, BLOCK_CELLS // max(m * c, 1))
     return (slice(start, start + step) for start in range(0, c, step))
 
 
 class PackedPool:
-    """A list of valuations encoded once for dominance tests among them."""
+    """A list of valuations encoded once for dominance tests among them,
+    every attribute packed by ``_pack``."""
 
     def __init__(self, spec: PreferenceSpec, valuations: Sequence[Valuation]):
         self.valuations = list(valuations)
-        rows = _rows(spec, self.valuations)
-        self.columns = [_column(spec, i, [row[i] for row in rows]) for i in range(spec.attr_count)]
         self.scope = _packing(spec).scope
+        self.ids, self.stack, self.signed, self.sums = _pack(spec, self.valuations, range(spec.attr_count))
 
-    def _witness_blocks(self, rows: slice, cols: slice) -> Iterator[tuple[int, np.ndarray]]:
-        """Per attribute i, the pairs (rows x cols) that i witnesses."""
-        strict = [column.strict(rows, cols) for column in self.columns]
-        geq: dict[int, np.ndarray] = {}
-        for i, witnessed in enumerate(strict):
-            if witnessed.any():
-                for k in self.scope[i]:
-                    if k not in geq:
-                        geq[k] = strict[k] | self.columns[k].equal(rows, cols)
-                    witnessed = witnessed & geq[k]
-            yield i, witnessed
+    def take(self, rows: Sequence[int]) -> PackedPool:
+        """The pool of the entries ``rows``, in that order, read from this one."""
+        pool = object.__new__(PackedPool)
+        pool.valuations = [self.valuations[j] for j in rows]
+        pool.scope, pool.sums = self.scope, self.sums
+        pool.ids, pool.signed = self.ids.take(rows, axis=1), self.signed.take(rows, axis=1)
+        pool.stack = self.stack.take(rows, axis=2)
+        return pool
+
+    def _witnessed(self, rows: slice, cols: slice) -> np.ndarray:
+        """(m, rows, cols): [i, a, b] when attribute i witnesses pool[a]
+        dominating pool[b]."""
+        strict = _strict(self.stack, self.signed, self.sums, rows, cols)
+        tied = self.ids[:, rows, None] == self.ids[:, None, cols]
+        if self.sums:
+            with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
+                tied[self.sums] = abs(self.signed[:, rows, None] - self.signed[:, None, cols]) <= SCALAR_TOLERANCE
+        lost = (~(strict | tied)).astype(np.float32)  # a float operand keeps the product on BLAS
+        # one row of rows x cols cells per attribute (lost[:1].size also holds when m is 0)
+        kept = np.matmul(self.scope, lost.reshape(len(lost), lost[:1].size)).reshape(lost.shape) == 0
+        return strict & kept
 
     def witness(self, a: int, b: int) -> int:
         """Lowest-id witness of pool[a] dominating pool[b], or -1."""
-        for i, witnessed in self._witness_blocks(slice(a, a + 1), slice(b, b + 1)):
-            if witnessed[0, 0]:
-                return i
-        return -1
+        found = np.flatnonzero(self._witnessed(slice(a, a + 1), slice(b, b + 1)))
+        return int(found[0]) if found.size else -1
 
     def dominance_matrix(self) -> np.ndarray:
         """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
@@ -202,9 +194,8 @@ class PackedPool:
         """
         c = len(self.valuations)
         out = np.zeros((c, c), dtype=np.bool_)
-        for rows in _row_blocks(c):
-            for _, witnessed in self._witness_blocks(rows, slice(None)):
-                out[rows] |= witnessed
+        for rows in _row_blocks(len(self.ids), c):
+            out[rows] = self._witnessed(rows, slice(None)).any(axis=0)
         return out
 
     def undominated(self) -> list[int]:
@@ -215,11 +206,10 @@ class PackedPool:
 def best_on(spec: PreferenceSpec, valuations: Sequence[Valuation], attr_id: int) -> list[int]:
     """Indices, in order, of the valuations no valuation strictly beats on
     one attribute; only that attribute is packed."""
-    column = _column(spec, attr_id, [row[attr_id] for row in _rows(spec, valuations)])
-    c = len(valuations)
-    beaten = np.zeros(c, dtype=np.bool_)
-    for rows in _row_blocks(c):
-        beaten |= column.strict(rows, slice(None)).any(axis=0)
+    _, stack, signed, sums = _pack(spec, valuations, [attr_id])
+    beaten = np.zeros(len(valuations), dtype=np.bool_)
+    for rows in _row_blocks(1, len(valuations)):
+        beaten |= _strict(stack, signed, sums, rows, slice(None))[0].any(axis=0)
     return np.flatnonzero(~beaten).tolist()
 
 
@@ -231,13 +221,10 @@ def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]
 
 def witnesses(spec: PreferenceSpec, u: Valuation, v: Valuation) -> list[int]:
     """All attributes that certify u dominating v (empty when none)."""
-    blocks = PackedPool(spec, (u, v))._witness_blocks(slice(0, 1), slice(1, 2))
-    return [i for i, witnessed in blocks if witnessed[0, 0]]
+    return np.flatnonzero(PackedPool(spec, (u, v))._witnessed(slice(0, 1), slice(1, 2))).tolist()
 
 
-def nondominated(
-    spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]
-) -> set:
+def nondominated(spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]) -> set:
     """Ids of the non-dominated valuations (duplicates are all retained).
 
     Exact for every importance order: an entry is kept when no entry of the

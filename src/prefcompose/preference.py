@@ -44,8 +44,8 @@ class PreferenceSpec:
 
     attributes: tuple[AttributeSchema, ...]
     importance: StrictOrder
-    # What the dominance pools of this spec share (each distinct frontier's
-    # class rows, the witness scopes); only dominance reads or fills it.
+    # What the dominance pools of this spec share (one stack of every frontier
+    # class's rows, the witness scopes); only dominance reads or fills it.
     packing: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @property

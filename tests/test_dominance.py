@@ -4,28 +4,43 @@ from __future__ import annotations
 
 import json
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefcompose import (
     AggKind,
     AggValue,
+    AttributeSchema,
+    PreferenceSpec,
     ShapeError,
+    SumPolarity,
     Valuation,
+    aggregate,
+    algorithms,
     build_order,
+    dominance,
     dominates,
     nondominated,
     witnesses,
 )
-from prefcompose.aggregation import DomainError, at_least_as_preferred, merge, strictly_preferred
+from prefcompose.aggregation import (
+    SCALAR_TOLERANCE,
+    DomainError,
+    at_least_as_preferred,
+    merge,
+    strictly_preferred,
+)
 from prefcompose.algorithms import interleave_compose
 from prefcompose.cli import main
 from prefcompose.dominance import PackedPool, _FrontierClasses, best_on
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
-from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation
+from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation, sum_attribute
 
 
 def test_witness_chain_of_bundled_counterexample():
@@ -267,6 +282,108 @@ def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
     assert built and len(built) == len(set(built))
 
 
+_FRONTIER_KINDS = (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
+
+
+@st.composite
+def _order_edges(draw, n, total=False):
+    """Edges of a strict order over 0..n-1: a random relabelling of a chain
+    (total) or of some of the pairs i < j."""
+    labels = draw(st.permutations(range(n)))
+    if total:
+        return [(labels[i], labels[i + 1]) for i in range(n - 1)]
+    return [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if draw(st.booleans())]
+
+
+@st.composite
+def _spec_and_pool(draw):
+    """A spec over every aggregation kind and sum polarity, and a pool of 0 to
+    8 entries with empty frontiers, sums that tie within the tolerance, and
+    duplicate rows."""
+    attrs = []
+    for i in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 4))
+        kind = draw(st.sampled_from((*_FRONTIER_KINDS, *SumPolarity)))
+        if isinstance(kind, SumPolarity):
+            attrs.append(sum_attribute(i, f"s{i}", draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), kind))
+        else:
+            order = build_order(draw(_order_edges(n, total=kind in (AggKind.MIN, AggKind.MAX))), n)
+            attrs.append(AttributeSchema(i, f"x{i}", tuple(map(str, range(n))), order, kind))
+    spec = PreferenceSpec(tuple(attrs), build_order(draw(_order_edges(len(attrs))), len(attrs)))
+    pool = []
+    for _ in range(draw(st.integers(0, 6))):
+        row = []
+        for attr in attrs:
+            picks = draw(st.lists(st.integers(0, len(attr.domain) - 1), min_size=1, max_size=3))
+            value = aggregate(attr, picks)
+            if attr.agg_kind is AggKind.SUM:
+                value = AggValue.of_scalar(value.scalar + draw(st.sampled_from((0.0, 0.6, 1.2))) * SCALAR_TOLERANCE)
+            elif draw(st.integers(0, 4)) == 0:
+                value = AggValue.of_frontier(())
+            row.append(value)
+        pool.append(Valuation(row))
+    if pool:
+        pool += [pool[j] for j in draw(st.lists(st.integers(0, len(pool) - 1), max_size=2))]
+    return spec, pool
+
+
+@settings(max_examples=150, deadline=None)
+@given(_spec_and_pool(), st.integers(1, 64), st.data())
+def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
+    """The stacked matrix, each pool witness, ``witnesses`` and ``best_on``
+    equal the pairwise reading of the definition, whether the pool fits one
+    row block or spans many; ``take`` equals a fresh pool over its rows."""
+    spec, pool = case
+    with mock.patch.object(dominance, "BLOCK_CELLS", block_cells):
+        packed = PackedPool(spec, pool)
+        assert packed.dominance_matrix().tolist() == [[plain_dominates(spec, u, v) for v in pool] for u in pool]
+        for a, u in enumerate(pool):
+            for b, v in enumerate(pool):
+                every = _witness_attributes(spec, u, v)
+                assert witnesses(spec, u, v) == every
+                assert packed.witness(a, b) == (every[0] if every else -1)
+        for i, attr in enumerate(spec.attributes):
+            beaten = [any(strictly_preferred(attr, u[i], v[i]) for u in pool) for v in pool]
+            assert best_on(spec, pool, i) == [j for j, out in enumerate(beaten) if not out]
+        rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8)) if pool else []
+        taken, fresh = packed.take(rows), PackedPool(spec, [pool[j] for j in rows])
+        assert taken.valuations == fresh.valuations
+        for name in ("ids", "stack", "signed"):
+            assert np.array_equal(getattr(taken, name), getattr(fresh, name))
+        assert taken.dominance_matrix().tolist() == fresh.dominance_matrix().tolist()
+
+
+def test_a4_packs_its_state_table_once(monkeypatch):
+    """On a tree shaped like the benchmark's (r=200, m=8, partial value
+    orders, interval importance, aggregated), a4 packs each frontier
+    attribute's classes in at most one call, before its first round."""
+    packs = []  # the attribute of every _pack call
+    rounds = []  # the number of packs made before each round's filter
+    pack, filter_dominance = _FrontierClasses._pack, algorithms._filter_dominance
+
+    def counted_pack(self, frontiers):
+        packs.append(self.i)
+        return pack(self, frontiers)
+
+    def counted_filter(*args):
+        rounds.append(len(packs))
+        return filter_dominance(*args)
+
+    monkeypatch.setattr(_FrontierClasses, "_pack", counted_pack)
+    monkeypatch.setattr(algorithms, "_filter_dominance", counted_filter)
+    config = SimConfig(repo_size=200, attr_count=8, domain_size=6, intra_kind="po", importance_kind="io",
+                       valuation_mode="aggregated")
+    for seed in range(3):
+        packs.clear()
+        rounds.clear()
+        rng = np.random.default_rng(seed)
+        spec = random_spec(config, rng)
+        interleave_compose(spec, tree_provider(generate_tree(spec, config, rng)))
+        assert len(rounds) > 1
+        assert sorted(packs) == sorted(set(packs)) and len(packs) <= spec.attr_count
+        assert set(rounds) == {len(packs)}
+
+
 def test_replaced_spec_starts_with_fresh_state(rng):
     spec, pool = mixed_spec_and_pool(rng, "to", pool_size=8)
     PackedPool(spec, pool).dominance_matrix()
@@ -274,7 +391,8 @@ def test_replaced_spec_starts_with_fresh_state(rng):
     assert flat.packing is None
     matrix = PackedPool(flat, pool).dominance_matrix()
     assert flat.packing is not spec.packing
-    assert flat.packing.scope == [list(range(spec.attr_count))] * spec.attr_count
+    # with no importance, every attribute is in every witness's scope
+    assert flat.packing.scope.tolist() == [[1.0] * spec.attr_count] * spec.attr_count
     assert matrix.tolist() == [[plain_dominates(flat, u, v) for v in pool] for u in pool]
 
 
