@@ -2,8 +2,9 @@
 
 Frontier-aggregated attributes carry an antichain of domain values (the worst
 or best frontier of the contributing values); sum-aggregated attributes carry
-a scalar.  Min/max aggregation is the total-order special case of the
-frontiers and also yields (singleton) frontiers.
+a float64 scalar, compared exactly: only equal sums tie, 0.0 with -0.0.
+Min/max aggregation is the total-order special case of the frontiers and
+also yields (singleton) frontiers.
 
 Every rule reads the attribute's value order as its closed matrix.
 :func:`comparison_tables` applies the strict and the tie rule to every
@@ -22,8 +23,6 @@ from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .preference import AggKind, AttributeSchema, SumPolarity
-
-SCALAR_TOLERANCE = 1e-9
 
 # Set cells (sets x attributes x domain span) per block of path_frontiers;
 # bounds its float64 temporaries whatever the number of sets.
@@ -165,7 +164,9 @@ def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     """Aggregate a multiset of domain-value ids into one AggValue.
 
     Frontier kinds work on the distinct values (duplicates cannot change
-    minimality); sums run over the multiset, so duplicates count.
+    minimality); sums fold the multiset from 0.0 in the given order, as a
+    :func:`merge` fold does, so duplicates count and the result does not
+    depend on CPython 3.12's compensated built-in ``sum``.
     """
     values = list(values)
     if not values:
@@ -173,7 +174,10 @@ def aggregate(attr: AttributeSchema, values: Iterable[int]) -> AggValue:
     check_range(attr, values)
     if attr.agg_kind is AggKind.SUM:
         assert attr.numeric_values is not None
-        return AggValue.of_scalar(sum(attr.numeric_values[v] for v in values))
+        total = 0.0
+        for v in values:
+            total += attr.numeric_values[v]
+        return AggValue.of_scalar(total)
     return _extremes(attr, set(values))
 
 
@@ -203,9 +207,9 @@ def comparison_tables(
     ``strict[i, j]`` when ``values[i]`` is strictly preferred to
     ``values[j]``.  Frontiers: every element of j is beaten by some element
     of i (false when j is the empty bottom placeholder).  Scalars: better
-    per the attribute polarity, by more than the tolerance.
+    per the attribute polarity, compared exactly as float64.
     ``at_least[i, j]`` when the pair is strict or tied: the same frontier,
-    or scalars within the tolerance.  Each value's kind is checked once;
+    or equal scalars (0.0 ties -0.0).  Each value's kind is checked once;
     each distinct frontier is one 0/1 membership row, and one product of
     those rows with the order matrix gives every beaten set.
     """
@@ -214,12 +218,8 @@ def comparison_tables(
     if attr.agg_kind is AggKind.SUM:
         x = np.array([value.scalar for value in values], dtype=np.float64)
         a, b = x[:, None], x[None, :]
-        if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-            strict = a < b - SCALAR_TOLERANCE
-        else:
-            strict = a > b + SCALAR_TOLERANCE
-        with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
-            return strict, strict | (abs(a - b) <= SCALAR_TOLERANCE)
+        strict = a < b if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER else a > b
+        return strict, strict | (a == b)
     ids: dict[frozenset, int] = {}
     of = np.array([ids.setdefault(value.frontier, len(ids)) for value in values], dtype=np.intp)
     check_range(attr, frozenset().union(*ids))
@@ -241,8 +241,8 @@ def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     check_kind(attr, b)
     if attr.agg_kind is AggKind.SUM:
         if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-            return a.scalar < b.scalar - SCALAR_TOLERANCE  # type: ignore[operator]
-        return a.scalar > b.scalar + SCALAR_TOLERANCE  # type: ignore[operator]
+            return a.scalar < b.scalar  # type: ignore[operator]
+        return a.scalar > b.scalar  # type: ignore[operator]
     mine, theirs = a.frontier, b.frontier
     check_range(attr, mine | theirs)  # type: ignore[operator]
     beats = attr.intra_order.matrix
@@ -255,5 +255,5 @@ def at_least_as_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bo
     if strictly_preferred(attr, a, b):
         return True
     if attr.agg_kind is AggKind.SUM:
-        return abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE  # type: ignore[operator]
+        return a.scalar == b.scalar
     return a.frontier == b.frontier

@@ -16,9 +16,8 @@ domain plus a placeholder column for the empty frontier.  A pool holds an
 membership rows gives every attribute's strict relation, one class-id
 comparison every tie, and one product with the spec's ``(m, m)`` "not more
 important" matrix counts, for every witness at once, the attributes of its
-scope that are lost.  Sums compare within ``SCALAR_TOLERANCE`` per pool,
-written into their rows of the strict and tie stacks: equality within a
-tolerance is not an equivalence, so sums cannot be classed.
+scope that are lost.  Sums compare exactly as float64, per pool, written
+into their rows of the strict and tie relations.
 :func:`dominates`, :func:`witnesses` and :func:`best_on` read the same
 relations, so there is one implementation of the rule.
 """
@@ -29,7 +28,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import SCALAR_TOLERANCE, Valuation, check_range
+from .aggregation import Valuation, check_range
 from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
 
 # (attribute, pair) cells per row block of a pool's relations; bounds the
@@ -135,11 +134,11 @@ def _strict(stack: np.ndarray, signed: np.ndarray, sums: list[int], rows: slice,
     """(attributes, rows, cols) of packed entries: [j, a, b] when a is
     strictly preferred to b on attribute j.  A frontier a strictly beats b
     when no value of b is left unbeaten by a, and b is nonempty; a sum when
-    it is better by more than the tolerance."""
+    its signed value is lower, compared exactly."""
     members, unbeaten = stack
     strict = np.matmul(unbeaten[:, rows], members[:, cols].transpose(0, 2, 1)) == 0
     if sums:
-        strict[sums] = signed[:, rows, None] < signed[:, None, cols] - SCALAR_TOLERANCE
+        strict[sums] = signed[:, rows, None] < signed[:, None, cols]
     return strict
 
 
@@ -174,8 +173,7 @@ class PackedPool:
         strict = _strict(self.stack, self.signed, self.sums, rows, cols)
         tied = self.ids[:, rows, None] == self.ids[:, None, cols]
         if self.sums:
-            with np.errstate(over="ignore"):  # finite sums far apart differ by inf, which is no tie
-                tied[self.sums] = abs(self.signed[:, rows, None] - self.signed[:, None, cols]) <= SCALAR_TOLERANCE
+            tied[self.sums] = self.signed[:, rows, None] == self.signed[:, None, cols]
         lost = (~(strict | tied)).astype(np.float32)  # a float operand keeps the product on BLAS
         # one row of rows x cols cells per attribute (lost[:1].size also holds when m is 0)
         kept = np.matmul(self.scope, lost.reshape(len(lost), lost[:1].size)).reshape(lost.shape) == 0

@@ -6,6 +6,8 @@ kept independent of the package's frontier maintenance and dominance matrix.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from prefcompose import (
     build_order,
     merge,
 )
-from prefcompose.aggregation import SCALAR_TOLERANCE
 from prefcompose.simulator import SimConfig, random_spec
 
 
@@ -107,17 +108,24 @@ def mixed_spec_and_pool(rng, importance_kind, domain_size=None, pool_size=None, 
     return spec, pool
 
 
+def ulps_above(x, k):
+    """The float k steps above ``x`` (below it when k is negative)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else -math.inf)
+    return x
+
+
 def with_near_ties(spec, pool):
-    """The pool plus two copies of its first entry whose sums are shifted by
-    0.6 and 1.2 times ``SCALAR_TOLERANCE``: each copy ties with its neighbour
-    within the tolerance, while the first and last do not tie."""
-    def shifted(val, delta):
+    """The pool plus two copies of its first entry whose sums are 1 and 2
+    ulps above it: the nearest sums that do not tie, as sums compare
+    exactly."""
+    def shifted(val, k):
         return Valuation(tuple(
-            AggValue.of_scalar(x.scalar + delta) if attr.agg_kind is AggKind.SUM else x
+            AggValue.of_scalar(ulps_above(x.scalar, k)) if attr.agg_kind is AggKind.SUM else x
             for attr, x in zip(spec.attributes, val)
         ))
 
-    return pool + [shifted(pool[0], f * SCALAR_TOLERANCE) for f in (0.6, 1.2)]
+    return pool + [shifted(pool[0], k) for k in (1, 2)]
 
 
 def scalar_tree_draws(spec, r, rng):

@@ -14,18 +14,23 @@ from prefcompose import (
     AttributeSchema,
     DomainError,
     KindMismatch,
+    PreferenceSpec,
     SumPolarity,
     Valuation,
     aggregate,
     at_least_as_preferred,
     build_order,
+    dominates,
     merge,
     strictly_preferred,
 )
-from prefcompose.aggregation import SCALAR_TOLERANCE, comparison_tables
+from prefcompose.aggregation import comparison_tables
 from prefcompose.cli import load_instance
+from prefcompose.dominance import PackedPool, best_on
+from prefcompose.oracle import brute_nondominated
+from prefcompose.order import negative_transitivity_violation
 
-from conftest import sum_attribute
+from conftest import sum_attribute, ulps_above
 
 
 @pytest.fixture(scope="module")
@@ -144,12 +149,49 @@ def test_scalar_comparison_follows_polarity():
     assert strictly_preferred(higher, AggValue.of_scalar(18), AggValue.of_scalar(16))
 
 
-def test_scalar_ties_within_tolerance_are_equal():
-    cost = sum_attribute(0, "cost", (1.0,))
-    a = AggValue.of_scalar(1.0)
-    b = AggValue.of_scalar(1.0 + 1e-12)
-    assert not strictly_preferred(cost, a, b)
-    assert at_least_as_preferred(cost, a, b) and at_least_as_preferred(cost, b, a)
+def test_sums_compare_exactly_at_any_magnitude():
+    """A sum and the next float above it are strictly ordered by every
+    reading of the rule, at every magnitude and polarity: the pairwise
+    comparisons, the tables, the packed pool and the oracle.  Only equal
+    floats tie, and 0.0 ties -0.0.  Each list's ranks give the expected
+    order (equal ranks tie, lower is better), and on one sum attribute
+    dominance is the strict relation, so it is a weak order: the chain
+    0 < 0.6e-9 < 1.2e-9 included."""
+    cases = [([x, ulps_above(x, 1), x], [0, 1, 0]) for x in (1e-12, 1.0, 4e6, 1e16)]
+    cases += [([0.0, -0.0, ulps_above(0.0, 1)], [0, 0, 1]), ([0.0, 0.6e-9, 1.2e-9], [0, 1, 2])]
+    for polarity in SumPolarity:
+        spec = PreferenceSpec((sum_attribute(0, "cost", (0.0,), polarity),), build_order([], 1))
+        cost = spec.attributes[0]
+        sign = 1 if polarity is SumPolarity.LOWER_IS_BETTER else -1
+        for sums, ranks in cases:
+            ranks = [sign * r for r in ranks]
+            values = [AggValue.of_scalar(x) for x in sums]
+            pool = [Valuation((v,)) for v in values]
+            strict = [[ra < rb for rb in ranks] for ra in ranks]
+            at_least = [[ra <= rb for rb in ranks] for ra in ranks]
+            kept = [j for j, rb in enumerate(ranks) if not any(ra < rb for ra in ranks)]
+            assert [[strictly_preferred(cost, a, b) for b in values] for a in values] == strict, sums
+            assert [[at_least_as_preferred(cost, a, b) for b in values] for a in values] == at_least, sums
+            assert [t.tolist() for t in comparison_tables(cost, values)] == [strict, at_least], sums
+            matrix = PackedPool(spec, pool).dominance_matrix()
+            assert matrix.tolist() == strict, sums
+            assert negative_transitivity_violation(matrix) is None, sums
+            assert [[dominates(spec, u, v) == 0 for v in pool] for u in pool] == strict, sums
+            assert best_on(spec, pool, 0) == kept, sums
+            assert brute_nondominated(spec, list(enumerate(pool))) == set(kept), sums
+
+
+def test_aggregate_sums_in_order_as_the_merge_fold():
+    """``aggregate`` folds a sum from 0.0 in the given order, bit for bit
+    as the ``merge`` fold does, whatever the interpreter's built-in ``sum``
+    would give (compensated from CPython 3.12)."""
+    for numeric in ((1e16, 1.0, 1.0), (-0.0, -0.0), (-0.0, 1e16, -0.0, 1.0, -1e16)):
+        cost = sum_attribute(0, "cost", numeric)
+        ids = list(range(len(numeric)))
+        folded = aggregate(cost, ids[:1])
+        for v in ids[1:]:
+            folded = merge(cost, folded, aggregate(cost, [v]))
+        assert aggregate(cost, ids).scalar.hex() == folded.scalar.hex()
 
 
 def test_empty_frontier_is_never_strictly_beaten():
@@ -392,14 +434,13 @@ def _frontier_values(rng, attr, worst):
 
 
 def _sum_values(rng):
-    """Sums with ties inside the tolerance and just outside it, a pair exactly
-    the tolerance apart, and repeats."""
+    """Sums at -2 to 2 ulps from small integers, repeats, and 0.0 with
+    -0.0."""
     base = [float(x) for x in rng.integers(-3, 4, size=int(rng.integers(1, 5)))]
-    shifts = (0.0, 0.5, 0.999, 1.001, 2.0, -0.999, -1.001)
-    values = [AggValue.of_scalar(b + f * SCALAR_TOLERANCE) for b in base for f in shifts
+    values = [AggValue.of_scalar(ulps_above(b, k)) for b in base for k in range(-2, 3)
               if rng.random() < 0.6]
     values += [AggValue.of_scalar(base[0])] * 2
-    values += [AggValue.of_scalar(0.0), AggValue.of_scalar(SCALAR_TOLERANCE)]
+    values += [AggValue.of_scalar(0.0), AggValue.of_scalar(-0.0)]
     rng.shuffle(values)
     return values
 
@@ -412,15 +453,15 @@ def _reference_tables(attr, values):
     def strict(a, b):
         if attr.agg_kind is AggKind.SUM:
             if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
-                return a.scalar < b.scalar - SCALAR_TOLERANCE
-            return a.scalar > b.scalar + SCALAR_TOLERANCE
+                return a.scalar < b.scalar
+            return a.scalar > b.scalar
         if not b.frontier:
             return False
         return all(any(order.dominates(x, y) for x in a.frontier) for y in b.frontier)
 
     def tied(a, b):
         if attr.agg_kind is AggKind.SUM:
-            return abs(a.scalar - b.scalar) <= SCALAR_TOLERANCE
+            return a.scalar == b.scalar
         return a.frontier == b.frontier
 
     table = [[strict(a, b) for b in values] for a in values]
@@ -434,7 +475,7 @@ def test_comparison_tables_equal_the_pairwise_comparisons(rng, order_kind):
     off the order one pair at a time (``_reference_tables``): every frontier
     kind over every order class at domain sizes 1 to 300, with empty
     frontiers and frontiers that are not antichains, and sums of both
-    polarities, on lists with repeats and near ties."""
+    polarities, on lists with repeats and ulp neighbours."""
     from prefcompose.simulator import random_order
 
     for n, trials in ((1, 8), (2, 8), (6, 24), (70, 2), (300, 1)):

@@ -28,7 +28,6 @@ from prefcompose import (
     witnesses,
 )
 from prefcompose.aggregation import (
-    SCALAR_TOLERANCE,
     DomainError,
     at_least_as_preferred,
     merge,
@@ -40,7 +39,7 @@ from prefcompose.dominance import PackedPool, _FrontierClasses, best_on
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
-from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation, sum_attribute
+from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation, sum_attribute, ulps_above
 
 
 def test_witness_chain_of_bundled_counterexample():
@@ -298,7 +297,7 @@ def _order_edges(draw, n, total=False):
 @st.composite
 def _spec_and_pool(draw):
     """A spec over every aggregation kind and sum polarity, and a pool of 0 to
-    8 entries with empty frontiers, sums that tie within the tolerance, and
+    8 entries with empty frontiers, sums 0, 1 or 2 ulps above a drawn sum, and
     duplicate rows."""
     attrs = []
     for i in range(draw(st.integers(1, 4))):
@@ -317,7 +316,7 @@ def _spec_and_pool(draw):
             picks = draw(st.lists(st.integers(0, len(attr.domain) - 1), min_size=1, max_size=3))
             value = aggregate(attr, picks)
             if attr.agg_kind is AggKind.SUM:
-                value = AggValue.of_scalar(value.scalar + draw(st.sampled_from((0.0, 0.6, 1.2))) * SCALAR_TOLERANCE)
+                value = AggValue.of_scalar(ulps_above(value.scalar, draw(st.integers(0, 2))))
             elif draw(st.integers(0, 4)) == 0:
                 value = AggValue.of_frontier(())
             row.append(value)

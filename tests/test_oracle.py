@@ -91,9 +91,9 @@ def _naive_nondominated(spec, pool):
 
 def test_brute_filter_matches_the_pairwise_definition(rng):
     """Value orders po/to/io/wo x importance io/po/to/wo and "2+2" ({0>2, 1>3},
-    not an interval order); sums of both polarities with ties inside the
-    tolerance, duplicate valuations, the empty-frontier bottom valuation, and
-    pools of every size from 0."""
+    not an interval order); sums of both polarities 1 and 2 ulps apart,
+    duplicate valuations, the empty-frontier bottom valuation, and pools of
+    every size from 0."""
     for intra_kind in ("po", "to", "io", "wo"):
         for importance_kind in ("io", "po", "to", "wo", "2+2"):
             interval = set()
