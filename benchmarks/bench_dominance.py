@@ -3,8 +3,10 @@
 Builds random pools of 8-attribute valuations, times
 ``PackedPool(spec, pool).dominance_matrix()`` over all of them (encoding
 included; median of ``REPEATS`` passes), checks every matrix against the
-all-pairs reading of ``oracle.plain_dominates``, and writes the timing, the
-command and the machine facts to a ``BENCH_dominance.json`` file.
+all-pairs reading of ``oracle.plain_dominates`` and prints the timing.  With
+``--out``, it also writes the timing, the command and the machine facts to
+that file (the committed record is ``BENCH_dominance.json``); without it, the
+run only checks and prints, and writes nothing.
 
 Each pass is timed twice: cold, each pool under a fresh copy of its spec, so
 every frontier is packed anew; then warm, the same pools again under the
@@ -88,7 +90,7 @@ def machine_facts():
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_dominance.json")
+    parser.add_argument("--out", help="write the report to this file (BENCH_dominance.json is the committed one)")
     args = parser.parse_args()
 
     pools = build_pools(POOLS, POOL_SIZE, SEED)
@@ -125,13 +127,14 @@ def main():
         "warm": warm,
         "speedup": BEFORE["seconds"] / after["seconds"],
     }
-    with open(args.out, "w") as handle:
-        json.dump(report, handle, indent=2)
-        handle.write("\n")
     print(f"dominance matrix: {after['pairs']} pairs in {after['seconds']:.3f} s cold, "
           f"{warm['seconds']:.3f} s warm (medians of {REPEATS}); "
           f"before: {BEFORE['pairs']} pairs in {BEFORE['seconds']:.3f} s")
-    print(f"wrote {args.out}")
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump(report, handle, indent=2)
+            handle.write("\n")
+        print(f"wrote {args.out}")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,8 @@
 
 Frontier-aggregated attributes carry an antichain of domain values (the worst
 or best frontier of the contributing values); sum-aggregated attributes carry
-a float64 scalar, compared exactly: only equal sums tie, 0.0 with -0.0.
+a finite float64 scalar, compared exactly: only equal sums tie, 0.0 with
+-0.0.  A NaN or infinite sum raises ``DomainError`` when it is made or read.
 Min/max aggregation is the total-order special case of the frontiers and
 also yields (singleton) frontiers.
 
@@ -18,6 +19,7 @@ equal.
 
 from __future__ import annotations
 
+import math
 from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -53,7 +55,11 @@ class AggValue(NamedTuple):
 
     @staticmethod
     def of_scalar(value: float) -> "AggValue":
-        return AggValue(None, float(value))
+        """A sum; NaN and ±inf raise ``DomainError``."""
+        x = float(value)
+        if not math.isfinite(x):
+            raise DomainError(f"sum {x} is not finite")
+        return AggValue(None, x)
 
     @property
     def is_frontier(self) -> bool:
@@ -83,6 +89,11 @@ def check_kind(attr: AttributeSchema, value: AggValue) -> None:
             f"attribute {attr.name} aggregates as {attr.agg_kind.value}; got "
             f"{'frontier' if value.is_frontier else 'scalar'} value"
         )
+
+
+def not_finite(attr: AttributeSchema, x: float) -> DomainError:
+    """The error for a sum of ``attr`` that is NaN or infinite."""
+    return DomainError(f"attribute {attr.name}: sum {x} is not finite")
 
 
 def check_range(attr: AttributeSchema, ids: Collection[int]) -> None:
@@ -217,6 +228,8 @@ def comparison_tables(
         check_kind(attr, value)
     if attr.agg_kind is AggKind.SUM:
         x = np.array([value.scalar for value in values], dtype=np.float64)
+        if not np.isfinite(x).all():
+            raise not_finite(attr, x[np.argmin(np.isfinite(x))])
         a, b = x[:, None], x[None, :]
         strict = a < b if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER else a > b
         return strict, strict | (a == b)
@@ -240,6 +253,9 @@ def strictly_preferred(attr: AttributeSchema, a: AggValue, b: AggValue) -> bool:
     check_kind(attr, a)
     check_kind(attr, b)
     if attr.agg_kind is AggKind.SUM:
+        for x in (a.scalar, b.scalar):
+            if not math.isfinite(x):  # type: ignore[arg-type]
+                raise not_finite(attr, x)  # type: ignore[arg-type]
         if attr.sum_polarity is SumPolarity.LOWER_IS_BETTER:
             return a.scalar < b.scalar  # type: ignore[operator]
         return a.scalar > b.scalar  # type: ignore[operator]

@@ -220,11 +220,15 @@ class FeasibilityProvider:
     def is_feasible(self, comp: Composition) -> bool:
         return comp.key() in self._feasible_keys
 
-    def extensions(self, comp: Composition) -> list[Composition]:
+    def _charge(self) -> None:
+        """Count one extension call and add its delay; past the budget, raise."""
         self.invocation_count += 1
         self.simulated_ms += self.fdelay_ms
         if self.invocation_count > self.budget:
             raise BudgetExceeded(f"extension budget of {self.budget} calls exhausted")
+
+    def extensions(self, comp: Composition) -> list[Composition]:
+        self._charge()
         return [self.states[child] for child in self.children[comp.key()]]
 
     def table(self) -> tuple[Sequence[Composition], dict[Hashable, int]]:
@@ -278,22 +282,27 @@ class ExplicitProvider(FeasibilityProvider):
 def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:
     """Full feasible set reached by recursive one-step extension from the root.
 
-    Extension calls (and therefore the budget and delay) hit only
-    non-terminal states; a terminal state by definition extends to nothing.
-    A state reachable along several extension paths is visited once.
+    The walk runs over the provider's keys: it reads each state's child keys
+    from ``provider.children`` and its feasibility from the feasible key set.
+    Each non-terminal state it reaches costs one extension call, charged to
+    the counter, delay and budget as an ``extensions`` call is; a terminal
+    state by definition extends to nothing.  A state reachable along several
+    extension paths is visited once.
     """
+    states, children, feasible = provider.states, provider.children, provider._feasible_keys
     found: list[Composition] = []
-    root = provider.root()
-    stack = [root]
-    visited = {root.key()}
+    stack = [provider.root_key]
+    visited = {provider.root_key}
     while stack:
-        comp = stack.pop()
-        if provider.is_feasible(comp):
-            found.append(comp)
-        if comp.terminal:
+        key = stack.pop()
+        state = states[key]
+        if key in feasible:
+            found.append(state)
+        if state.terminal:
             continue
-        for ext in provider.extensions(comp):
-            if ext.key() not in visited:
-                visited.add(ext.key())
-                stack.append(ext)
+        provider._charge()
+        for child in children[key]:
+            if child not in visited:
+                visited.add(child)
+                stack.append(child)
     return found

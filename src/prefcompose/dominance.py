@@ -10,26 +10,31 @@ spec share its packing state (``PreferenceSpec.packing``, filled here only):
 each distinct frontier, packed the first time a pool holds it, is a class of
 its attribute with a membership row and an unbeaten row (the values it
 leaves unbeaten) in one ``(2, m, K, span + 1)`` stack, over the widest
-domain plus a placeholder column for the empty frontier.  A pool holds an
-``(m, c)`` array of its entries' class ids and gathers their rows with one
-``take``.  Per block of rows, one batched product of unbeaten rows with
-membership rows gives every attribute's strict relation, one class-id
-comparison every tie, and one product with the spec's ``(m, m)`` "not more
-important" matrix counts, for every witness at once, the attributes of its
-scope that are lost.  Sums compare exactly as float64, per pool, written
-into their rows of the strict and tie relations.
+domain plus a placeholder column for the empty frontier.  A pool's unseen
+frontiers of every attribute are registered together, with one ``np.put``
+and one batched product against the ``(m, span + 1, span + 1)`` stack of
+value orders.  A pool holds an ``(m, c)`` array of its entries' class ids
+and gathers their rows with one ``take``.  Per block of rows, one batched
+product of unbeaten rows with membership rows gives every attribute's
+strict relation, one class-id comparison every tie, and one product with
+the spec's ``(m, m)`` "not more important" matrix counts, for every witness
+at once, the attributes of its scope that are lost.  Sums compare exactly
+as float64, per pool, written into their rows of the strict and tie
+relations.
 :func:`dominates`, :func:`witnesses` and :func:`best_on` read the same
 relations, so there is one implementation of the rule.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import isfinite
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import Valuation, check_range
-from .preference import AggKind, AttributeSchema, PreferenceSpec, SumPolarity
+from .aggregation import Valuation, check_range, not_finite
+from .preference import AggKind, PreferenceSpec, SumPolarity
 
 # (attribute, pair) cells per row block of a pool's relations; bounds the
 # temporaries (float32 products at most 128 KiB) whatever the pool size.
@@ -40,62 +45,53 @@ class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
 
 
-class _FrontierClasses:
-    """Frontier attribute i's classes under a spec: the id of each distinct
-    frontier packed so far, whose rows sit at ``stack[:, i, id]``.  An empty
-    frontier holds the placeholder value (the last column), which nothing
-    beats, so it is never strictly beaten."""
-
-    def __init__(self, packing: _SpecPacking, i: int, attr: AttributeSchema):
-        self.packing, self.i, self.attr = packing, i, attr
-        n, d = packing.stack.shape[-1], attr.intra_order.universe_size
-        self.beats = np.zeros((n, n), dtype=np.float32)
-        self.beats[:d, :d] = attr.intra_order.matrix
-        self.ids: dict[frozenset, int] = {}
-
-    def lookup(self, frontiers: list[frozenset]) -> list[int]:
-        """Class ids of the frontiers, packing those not seen before."""
-        found = list(map(self.ids.get, frontiers))
-        if None in found:
-            self._pack([f for f in dict.fromkeys(frontiers) if f not in self.ids])
-            found = list(map(self.ids.get, frontiers))
-        return found
-
-    def _pack(self, frontiers: list[frozenset]) -> None:
-        """Add one class per frontier (none of them seen before); an id
-        outside the domain raises ``DomainError``."""
-        check_range(self.attr, frozenset().union(*frontiers))
-        start = len(self.ids)
-        end = start + len(frontiers)
-        members, unbeaten = self.packing.reserve(end)[:, self.i]
-        n = members.shape[1]
-        np.put(members, [(start + row) * n + x for row, f in enumerate(frontiers) for x in f or (n - 1,)], 1.0)
-        unbeaten[start:end] = members[start:end] @ self.beats == 0
-        self.ids.update(zip(frontiers, range(start, end)))
-
-
 class _SpecPacking:
-    """What every pool of one spec shares: the class rows, per attribute its
-    frontier classes (None for a sum) and its sign (-1.0 for a sum where
-    higher is better), and the witness scopes.  The stack doubles as it
-    grows, so K classes hold at most 2K rows of each kind.  Products count in
-    float32: exact below 2**24, and a domain that large could not hold its
-    order matrix."""
+    """What every pool of one spec shares: the class rows, per attribute the
+    id of each distinct frontier registered so far (None for a sum), its
+    value order over the stack's columns and its sign (-1.0 for a sum where
+    higher is better), and the witness scopes.  Frontier attribute i's class
+    c has its rows at ``stack[:, i, c]``; an empty frontier holds the
+    placeholder value (the last column), which nothing beats, so it is never
+    strictly beaten.  The stack doubles as it grows, so K classes hold at
+    most 2K rows of each kind.  Products count in float32: exact below
+    2**24, and a domain that large could not hold its order matrix."""
 
     def __init__(self, spec: PreferenceSpec):
         attrs = spec.attributes
         span = max((a.intra_order.universe_size for a in attrs if a.agg_kind is not AggKind.SUM), default=0)
         self.stack = np.zeros((2, len(attrs), 1, span + 1), dtype=np.float32)  # membership, unbeaten
-        self.classes = [None if a.agg_kind is AggKind.SUM else _FrontierClasses(self, i, a) for i, a in enumerate(attrs)]
+        self.classes: list[Optional[dict[frozenset, int]]] = [
+            None if a.agg_kind is AggKind.SUM else {} for a in attrs
+        ]
+        self.beats = np.zeros((len(attrs), span + 1, span + 1), dtype=np.float32)
+        for i, a in enumerate(attrs):
+            if a.agg_kind is not AggKind.SUM:
+                d = a.intra_order.universe_size
+                self.beats[i, :d, :d] = a.intra_order.matrix
         self.signs = [-1.0 if a.sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0 for a in attrs]
         # scope[i, k]: a witness i must not lose on k (i is not more important than k)
         self.scope = (~spec.importance.matrix).astype(np.float32)
 
-    def reserve(self, classes: int) -> np.ndarray:
-        """The stack, grown to hold ``classes`` classes of every attribute."""
-        while classes > self.stack.shape[2]:
+    def register(self, new: dict[int, list[frozenset]]) -> None:
+        """Add one class per frontier of ``new[i]`` to frontier attribute i,
+        for every i at once: frontiers not seen before and in range.  One
+        ``np.put`` sets their membership rows, and one batched product with
+        the value orders gives the unbeaten rows of the span of classes that
+        holds them."""
+        starts = {i: len(self.classes[i]) for i in new}
+        end = max(starts[i] + len(frontiers) for i, frontiers in new.items())
+        while end > self.stack.shape[2]:
             self.stack = np.concatenate((self.stack, np.zeros_like(self.stack)), axis=2)
-        return self.stack
+        _, _, held, n = self.stack.shape
+        np.put(self.stack, [
+            (i * held + starts[i] + row) * n + x
+            for i, frontiers in new.items() for row, f in enumerate(frontiers) for x in f or (n - 1,)
+        ], 1.0)
+        members, unbeaten = self.stack
+        low = min(starts.values())
+        unbeaten[:, low:end] = np.matmul(members[:, low:end], self.beats) == 0
+        for i, frontiers in new.items():
+            self.classes[i].update(zip(frontiers, range(starts[i], starts[i] + len(frontiers))))
 
 
 def _packing(spec: PreferenceSpec) -> _SpecPacking:
@@ -111,23 +107,49 @@ def _pack(
     """Attributes ``attrs`` of the valuations, packed: per attribute and
     entry its class id (0 on a sum), the class rows gathered in one ``take``
     (membership, unbeaten), the sums' signed values, and the positions in
-    ``attrs`` of the sums."""
+    ``attrs`` of the sums.
+
+    Frontiers not seen before are range-checked for every attribute first
+    (an id outside the domain raises ``DomainError`` and registers nothing),
+    then registered together; a sum that is NaN or infinite raises
+    ``DomainError``."""
+    m, c = spec.attr_count, len(valuations)
     for row in valuations:
-        if len(row) != spec.attr_count:
-            raise ShapeError(f"valuation has {len(row)} attributes, spec has {spec.attr_count}")
+        if len(row) != m:
+            raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
     packing = _packing(spec)
-    ids = np.zeros((len(attrs), len(valuations)), dtype=np.int32)  # narrow ids compare faster
+    columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
+    ids: list[list] = []
     sums, signed = [], []
+    unseen: dict[int, tuple[int, list[frozenset]]] = {}  # position in attrs -> (attribute, frontiers)
     for j, i in enumerate(attrs):
-        if packing.classes[i] is None:
+        classes = packing.classes[i]
+        if classes is None:
+            signed.append([packing.signs[i] * value.scalar for value in columns[i]])
+            if not all(map(isfinite, signed[-1])):
+                raise not_finite(spec.attributes[i], next(v.scalar for v in columns[i] if not isfinite(v.scalar)))
             sums.append(j)
-            signed.append([packing.signs[i] * row[i].scalar for row in valuations])
+            ids.append([0] * c)
         else:
-            ids[j] = packing.classes[i].lookup([row[i].frontier for row in valuations])
-    two, m, held, n = packing.stack.shape
-    flat = ids + held * np.array(attrs, dtype=np.intp)[:, None]  # rows of the stack with attributes flattened
+            frontiers = [value.frontier for value in columns[i]]
+            ids.append(list(map(classes.get, frontiers)))
+            if None in ids[-1]:
+                unseen[j] = (i, frontiers)
+    if unseen:
+        new = {}
+        for i, frontiers in unseen.values():
+            new[i] = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
+            check_range(spec.attributes[i], frozenset().union(*new[i]))
+        packing.register(new)
+        for j, (i, frontiers) in unseen.items():
+            ids[j] = list(map(packing.classes[i].__getitem__, frontiers))
+    values = np.array(signed, dtype=np.float64).reshape(len(sums), c)
+    two, _, held, n = packing.stack.shape
+    # narrow ids compare faster
+    class_ids = np.fromiter(chain.from_iterable(ids), np.int32, len(attrs) * c).reshape(len(attrs), c)
+    flat = class_ids + held * np.array(attrs, dtype=np.intp)[:, None]  # rows of the stack with attributes flattened
     stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
-    return ids, stack, np.array(signed, dtype=np.float64).reshape(len(sums), len(valuations)), sums
+    return class_ids, stack, values, sums
 
 
 def _strict(stack: np.ndarray, signed: np.ndarray, sums: list[int], rows: slice, cols: slice) -> np.ndarray:

@@ -9,8 +9,9 @@ either.  It reads the dominance definition with array operations:
   ``comparison_tables`` call per attribute gives its strict and at-least-as
   tables over ordered pairs of those values, the same rule the public
   ``strictly_preferred`` and ``at_least_as_preferred`` read;
-* each table is lifted to a relation between entries by indexing it with the
-  entries' value ids, for one block of rows at a time;
+* the tables are flattened into one strict and one at-least-as array, and
+  every attribute's relation between entries is lifted from them with one
+  gather each, for one block of rows at a time;
 * entry a dominates entry b when, for some attribute i, a is strictly
   preferred on i and at least as preferred on every attribute k that i is
   not more important than;
@@ -72,34 +73,36 @@ def brute_nondominated(
 ) -> set:
     """All-pairs filter: keep each entry no other entry dominates.
 
-    Each attribute's distinct values are interned, and one
-    ``comparison_tables`` call per attribute evaluates its comparisons once
-    per ordered pair of distinct values.  The tables are lifted to relations
-    between a block of entries and all entries, and combined by the
-    definition; a block holds at most ``_BLOCK_PAIRS`` pairs.
+    Each attribute's distinct values are interned in first-seen order, and
+    one ``comparison_tables`` call per attribute evaluates its comparisons
+    once per ordered pair of distinct values.  The tables are flattened into
+    one strict and one at-least-as array, so that, per block of at most
+    ``_BLOCK_PAIRS`` entry pairs, one gather from each lifts every
+    attribute's relation between the block's entries and all entries.  The
+    lifts are combined by the definition: a witness i is strict on i and
+    loses on no attribute of its scope.
     """
     n, m = len(valuations), spec.attr_count
-    indexes: list[dict[AggValue, int]] = [{} for _ in spec.attributes]
-    ids = np.array(
-        [[index.setdefault(val[i], len(index)) for i, index in enumerate(indexes)]
-         for _, val in valuations],
-        dtype=np.intp,
-    ).reshape(n, m)
+    columns = list(zip(*(val for _, val in valuations))) or [()] * m  # per attribute, every entry's value
+    interned = [{value: k for k, value in enumerate(dict.fromkeys(column))} for column in columns]
     # per attribute, (strict, at least as) over value-id pairs
-    tables = [comparison_tables(attr, list(index)) for attr, index in zip(spec.attributes, indexes)]
+    tables = [comparison_tables(attr, list(index)) for attr, index in zip(spec.attributes, interned)]
+    strict_flat, at_least_flat = (np.concatenate([t.ravel() for t in kind]) for kind in zip(*tables))
+    sizes = np.array([len(index) for index in interned], dtype=np.intp)
+    ids = np.array([list(map(index.__getitem__, column)) for index, column in zip(interned, columns)],
+                   dtype=np.intp).reshape(m, n)
+    # where each entry's row of its attribute's table starts in the flat arrays
+    row_ids = ids * sizes[:, None] + (np.cumsum(sizes * sizes) - sizes * sizes)[:, None]
     scopes = [np.flatnonzero(~row) for row in spec.importance.matrix]
     dominated = np.zeros(n, dtype=np.bool_)
     step = max(1, _BLOCK_PAIRS // max(n, 1))
     for start in range(0, n, step):
-        rows = ids[start:start + step]
-        geq = [table[rows[:, k, None], ids[None, :, k]] for k, (_, table) in enumerate(tables)]
-        witnessed = np.zeros((len(rows), n), dtype=np.bool_)
-        for i, ((strict, _), scope) in enumerate(zip(tables, scopes)):
-            by_i = strict[rows[:, i, None], ids[None, :, i]]
-            for k in scope:
-                by_i &= geq[k]
-            witnessed |= by_i
-        witnessed[np.arange(len(rows)), np.arange(start, start + len(rows))] = False
+        cells = row_ids[:, start:start + step, None] + ids[:, None, :]  # (attribute, block row, entry)
+        strict, lost = strict_flat[cells], ~at_least_flat[cells]
+        witnessed = np.zeros(cells.shape[1:], dtype=np.bool_)
+        for i, scope in enumerate(scopes):
+            witnessed |= strict[i] & ~lost[scope].any(axis=0)
+        witnessed[np.arange(len(witnessed)), np.arange(start, start + len(witnessed))] = False
         dominated |= witnessed.any(axis=0)
     return {valuations[j][0] for j in np.flatnonzero(~dominated)}
 

@@ -301,10 +301,8 @@ def generate_tree(
         drawn = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
     else:  # random_per_node
         drawn = random_valuations(spec, rng, r)
-    nodes = [
-        Composition(members[node], valuation, node, terminal=not children[node])
-        for node, valuation in enumerate([empty_composition(spec).valuation, *drawn])
-    ]
+    valuations = [empty_composition(spec).valuation, *drawn]
+    nodes = list(map(Composition, members, valuations, range(r + 1), [not c for c in children]))
 
     leaves = [node for node in range(1, r + 1) if not children[node]]
     count = math.floor(config.feas * len(leaves))

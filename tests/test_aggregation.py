@@ -22,6 +22,7 @@ from prefcompose import (
     build_order,
     dominates,
     merge,
+    nondominated,
     strictly_preferred,
 )
 from prefcompose.aggregation import comparison_tables
@@ -179,6 +180,36 @@ def test_sums_compare_exactly_at_any_magnitude():
             assert [[dominates(spec, u, v) == 0 for v in pool] for u in pool] == strict, sums
             assert best_on(spec, pool, 0) == kept, sums
             assert brute_nondominated(spec, list(enumerate(pool))) == set(kept), sums
+
+
+@pytest.mark.parametrize("x", [float("nan"), float("inf"), float("-inf")])
+def test_a_sum_that_is_not_finite_is_rejected(x):
+    """``of_scalar`` refuses NaN and ±inf, so a ``merge`` or ``aggregate``
+    whose sum overflows raises ``DomainError``, as ``member_valuations``
+    does; a non-finite sum built directly is rejected by every reading of
+    the rule."""
+    with pytest.raises(DomainError, match="not finite"):
+        AggValue.of_scalar(x)
+    cost = sum_attribute(0, "cost", (1e308, 5.0))
+    with pytest.raises(DomainError, match="not finite"):
+        merge(cost, AggValue.of_scalar(1e308), AggValue.of_scalar(1e308))
+    with pytest.raises(DomainError, match="not finite"):
+        aggregate(cost, [0, 0])
+    spec = PreferenceSpec((cost,), build_order([], 1))
+    bad, five = Valuation((AggValue(None, x),)), Valuation((AggValue.of_scalar(5.0),))
+    readings = [
+        lambda: nondominated(spec, [("bad", bad), ("five", five)]),
+        lambda: nondominated(spec, [("five", five), ("bad", bad)]),
+        lambda: dominates(spec, five, bad),
+        lambda: best_on(spec, [five, bad], 0),
+        lambda: brute_nondominated(spec, [("bad", bad), ("five", five)]),
+        lambda: strictly_preferred(cost, five[0], bad[0]),
+        lambda: at_least_as_preferred(cost, bad[0], bad[0]),
+        lambda: comparison_tables(cost, [five[0], bad[0]]),
+    ]
+    for reading in readings:
+        with pytest.raises(DomainError, match=f"attribute cost: sum {x} is not finite"):
+            reading()
 
 
 def test_aggregate_sums_in_order_as_the_merge_fold():

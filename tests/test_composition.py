@@ -255,6 +255,77 @@ def test_permuted_duplicate_sequences_visit_each_state_once():
     assert [c.members for c in found] == [(0, 1)]
 
 
+def _object_walk(provider):
+    """The walk over state objects that ``enumerate_feasible`` replaced:
+    ``root``, ``is_feasible`` and ``extensions`` per state, in DFS order."""
+    found = []
+    root = provider.root()
+    stack, visited = [root], {root.key()}
+    while stack:
+        comp = stack.pop()
+        if provider.is_feasible(comp):
+            found.append(comp)
+        if comp.terminal:
+            continue
+        for ext in provider.extensions(comp):
+            if ext.key() not in visited:
+                visited.add(ext.key())
+                stack.append(ext)
+    return found
+
+
+def _walk_table(case, rng):
+    """A provider whose state table the walk cases share."""
+    if case.startswith("tree"):
+        mode = "aggregated" if case == "tree-aggregated" else "random_per_node"
+        config = SimConfig(repo_size=60, feas=0.5, attr_count=3, valuation_mode=mode)
+        return tree_provider(generate_tree(random_spec(config, rng), config, rng))
+    instance = load_instance("tradeoff_compromise")
+    n = len(instance.components)
+    if case == "shared-prefix":
+        # sequences that share their first one or two components
+        sequences = [[0, 1], [0, 2], [0, 1, 2], [1, 2], [1, 0, 2], [2]]
+    else:  # permuted-duplicate: each multiset listed in several orders
+        sequences = [[0, 1], [1, 0], [2, 1, 0], [0, 2, 1], [1, 2], [2, 1], [2]]
+    sequences += [rng.permutation(n)[: int(rng.integers(1, n + 1))].tolist() for _ in range(6)]
+    return ExplicitProvider(instance.spec, instance.components, sequences)
+
+
+@pytest.mark.parametrize("case", ["tree-aggregated", "tree-random_per_node", "shared-prefix", "permuted-duplicate"])
+def test_key_walk_matches_the_object_walk(case, rng):
+    """``enumerate_feasible`` returns the table's own objects in the object
+    walk's order, charges the same extension calls and the same delay, bit
+    for bit, also on a provider already used, and raises ``BudgetExceeded``
+    at the same call for every budget below its call count."""
+    table = _walk_table(case, rng)
+
+    def provider(budget=10_000_000):
+        return FeasibilityProvider(table.states, table.children, table.feasible, table.root_key,
+                                   fdelay_ms=0.1, budget=budget)
+
+    ours, theirs = provider(), provider()
+    for _ in range(2):  # the second walk adds to the counts of the first
+        found, expected = enumerate_feasible(ours), _object_walk(theirs)
+        assert len(found) == len(expected) and all(a is b for a, b in zip(found, expected))
+        assert ours.invocation_count == theirs.invocation_count
+        assert ours.simulated_ms.hex() == theirs.simulated_ms.hex()
+    fcount = ours.invocation_count // 2
+    assert found and fcount > 1
+    for budget in range(fcount + 1):
+        ours, theirs = provider(budget), provider(budget)
+        raised = []
+        for walk, walked in ((enumerate_feasible, ours), (_object_walk, theirs)):
+            try:
+                walk(walked)
+            except BudgetExceeded:
+                raised.append(True)
+            else:
+                raised.append(False)
+        assert raised == [budget < fcount] * 2
+        assert ours.invocation_count == theirs.invocation_count == min(budget + 1, fcount)
+        assert ours.simulated_ms.hex() == theirs.simulated_ms.hex()
+
+
 def test_tree_enumeration_matches_native_all_feasible(rng):
     for _ in range(25):
         config = SimConfig(

@@ -35,7 +35,7 @@ from prefcompose.aggregation import (
 )
 from prefcompose.algorithms import interleave_compose
 from prefcompose.cli import main
-from prefcompose.dominance import PackedPool, _FrontierClasses, best_on
+from prefcompose.dominance import PackedPool, _SpecPacking, best_on
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
@@ -234,10 +234,10 @@ def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
         for count in (1, 3, 6, len(pool), int(rng.integers(1, len(pool))), len(pool)):
             picked = rng.permutation(len(pool))[:count]
             sub = [pool[j] for j in picked]
-            before = [len(c.ids) for c in spec.packing.classes if c] if spec.packing else []
+            before = [len(c) for c in spec.packing.classes if c is not None] if spec.packing else []
             fresh = replace(spec)
             matrix = PackedPool(spec, sub).dominance_matrix()
-            grew |= bool(before) and before != [len(c.ids) for c in spec.packing.classes if c]
+            grew |= bool(before) and before != [len(c) for c in spec.packing.classes if c is not None]
             assert matrix.tolist() == PackedPool(fresh, sub).dominance_matrix().tolist()
             assert matrix.tolist() == [[plain_dominates(spec, u, v) for v in sub] for u in sub]
             assert PackedPool(spec, sub).undominated() == PackedPool(fresh, sub).undominated()
@@ -255,15 +255,23 @@ def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
         assert grew, f"case {trial}: no pool met a new frontier after the first"
 
 
+def _counting_registrations(monkeypatch):
+    """Record (packing, attribute, frontier) for every class registered, and
+    the attributes of each ``_SpecPacking.register`` call."""
+    built, calls = [], []
+    original = _SpecPacking.register
+
+    def counted(self, new):
+        calls.append(sorted(new))
+        built.extend((id(self), i, f) for i, frontiers in new.items() for f in frontiers)
+        return original(self, new)
+
+    monkeypatch.setattr(_SpecPacking, "register", counted)
+    return built, calls
+
+
 def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
-    built = []  # (classes, frontier) for every class row built
-    original = _FrontierClasses._pack
-
-    def counted(self, frontiers):
-        built.extend((id(self), f) for f in frontiers)
-        return original(self, frontiers)
-
-    monkeypatch.setattr(_FrontierClasses, "_pack", counted)
+    built, _ = _counting_registrations(monkeypatch)
     config = SimConfig(repo_size=200, attr_count=8)
     rng = np.random.default_rng(5)
     spec = random_spec(config, rng)
@@ -271,8 +279,10 @@ def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
     interleave_compose(spec, tree_provider(tree))
     assert built and len(built) == len(set(built))
     # each attribute's classes are exactly the frontiers built for it
-    for classes in spec.packing.classes:
-        assert sorted(map(sorted, classes.ids)) == sorted(sorted(f) for key, f in built if key == id(classes))
+    for i, classes in enumerate(spec.packing.classes):
+        assert sorted(map(sorted, classes)) == sorted(
+            sorted(f) for key, j, f in built if key == id(spec.packing) and j == i
+        )
 
     built.clear()
     # an annotated solve: a1's pool, then one two-row pool per ordered pair
@@ -326,6 +336,39 @@ def _spec_and_pool(draw):
     return spec, pool
 
 
+@settings(max_examples=60, deadline=None)
+@given(_spec_and_pool(), st.data())
+def test_pools_in_any_order_match_a_fresh_spec(case, data):
+    """Pools over one spec, built in any order (each registering the
+    frontiers it meets first), give the matrices, ids and sums that each
+    pool gives on a fresh copy of the spec, and every registered class's
+    rows equal the rows that class gets when the whole pool is packed on a
+    fresh spec."""
+    spec, pool = case
+    indices = st.lists(st.integers(0, len(pool) - 1), max_size=8) if pool else st.just([])
+    for rows in data.draw(st.lists(indices, min_size=1, max_size=5)):
+        sub = [pool[j] for j in rows]
+        fresh = replace(spec)
+        shared, alone = PackedPool(spec, sub), PackedPool(fresh, sub)
+        assert shared.dominance_matrix().tolist() == alone.dominance_matrix().tolist()
+        assert np.array_equal(shared.signed, alone.signed) and shared.sums == alone.sums
+        # class ids depend on the order frontiers were met; ties do not
+        assert np.array_equal(shared.ids[:, :, None] == shared.ids[:, None, :],
+                              alone.ids[:, :, None] == alone.ids[:, None, :])
+    whole = replace(spec)
+    PackedPool(whole, pool)
+    if spec.packing is None:
+        return
+    for i, classes in enumerate(spec.packing.classes):
+        if classes is None:
+            continue
+        # each registered class once, with the whole pack's rows
+        assert sorted(classes.values()) == list(range(len(classes)))
+        for frontier, k in classes.items():
+            expected = whole.packing.stack[:, i, whole.packing.classes[i][frontier]]
+            assert np.array_equal(spec.packing.stack[:, i, k], expected)
+
+
 @settings(max_examples=150, deadline=None)
 @given(_spec_and_pool(), st.integers(1, 64), st.data())
 def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
@@ -354,33 +397,30 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
 
 def test_a4_packs_its_state_table_once(monkeypatch):
     """On a tree shaped like the benchmark's (r=200, m=8, partial value
-    orders, interval importance, aggregated), a4 packs each frontier
-    attribute's classes in at most one call, before its first round."""
-    packs = []  # the attribute of every _pack call
-    rounds = []  # the number of packs made before each round's filter
-    pack, filter_dominance = _FrontierClasses._pack, algorithms._filter_dominance
-
-    def counted_pack(self, frontiers):
-        packs.append(self.i)
-        return pack(self, frontiers)
+    orders, interval importance, aggregated), a4 registers every frontier
+    attribute's classes in one call, before its first round."""
+    built, calls = _counting_registrations(monkeypatch)
+    rounds = []  # the number of registrations made before each round's filter
+    filter_dominance = algorithms._filter_dominance
 
     def counted_filter(*args):
-        rounds.append(len(packs))
+        rounds.append(len(calls))
         return filter_dominance(*args)
 
-    monkeypatch.setattr(_FrontierClasses, "_pack", counted_pack)
     monkeypatch.setattr(algorithms, "_filter_dominance", counted_filter)
     config = SimConfig(repo_size=200, attr_count=8, domain_size=6, intra_kind="po", importance_kind="io",
                        valuation_mode="aggregated")
     for seed in range(3):
-        packs.clear()
+        built.clear()
+        calls.clear()
         rounds.clear()
         rng = np.random.default_rng(seed)
         spec = random_spec(config, rng)
         interleave_compose(spec, tree_provider(generate_tree(spec, config, rng)))
         assert len(rounds) > 1
-        assert sorted(packs) == sorted(set(packs)) and len(packs) <= spec.attr_count
-        assert set(rounds) == {len(packs)}
+        assert calls == [list(range(spec.attr_count))]
+        assert len(built) == len(set(built)) == sum(map(len, spec.packing.classes))
+        assert set(rounds) == {1}
 
 
 def test_replaced_spec_starts_with_fresh_state(rng):
@@ -424,4 +464,20 @@ def test_out_of_range_frontier_ids_raise_the_merge_error(bad):
             assert str(info.value) == expected
     # the spec's packing kept no class for the rejected frontier
     assert dominates(spec, good, singleton_valuation(2)) == 0
-    assert wrong[0].frontier not in spec.packing.classes[0].ids
+    assert wrong[0].frontier not in spec.packing.classes[0]
+
+
+def test_a_rejected_frontier_registers_no_attribute():
+    """Every attribute's unseen frontiers are range-checked before any is
+    registered: a pool whose second attribute holds an out-of-range id
+    leaves the first attribute's new frontiers unregistered too."""
+    spec = frontier_spec([("abc", [(0, 1), (1, 2)]), ("ab", [(0, 1)])], [])
+    known = Valuation((AggValue.of_frontier((0,)), AggValue.of_frontier((0,))))
+    dominates(spec, known, known)
+    before = [dict(c) for c in spec.packing.classes]
+    stack = spec.packing.stack.copy()
+    fresh = Valuation((AggValue.of_frontier((1, 2)), AggValue.of_frontier((5,))))
+    with pytest.raises(DomainError, match="value id 5 outside domain of size 2"):
+        nondominated(spec, [(0, known), (1, fresh)])
+    assert spec.packing.classes == before
+    assert np.array_equal(spec.packing.stack, stack)
