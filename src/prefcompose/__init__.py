@@ -44,12 +44,9 @@ from .dominance import (
 from .order import (
     CycleError,
     OrderClass,
-    SizeLimitError,
     StrictOrder,
     build_order,
     classify,
-    maximal_set,
-    width,
 )
 from .preference import (
     AggKind,
@@ -78,7 +75,6 @@ __all__ = [
     "PreferenceSpec",
     "RunResult",
     "ShapeError",
-    "SizeLimitError",
     "StrictOrder",
     "SumPolarity",
     "Valuation",
@@ -92,13 +88,11 @@ __all__ = [
     "empty_composition",
     "enumerate_feasible",
     "interleave_compose",
-    "maximal_set",
     "merge",
     "most_important_set",
     "nondominated",
     "strictly_preferred",
     "validate",
     "weakly_complete_compose",
-    "width",
     "witnesses",
 ]

@@ -19,10 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
-from .dominance import PackedPool, best_on
+from .dominance import PackedPool
 from .preference import PreferenceSpec, most_important_set
 
 
@@ -45,13 +43,6 @@ def _filter_dominance(
     spec: PreferenceSpec, comps: Sequence[Composition], pool: Optional[PackedPool] = None
 ) -> list[Composition]:
     kept = (pool or PackedPool(spec, [c.valuation for c in comps])).undominated()  # a given pool packs comps in order
-    return [comps[i] for i in kept]
-
-
-def _filter_attribute(
-    spec: PreferenceSpec, comps: Sequence[Composition], attr_id: int
-) -> list[Composition]:
-    kept = best_on(spec, [c.valuation for c in comps], attr_id)
     return [comps[i] for i in kept]
 
 
@@ -85,22 +76,16 @@ def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider)
     """Union, over the most important attributes, of the non-dominated subset
     of each attribute's best compositions.
 
-    The feasible set is enumerated once, and each attribute's scan packs only
-    that attribute.  The union of the best sets is packed once; since
-    dominance is a relation between pairs, each best set's non-dominated
-    subset is read from the submatrix of its members."""
+    The feasible set is enumerated and packed once; each attribute's best
+    set is read from that pool and filtered on the pool of its rows."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
-    valuations = [c.valuation for c in feasible]
-    best = [best_on(spec, valuations, attr_id) for attr_id in sorted(most_important_set(spec))]
-    union = sorted(set().union(*best))
-    matrix = PackedPool(spec, [valuations[j] for j in union]).dominance_matrix()
+    pool = PackedPool(spec, [c.valuation for c in feasible])
     chosen: dict = {}
-    for members in best:
-        sub = np.searchsorted(union, members)
-        for j, dominated in zip(members, matrix[np.ix_(sub, sub)].any(axis=0)):
-            if not dominated:
-                chosen.setdefault(feasible[j].key(), feasible[j])
+    for attr_id in sorted(most_important_set(spec)):
+        best = pool.best_on(attr_id)
+        for comp in _filter_dominance(spec, [feasible[j] for j in best], pool.take(best)):
+            chosen.setdefault(comp.key(), comp)
     return cost.result("a2", chosen.values())
 
 
@@ -121,8 +106,8 @@ def att_weakly_complete_compose(
     else:
         attr_id = random.Random(pick_seed).choice(important)
     feasible = enumerate_feasible(provider)
-    solutions = _filter_attribute(spec, feasible, attr_id)
-    return cost.result("a3", solutions, picked_attribute=attr_id)
+    best = PackedPool(spec, [c.valuation for c in feasible]).best_on(attr_id)
+    return cost.result("a3", [feasible[j] for j in best], picked_attribute=attr_id)
 
 
 def interleave_compose(

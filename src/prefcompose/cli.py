@@ -35,7 +35,7 @@ from .composition import (
     ExplicitProvider,
     FeasibilityProvider,
 )
-from .dominance import witnesses
+from .dominance import dominates
 from .order import CycleError, StrictOrder, build_order, classify
 from .preference import (
     AggKind,
@@ -340,9 +340,9 @@ def run_result_json(instance: Instance, result: RunResult) -> dict:
         for j, b in enumerate(result.solutions):
             if i == j:
                 continue
-            found = witnesses(instance.spec, a.valuation, b.valuation)
-            if found:
-                annotations.append({"winner": i, "loser": j, "witness": found[0]})
+            witness = dominates(instance.spec, a.valuation, b.valuation)
+            if witness is not None:
+                annotations.append({"winner": i, "loser": j, "witness": witness})
     return {
         "format": 1,
         "algorithm": result.algorithm,

@@ -21,7 +21,9 @@ the spec's ``(m, m)`` "not more important" matrix counts, for every witness
 at once, the attributes of its scope that are lost.  Sums compare exactly
 as float64, per pool, written into their rows of the strict and tie
 relations.
-:func:`dominates`, :func:`witnesses` and :func:`best_on` read the same
+A pool is the one place valuations get packed.  :func:`dominates`,
+:func:`witnesses` and :meth:`PackedPool.best_on` (an attribute's unbeaten
+entries, read from the strict relation of that attribute) read the same
 relations, so there is one implementation of the rule.
 """
 
@@ -101,58 +103,7 @@ def _packing(spec: PreferenceSpec) -> _SpecPacking:
     return spec.packing
 
 
-def _pack(
-    spec: PreferenceSpec, valuations: Sequence[Valuation], attrs: Sequence[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    """Attributes ``attrs`` of the valuations, packed: per attribute and
-    entry its class id (0 on a sum), the class rows gathered in one ``take``
-    (membership, unbeaten), the sums' signed values, and the positions in
-    ``attrs`` of the sums.
-
-    Frontiers not seen before are range-checked for every attribute first
-    (an id outside the domain raises ``DomainError`` and registers nothing),
-    then registered together; a sum that is NaN or infinite raises
-    ``DomainError``."""
-    m, c = spec.attr_count, len(valuations)
-    for row in valuations:
-        if len(row) != m:
-            raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
-    packing = _packing(spec)
-    columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
-    ids: list[list] = []
-    sums, signed = [], []
-    unseen: dict[int, tuple[int, list[frozenset]]] = {}  # position in attrs -> (attribute, frontiers)
-    for j, i in enumerate(attrs):
-        classes = packing.classes[i]
-        if classes is None:
-            signed.append([packing.signs[i] * value.scalar for value in columns[i]])
-            if not all(map(isfinite, signed[-1])):
-                raise not_finite(spec.attributes[i], next(v.scalar for v in columns[i] if not isfinite(v.scalar)))
-            sums.append(j)
-            ids.append([0] * c)
-        else:
-            frontiers = [value.frontier for value in columns[i]]
-            ids.append(list(map(classes.get, frontiers)))
-            if None in ids[-1]:
-                unseen[j] = (i, frontiers)
-    if unseen:
-        new = {}
-        for i, frontiers in unseen.values():
-            new[i] = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
-            check_range(spec.attributes[i], frozenset().union(*new[i]))
-        packing.register(new)
-        for j, (i, frontiers) in unseen.items():
-            ids[j] = list(map(packing.classes[i].__getitem__, frontiers))
-    values = np.array(signed, dtype=np.float64).reshape(len(sums), c)
-    two, _, held, n = packing.stack.shape
-    # narrow ids compare faster
-    class_ids = np.fromiter(chain.from_iterable(ids), np.int32, len(attrs) * c).reshape(len(attrs), c)
-    flat = class_ids + held * np.array(attrs, dtype=np.intp)[:, None]  # rows of the stack with attributes flattened
-    stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
-    return class_ids, stack, values, sums
-
-
-def _strict(stack: np.ndarray, signed: np.ndarray, sums: list[int], rows: slice, cols: slice) -> np.ndarray:
+def _strict(stack: np.ndarray, signed: Optional[np.ndarray], sums: list[int], rows: slice, cols: slice) -> np.ndarray:
     """(attributes, rows, cols) of packed entries: [j, a, b] when a is
     strictly preferred to b on attribute j.  A frontier a strictly beats b
     when no value of b is left unbeaten by a, and b is nonempty; a sum when
@@ -172,13 +123,55 @@ def _row_blocks(m: int, c: int) -> Iterator[slice]:
 
 
 class PackedPool:
-    """A list of valuations encoded once for dominance tests among them,
-    every attribute packed by ``_pack``."""
+    """A list of valuations encoded once for dominance tests among them."""
 
     def __init__(self, spec: PreferenceSpec, valuations: Sequence[Valuation]):
+        """Pack every attribute of the valuations: per attribute and entry
+        its class id (0 on a sum), the class rows gathered in one ``take``
+        (membership, unbeaten), the sums' signed values, and the sum
+        attributes.
+
+        Frontiers not seen before are range-checked for every attribute
+        first (an id outside the domain raises ``DomainError`` and registers
+        nothing), then registered together; a sum that is NaN or infinite
+        raises ``DomainError``."""
         self.valuations = list(valuations)
-        self.scope = _packing(spec).scope
-        self.ids, self.stack, self.signed, self.sums = _pack(spec, self.valuations, range(spec.attr_count))
+        m, c = spec.attr_count, len(self.valuations)
+        for row in self.valuations:
+            if len(row) != m:
+                raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
+        packing = _packing(spec)
+        columns = list(zip(*self.valuations)) or [()] * m  # per attribute, every entry's value
+        ids: list[list] = []
+        self.sums, signed = [], []
+        unseen: dict[int, list[frozenset]] = {}  # attribute -> every entry's frontier
+        for i, classes in enumerate(packing.classes):
+            if classes is None:
+                signed.append([packing.signs[i] * value.scalar for value in columns[i]])
+                if not all(map(isfinite, signed[-1])):
+                    raise not_finite(spec.attributes[i], next(v.scalar for v in columns[i] if not isfinite(v.scalar)))
+                self.sums.append(i)
+                ids.append([0] * c)
+            else:
+                frontiers = [value.frontier for value in columns[i]]
+                ids.append(list(map(classes.get, frontiers)))
+                if None in ids[-1]:
+                    unseen[i] = frontiers
+        if unseen:
+            new = {}
+            for i, frontiers in unseen.items():
+                new[i] = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
+                check_range(spec.attributes[i], frozenset().union(*new[i]))
+            packing.register(new)
+            for i, frontiers in unseen.items():
+                ids[i] = list(map(packing.classes[i].__getitem__, frontiers))
+        self.signed = np.array(signed, dtype=np.float64).reshape(len(self.sums), c)
+        two, _, held, n = packing.stack.shape
+        # narrow ids compare faster
+        self.ids = np.fromiter(chain.from_iterable(ids), np.int32, m * c).reshape(m, c)
+        flat = self.ids + held * np.arange(m)[:, None]  # rows of the stack with attributes flattened
+        self.stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
+        self.scope = packing.scope
 
     def take(self, rows: Sequence[int]) -> PackedPool:
         """The pool of the entries ``rows``, in that order, read from this one."""
@@ -206,6 +199,17 @@ class PackedPool:
         found = np.flatnonzero(self._witnessed(slice(a, a + 1), slice(b, b + 1)))
         return int(found[0]) if found.size else -1
 
+    def best_on(self, i: int) -> list[int]:
+        """Pool indices, in order, of the entries no entry strictly beats on
+        attribute i: the columns of i's strict relation that hold no true."""
+        stack, c = self.stack[:, i:i + 1], len(self.valuations)
+        sums = [0] if i in self.sums else []
+        signed = self.signed[[self.sums.index(i)]] if sums else None
+        beaten = np.zeros(c, dtype=np.bool_)
+        for rows in _row_blocks(1, c):
+            beaten |= _strict(stack, signed, sums, rows, slice(None))[0].any(axis=0)
+        return np.flatnonzero(~beaten).tolist()
+
     def dominance_matrix(self) -> np.ndarray:
         """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
 
@@ -221,16 +225,6 @@ class PackedPool:
     def undominated(self) -> list[int]:
         """Pool indices, in order, of the entries nothing in the pool dominates."""
         return np.flatnonzero(~self.dominance_matrix().any(axis=0)).tolist()
-
-
-def best_on(spec: PreferenceSpec, valuations: Sequence[Valuation], attr_id: int) -> list[int]:
-    """Indices, in order, of the valuations no valuation strictly beats on
-    one attribute; only that attribute is packed."""
-    _, stack, signed, sums = _pack(spec, valuations, [attr_id])
-    beaten = np.zeros(len(valuations), dtype=np.bool_)
-    for rows in _row_blocks(1, len(valuations)):
-        beaten |= _strict(stack, signed, sums, rows, slice(None))[0].any(axis=0)
-    return np.flatnonzero(~beaten).tolist()
 
 
 def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]:

@@ -18,10 +18,8 @@ from prefcompose import (
     att_weakly_complete_compose,
     compose_and_filter,
     interleave_compose,
-    maximal_set,
     nondominated,
     weakly_complete_compose,
-    width,
 )
 from prefcompose.aggregation import AggValue, aggregate, strictly_preferred
 from prefcompose.cli import load_instance, main
@@ -33,7 +31,7 @@ from prefcompose.oracle import (
     check_weak_completeness,
     intransitivity_fixture,
 )
-from prefcompose.order import StrictOrder, comparator_from
+from prefcompose.order import StrictOrder, comparator_from, maximal_set, width
 from prefcompose.properties import verify_property
 from prefcompose.simulator import (
     SimConfig,

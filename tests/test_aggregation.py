@@ -27,7 +27,7 @@ from prefcompose import (
 )
 from prefcompose.aggregation import comparison_tables
 from prefcompose.cli import load_instance
-from prefcompose.dominance import PackedPool, best_on
+from prefcompose.dominance import PackedPool
 from prefcompose.oracle import brute_nondominated
 from prefcompose.order import negative_transitivity_violation
 
@@ -178,7 +178,7 @@ def test_sums_compare_exactly_at_any_magnitude():
             assert matrix.tolist() == strict, sums
             assert negative_transitivity_violation(matrix) is None, sums
             assert [[dominates(spec, u, v) == 0 for v in pool] for u in pool] == strict, sums
-            assert best_on(spec, pool, 0) == kept, sums
+            assert PackedPool(spec, pool).best_on(0) == kept, sums
             assert brute_nondominated(spec, list(enumerate(pool))) == set(kept), sums
 
 
@@ -201,7 +201,7 @@ def test_a_sum_that_is_not_finite_is_rejected(x):
         lambda: nondominated(spec, [("bad", bad), ("five", five)]),
         lambda: nondominated(spec, [("five", five), ("bad", bad)]),
         lambda: dominates(spec, five, bad),
-        lambda: best_on(spec, [five, bad], 0),
+        lambda: PackedPool(spec, [five, bad]).best_on(0),
         lambda: brute_nondominated(spec, [("bad", bad), ("five", five)]),
         lambda: strictly_preferred(cost, five[0], bad[0]),
         lambda: at_least_as_preferred(cost, bad[0], bad[0]),

@@ -20,7 +20,7 @@ from prefcompose import (
 )
 from prefcompose import algorithms, dominance
 from prefcompose.aggregation import strictly_preferred
-from prefcompose.algorithms import ALGORITHMS, _filter_attribute
+from prefcompose.algorithms import ALGORITHMS
 from prefcompose.cli import load_instance, main
 from prefcompose.composition import Component, Composition
 from prefcompose.dominance import PackedPool
@@ -280,9 +280,10 @@ def test_attribute_filter_matches_maximal_set_over_strict_preference(rng):
     for trial in range(200):
         spec, pool = mixed_spec_and_pool(rng, ("io", "po", "to", "wo")[trial % 4])
         comps = [Composition((i,), v, i) for i, v in enumerate(with_near_ties(spec, pool))]
+        packed = PackedPool(spec, [c.valuation for c in comps])
         for attr_id in range(spec.attr_count):
             expected = _attribute_best(spec, comps, attr_id)
-            kept = _filter_attribute(spec, comps, attr_id)
+            kept = [comps[j] for j in packed.best_on(attr_id)]
             assert [c.key() for c in kept] == sorted(c.key() for c in expected)
 
 
@@ -318,10 +319,10 @@ def _a2_cases(rng):
 
 
 def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
-    """a2 and a3 scan one attribute at a time.  a3 returns the attribute-best
-    set of its picked attribute; a2 the union, over the most important
-    attributes, of the non-dominated part of each attribute-best set, and it
-    packs exactly one pool: the union of those best sets."""
+    """a3 returns the attribute-best set of its picked attribute; a2 the
+    union, over the most important attributes, of the non-dominated part of
+    each attribute-best set.  Each packs exactly one pool, of the feasible
+    set, and reads every best set and filter from it."""
     packs = []
 
     class CountingPool(PackedPool):
@@ -339,19 +340,20 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
         def provider():
             return ExplicitProvider(spec, components, [[c.members[0]] for c in comps])
 
+        packs.clear()
         a3 = att_weakly_complete_compose(spec, provider(), pick_seed=trial)
+        assert packs == [len(comps)]
         best = _attribute_best(spec, comps, a3.config["picked_attribute"])
         assert sorted(c.members[0] for c in a3.solutions) == sorted(c.members[0] for c in best)
-        expected, union = set(), set()
+        expected = set()
         for attr_id in most_important_set(spec):
             best = _attribute_best(spec, comps, attr_id)
-            union |= {c.members[0] for c in best}
             expected |= brute_nondominated(spec, [(c.members[0], c.valuation) for c in best])
             if len(comps) >= 40 and spec.attributes[attr_id].name == "cost":
                 small_sum_best += len(best) <= 2
         packs.clear()
         a2 = weakly_complete_compose(spec, provider())
-        assert packs == [len(union)]
+        assert packs == [len(comps)]
         assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)
     assert small_sum_best >= 20
 

@@ -35,7 +35,7 @@ from prefcompose.aggregation import (
 )
 from prefcompose.algorithms import interleave_compose
 from prefcompose.cli import main
-from prefcompose.dominance import PackedPool, _SpecPacking, best_on
+from prefcompose.dominance import PackedPool, _SpecPacking
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
@@ -142,8 +142,8 @@ def test_empty_and_singleton_pools():
     assert nondominated(spec, []) == set()
     assert not PackedPool(spec, [u]).dominance_matrix().any()
     assert nondominated(spec, [("u", u)]) == {"u"}
-    assert best_on(spec, [], 0) == []
-    assert best_on(spec, [u], 0) == [0]
+    assert PackedPool(spec, []).best_on(0) == []
+    assert PackedPool(spec, [u]).best_on(0) == [0]
 
 
 def _witness_attributes(spec, u, v):
@@ -247,7 +247,7 @@ def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
                     j for j, v in enumerate(sub)
                     if not any(strictly_preferred(attr, u[i], v[i]) for u in sub)
                 ]
-                assert best_on(spec, sub, i) == best_on(fresh, sub, i) == expected
+                assert PackedPool(spec, sub).best_on(i) == PackedPool(fresh, sub).best_on(i) == expected
             for u, v in zip(sub, sub[::-1]):
                 assert dominates(spec, u, v) == dominates(fresh, u, v)
                 assert witnesses(spec, u, v) == witnesses(fresh, u, v) == _witness_attributes(spec, u, v)
@@ -372,9 +372,10 @@ def test_pools_in_any_order_match_a_fresh_spec(case, data):
 @settings(max_examples=150, deadline=None)
 @given(_spec_and_pool(), st.integers(1, 64), st.data())
 def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
-    """The stacked matrix, each pool witness, ``witnesses`` and ``best_on``
-    equal the pairwise reading of the definition, whether the pool fits one
-    row block or spans many; ``take`` equals a fresh pool over its rows."""
+    """The stacked matrix, each pool witness, ``witnesses`` and ``best_on``,
+    on the pool and on a ``take`` of it, equal the pairwise reading of the
+    definition, whether the pool fits one row block or spans many; ``take``
+    equals a fresh pool over its rows."""
     spec, pool = case
     with mock.patch.object(dominance, "BLOCK_CELLS", block_cells):
         packed = PackedPool(spec, pool)
@@ -384,15 +385,17 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
                 every = _witness_attributes(spec, u, v)
                 assert witnesses(spec, u, v) == every
                 assert packed.witness(a, b) == (every[0] if every else -1)
-        for i, attr in enumerate(spec.attributes):
-            beaten = [any(strictly_preferred(attr, u[i], v[i]) for u in pool) for v in pool]
-            assert best_on(spec, pool, i) == [j for j, out in enumerate(beaten) if not out]
         rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8)) if pool else []
         taken, fresh = packed.take(rows), PackedPool(spec, [pool[j] for j in rows])
         assert taken.valuations == fresh.valuations
         for name in ("ids", "stack", "signed"):
             assert np.array_equal(getattr(taken, name), getattr(fresh, name))
         assert taken.dominance_matrix().tolist() == fresh.dominance_matrix().tolist()
+        for i, attr in enumerate(spec.attributes):
+            for reading in (packed, taken):
+                entries = reading.valuations
+                beaten = [any(strictly_preferred(attr, u[i], v[i]) for u in entries) for v in entries]
+                assert reading.best_on(i) == [j for j, out in enumerate(beaten) if not out]
 
 
 def test_a4_packs_its_state_table_once(monkeypatch):
