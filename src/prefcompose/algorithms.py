@@ -19,6 +19,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .composition import Composition, FeasibilityProvider, enumerate_feasible
 from .dominance import PackedPool
 from .preference import PreferenceSpec, most_important_set
@@ -39,11 +41,9 @@ def _sorted_solutions(comps: Iterable[Composition]) -> list[Composition]:
     return sorted(comps, key=lambda c: (c.members, str(c.provider_node)))
 
 
-def _filter_dominance(
-    spec: PreferenceSpec, comps: Sequence[Composition], pool: Optional[PackedPool] = None
-) -> list[Composition]:
-    kept = (pool or PackedPool(spec, [c.valuation for c in comps])).undominated()  # a given pool packs comps in order
-    return [comps[i] for i in kept]
+def _filter_dominance(pool: PackedPool, comps: Sequence[Composition]) -> list[Composition]:
+    """The compositions nothing in the pool dominates; ``pool`` packs ``comps`` in order."""
+    return [comps[i] for i in pool.undominated()]
 
 
 class _Cost:
@@ -68,7 +68,7 @@ def compose_and_filter(spec: PreferenceSpec, provider: FeasibilityProvider) -> R
     """Enumerate the feasible set, return its non-dominated subset."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
-    solutions = _filter_dominance(spec, feasible)
+    solutions = _filter_dominance(provider.pool(spec, feasible), feasible)
     return cost.result("a1", solutions)
 
 
@@ -76,17 +76,17 @@ def weakly_complete_compose(spec: PreferenceSpec, provider: FeasibilityProvider)
     """Union, over the most important attributes, of the non-dominated subset
     of each attribute's best compositions.
 
-    The feasible set is enumerated and packed once; each attribute's best
-    set is read from that pool and filtered on the pool of its rows."""
+    The feasible set is enumerated and packed once, and one sweep of its
+    pool gives every most important attribute's best set (the entries it
+    leaves unbeaten) and the dominance matrix, whose rows and columns in a
+    best set give the dominance among its members."""
     cost = _Cost(provider)
     feasible = enumerate_feasible(provider)
-    pool = PackedPool(spec, [c.valuation for c in feasible])
-    chosen: dict = {}
-    for attr_id in sorted(most_important_set(spec)):
-        best = pool.best_on(attr_id)
-        for comp in _filter_dominance(spec, [feasible[j] for j in best], pool.take(best)):
-            chosen.setdefault(comp.key(), comp)
-    return cost.result("a2", chosen.values())
+    beaten, dominance = provider.pool(spec, feasible).sweep(sorted(most_important_set(spec)))
+    chosen = np.zeros(len(feasible), dtype=np.bool_)
+    for best in ~beaten:
+        chosen |= best & ~dominance[best].any(axis=0)
+    return cost.result("a2", [feasible[j] for j in np.flatnonzero(chosen)])
 
 
 def att_weakly_complete_compose(
@@ -106,7 +106,7 @@ def att_weakly_complete_compose(
     else:
         attr_id = random.Random(pick_seed).choice(important)
     feasible = enumerate_feasible(provider)
-    best = PackedPool(spec, [c.valuation for c in feasible]).best_on(attr_id)
+    best = provider.pool(spec, feasible).best_on(attr_id)
     return cost.result("a3", [feasible[j] for j in best], picked_attribute=attr_id)
 
 
@@ -127,14 +127,13 @@ def interleave_compose(
     working list's rows of that pool.
     """
     cost = _Cost(provider)
-    states, row_of = provider.table()
-    table = PackedPool(spec, [c.valuation for c in states])
+    table = provider.pool(spec, provider.table())
     root = provider.root()
     working = {root.key(): root}  # the working list, keyed by state
     extended: set = set()
 
     while working:
-        kept = _filter_dominance(spec, list(working.values()), table.take([row_of[key] for key in working]))
+        kept = _filter_dominance(table.take(provider.rows(working.values())), list(working.values()))
         best = {c.key(): c for c in kept}
         replacement: dict = {}
         for comp in best.values():

@@ -3,6 +3,11 @@
 A composition's valuation is a function of the multiset of components it
 holds: :func:`member_valuations` builds it for many member sets at once, for
 every explicit state here and every node of an aggregated simulator tree.
+It also returns the table of the empty composition and those valuations,
+packed as it made them (:class:`dominance.PackedStates`): the distinct
+frontiers with their flag rows, each row's frontier per attribute, and the
+sums.  :func:`singleton_valuations` does the same for the singleton
+valuations of a per-node simulator tree.
 
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
@@ -10,19 +15,23 @@ calls are counted and carry a configurable simulated delay.  The one
 :class:`FeasibilityProvider` serves a table of prebuilt states keyed by
 ``Composition.key()``, so a search space plugs in by building that table:
 :class:`ExplicitProvider` builds it from listed sequences, and
-``simulator.tree_provider`` reads a generated tree's node table.
+``simulator.tree_provider`` reads a generated tree's node table.  Both hand
+the provider their builder's packed table, whose first row is the empty
+root, and :meth:`FeasibilityProvider.pool` gathers the dominance pool of
+any states from its rows, so no algorithm looks an entry's frontier up.  A
+provider built from states alone packs their valuations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, zip_longest
-from typing import Hashable, NamedTuple, Sequence
+from itertools import accumulate, chain, compress, repeat, zip_longest
+from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, check_range, path_frontiers
-from .dominance import ShapeError
+from .dominance import PackedPool, PackedStates, ShapeError
 from .preference import PreferenceSpec
 
 DEFAULT_BUDGET = 10_000_000
@@ -113,75 +122,104 @@ def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.
     bits[np.arange(len(ids))[:, None], np.arange(len(fronts)), ids[:, fronts] // 64] = np.left_shift(
         np.uint64(1), (ids[:, fronts] % 64).astype(np.uint64)
     )
+    return bits, _drawn_sums(spec, ids, sums)
+
+
+def _drawn_sums(spec: PreferenceSpec, ids: np.ndarray, sums: list[int]) -> np.ndarray:
+    """The number of value ``ids[k, i]`` of each sum attribute i of ``sums``, per component k."""
     totals = np.zeros((len(ids), len(sums)))
     for j, i in enumerate(sums):
         totals[:, j] = np.array(spec.attributes[i].numeric_values, dtype=np.float64)[ids[:, i]]
-    return bits, totals
+    return totals
 
 
-def singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> list[Valuation]:
+def singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> tuple[list[Valuation], PackedStates]:
     """The base valuation of each component of :func:`drawn_values`: a
     singleton frontier, or the value's number for a sum, one shared
-    ``AggValue`` per (attribute, value id)."""
+    ``AggValue`` per (attribute, value id); and the packed table of the
+    empty composition followed by these valuations, one distinct frontier
+    per value id."""
+    fronts, sums, _ = _layout(spec)
+    span = max([len(spec.attributes[i].domain) for i in fronts], default=0)
+    frontiers = [frozenset((v,)) for v in range(span)]
     values = [
         AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
         if attr.agg_kind is AggKind.SUM
-        else AggValue.of_frontier((v,))
+        else AggValue(frontiers[v], None)
         for attr in spec.attributes
         for v in range(len(attr.domain))
     ]
     sizes = [len(attr.domain) for attr in spec.attributes]
-    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]]))
+    index = np.empty((len(ids) + 1, len(fronts)), dtype=np.intp)
+    index[0], index[1:] = span, ids[:, fronts]  # the empty frontier is the last flag row
+    totals = np.concatenate([np.zeros((1, len(sums))), _drawn_sums(spec, ids, sums)])
+    packed = PackedStates(spec.attributes, [*frontiers, frozenset()], np.eye(span + 1, span, dtype=np.bool_),
+                          index, totals)
+    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]])), packed
 
 
 def member_valuations(
     spec: PreferenceSpec, bits: np.ndarray, sums: np.ndarray, member_sets: Sequence[tuple[int, ...]]
-) -> list[Valuation]:
+) -> tuple[list[Valuation], PackedStates]:
     """The valuation of each nonempty sorted multiset of components, where
-    component k holds ``bits[k]`` and ``sums[k]`` (see :func:`component_values`).
+    component k holds ``bits[k]`` and ``sums[k]`` (see :func:`component_values`),
+    and the packed table of the empty composition followed by these
+    valuations.
 
     A set's frontier values are the OR of its members' bits, and
-    :func:`aggregation.path_frontiers` keeps their frontiers, one shared
-    ``AggValue`` per distinct frontier.  Each sum folds the
-    members' values from 0.0 in ascending order, one member column at a time
-    over all sets; a shorter set adds 0.0, which changes no bit, as a fold
-    from 0.0 never holds -0.0.  A sum past the float64 range raises
+    :func:`aggregation.path_frontiers` gives the flag rows of their
+    frontiers.  Each distinct frontier is one shared ``AggValue`` and one
+    flag row of the packed table.  Each sum folds the members' values from
+    0.0 in ascending order, one member column at a time over all sets; a
+    shorter set adds 0.0, which changes no bit, as a fold from 0.0 never
+    holds -0.0.  A sum past the float64 range raises
     ``DomainError`` naming ``attributes[i]``."""
     fronts, sum_ids, _ = _layout(spec)
     flat = list(chain.from_iterable(member_sets))
     starts = list(accumulate(map(len, member_sets), initial=0))[:-1]
     index = np.empty((len(member_sets), len(spec.attributes)), dtype=np.intp)
-    interned: list[AggValue] = []
     if fronts:
         kept = path_frontiers([spec.attributes[i] for i in fronts], np.bitwise_or.reduceat(bits[flat], starts))
-        interned, index[:, fronts] = _interned_frontiers(kept)
+        frontiers, flags, table_index = _interned_frontiers(kept)
+        index[:, fronts] = table_index[1:]
+    else:
+        frontiers, flags = [], np.zeros((0, 0), dtype=np.bool_)
+        table_index = np.zeros((len(member_sets) + 1, 0), dtype=np.intp)
+    interned = [AggValue(frontier, None) for frontier in frontiers]
+    totals = np.zeros((len(member_sets) + 1, len(sum_ids)))  # the empty composition's zero sums first
     if sum_ids:
         padded = np.concatenate([sums, np.zeros((1, len(sum_ids)))])  # a zero row past the last component
-        totals = np.zeros((len(member_sets), len(sum_ids)))
         with np.errstate(over="ignore", invalid="ignore"):
             for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
-                totals += padded[list(column)]
+                totals[1:] += padded[list(column)]
         if not np.isfinite(totals).all():
             i = sum_ids[int(np.argmin(np.isfinite(totals).all(axis=0)))]
             raise DomainError(f"attributes[{i}] ({spec.attributes[i].name}): a composition's sum is not finite")
-        index[:, sum_ids] = len(interned) + np.arange(totals.size).reshape(totals.shape)
-        interned += [AggValue(None, x) for x in totals.ravel().tolist()]
-    return _valuations(interned, index)
+        index[:, sum_ids] = len(interned) + np.arange(totals[1:].size).reshape(totals[1:].shape)
+        interned += [AggValue(None, x) for x in totals[1:].ravel().tolist()]
+    return _valuations(interned, index), PackedStates(spec.attributes, frontiers, flags, table_index, totals)
 
 
-def _interned_frontiers(kept: np.ndarray) -> tuple[list[AggValue], np.ndarray]:
-    """One ``AggValue`` per distinct frontier of ``kept`` (flag rows as
-    :func:`aggregation.path_frontiers` returns them), and each (set,
-    attribute)'s position in that list.
+def _interned_frontiers(kept: np.ndarray) -> tuple[list[frozenset], np.ndarray, np.ndarray]:
+    """The distinct frontiers of ``kept`` (flag rows as
+    :func:`aggregation.path_frontiers` returns them) in first-seen order,
+    then the empty frontier unless a set holds it; their flag rows; and the
+    position in that list of the empty frontier on every attribute, then of
+    each (set, attribute)'s frontier, one row per set.
 
-    Each row's flags are one bytes key.  Attributes holding equal frontiers
-    share the value, as ``AggValue`` is a plain value.
+    Each row's flags are one bytes key, so attributes holding equal
+    frontiers share one.
     """
     sets, count, span = kept.shape
     keys = kept.reshape(sets * count, span).view(np.dtype((np.void, span))).ravel().tolist()
-    first = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    interned = [AggValue(frozenset(compress(range(span), key)), None) for key in first]
-    return interned, np.fromiter(map(first.__getitem__, keys), dtype=np.intp, count=len(keys)).reshape(sets, count)
+    empty = bytes(span)
+    distinct = dict.fromkeys(keys)
+    distinct.setdefault(empty)
+    first = {key: i for i, key in enumerate(distinct)}
+    frontiers = [frozenset(compress(range(span), key)) for key in first]
+    flags = np.frombuffer(b"".join(first), dtype=np.bool_).reshape(len(first), span)
+    index = np.fromiter(map(first.__getitem__, chain(repeat(empty, count), keys)), np.intp, len(keys) + count)
+    return frontiers, flags, index.reshape(sets + 1, count)
 
 
 def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
@@ -197,18 +235,24 @@ class FeasibilityProvider:
     ``states[key]`` is a state (a dict, or a list keyed by position),
     ``children[key]`` the keys of its one-step extensions (empty when
     terminal) and ``feasible`` the feasible keys in ``all_feasible`` order.
+    ``packed``, when the table's builder gives it, holds the states'
+    valuations packed in table order (:class:`dominance.PackedStates`), and
+    dominance pools of states are gathered from it.
     Providers over one table hand out its own objects and keep their own
     call counts, delays and budgets.  Extending a state the table does not
     hold raises ``KeyError`` (``IndexError`` for a list).
     """
 
     def __init__(self, states, children, feasible: Sequence[Hashable], root_key: Hashable,
-                 fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET):
+                 fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET, packed: Optional[PackedStates] = None):
         self.states = states
         self.children = children
         self.feasible = feasible
         self.root_key = root_key
+        self.packed = packed
         self._feasible_keys = frozenset(feasible)
+        # a list's rows are its keys
+        self._row_of = dict(zip(states, range(len(states)))) if isinstance(states, dict) else None
         self.fdelay_ms = fdelay_ms
         self.budget = budget
         self.invocation_count = 0
@@ -231,10 +275,23 @@ class FeasibilityProvider:
         self._charge()
         return [self.states[child] for child in self.children[comp.key()]]
 
-    def table(self) -> tuple[Sequence[Composition], dict[Hashable, int]]:
-        """Every state in table order, and each state's row by key."""
-        states = list(self.states.values()) if isinstance(self.states, dict) else self.states
-        return states, {state.key(): row for row, state in enumerate(states)}
+    def table(self) -> Sequence[Composition]:
+        """Every state in table order."""
+        return list(self.states.values()) if isinstance(self.states, dict) else self.states
+
+    def rows(self, comps: Iterable[Composition]) -> list[int]:
+        """Each state's row in table order."""
+        keys = [comp.key() for comp in comps]
+        return keys if self._row_of is None else list(map(self._row_of.__getitem__, keys))
+
+    def pool(self, spec: PreferenceSpec, comps: Sequence[Composition]) -> PackedPool:
+        """The dominance pool of the states ``comps``, in order: their rows of
+        the packed table, or, when the table has none for the spec's
+        attributes, their valuations packed."""
+        valuations = [comp.valuation for comp in comps]
+        if self.packed is None or self.packed.attributes != spec.attributes:
+            return PackedPool(spec, valuations)
+        return PackedPool.of_rows(spec, self.packed, self.rows(comps), valuations)
 
     def all_feasible(self) -> list[Composition]:
         """Native feasible set; equals what recursive extension reaches."""
@@ -271,12 +328,12 @@ class ExplicitProvider(FeasibilityProvider):
                 key = child
             feasible.append(key)
         keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
-        valuations = member_valuations(spec, *component_values(spec, components), keys)
+        valuations, packed = member_valuations(spec, *component_values(spec, components), keys)
         states = {(): empty_composition(spec)}
         for key, valuation in zip(keys, valuations):
             states[key] = Composition(key, valuation, key, terminal=key not in nexts)
         children = {key: list(nexts.get(key, {}).values()) for key in states}
-        super().__init__(states, children, feasible, (), fdelay_ms=fdelay_ms, budget=budget)
+        super().__init__(states, children, feasible, (), fdelay_ms=fdelay_ms, budget=budget, packed=packed)
 
 
 def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:

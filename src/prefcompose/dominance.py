@@ -11,27 +11,33 @@ each distinct frontier, packed the first time a pool holds it, is a class of
 its attribute with a membership row and an unbeaten row (the values it
 leaves unbeaten) in one ``(2, m, K, span + 1)`` stack, over the widest
 domain plus a placeholder column for the empty frontier.  A pool's unseen
-frontiers of every attribute are registered together, with one ``np.put``
-and one batched product against the ``(m, span + 1, span + 1)`` stack of
-value orders.  A pool holds an ``(m, c)`` array of its entries' class ids
-and gathers their rows with one ``take``.  Per block of rows, one batched
-product of unbeaten rows with membership rows gives every attribute's
-strict relation, one class-id comparison every tie, and one product with
-the spec's ``(m, m)`` "not more important" matrix counts, for every witness
-at once, the attributes of its scope that are lost.  Sums compare exactly
-as float64, per pool, written into their rows of the strict and tie
-relations.
-A pool is the one place valuations get packed.  :func:`dominates`,
-:func:`witnesses` and :meth:`PackedPool.best_on` (an attribute's unbeaten
-entries, read from the strict relation of that attribute) read the same
-relations, so there is one implementation of the rule.
+frontiers of every attribute are registered together from their flag rows,
+with one assignment and one batched product against the
+``(m, span + 1, span + 1)`` stack of value orders.  A pool holds an
+``(m, c)`` array of its entries' class ids and gathers their rows with one
+``take``.  Per block of rows, one batched product of unbeaten rows with
+membership rows gives every attribute's strict relation, one class-id
+comparison every tie, and one product with the spec's ``(m, m)`` "not more
+important" matrix counts, for every witness at once, the attributes of its
+scope that are lost.  Sums compare exactly as float64, per pool, written
+into their rows of the strict and tie relations.
+
+A pool comes from one of two doors onto that one registration and gather.
+``PackedPool(spec, valuations)`` packs ad-hoc valuations, looking each
+entry's frontier up in its attribute's classes.  :meth:`PackedPool.of_rows`
+packs rows of a state table whose builder already made its frontiers' flag
+rows (a :class:`PackedStates`), looking each (attribute, distinct frontier)
+the rows hold up once.  :func:`dominates`, :func:`witnesses`,
+:meth:`PackedPool.best_on` (an attribute's unbeaten entries, read from the
+strict relation of that attribute) and :meth:`PackedPool.sweep` read the
+same relations, so there is one implementation of the rule.
 """
 
 from __future__ import annotations
 
 from itertools import chain
 from math import isfinite
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +53,35 @@ class ShapeError(ValueError):
     """A valuation is not aligned with the spec's attribute list."""
 
 
+class PackedStates(NamedTuple):
+    """A table of valuations as its builder packed them, for pools of its
+    rows (:meth:`PackedPool.of_rows`).
+
+    ``frontiers`` are the distinct frontiers and ``flags[k]`` is the flag row
+    of ``frontiers[k]`` over the widest frontier domain (``[k, v]`` set when
+    v is in it).  ``index[s, j]`` is the frontier that row s holds on the
+    j-th frontier attribute of ``attributes``, and ``sums[s, j]`` its j-th
+    sum, finite.  Frontier ids are in range.
+    """
+
+    attributes: tuple
+    frontiers: list[frozenset]
+    flags: np.ndarray
+    index: np.ndarray
+    sums: np.ndarray
+
+
 class _SpecPacking:
     """What every pool of one spec shares: the class rows, per attribute the
-    id of each distinct frontier registered so far (None for a sum), its
-    value order over the stack's columns and its sign (-1.0 for a sum where
-    higher is better), and the witness scopes.  Frontier attribute i's class
-    c has its rows at ``stack[:, i, c]``; an empty frontier holds the
-    placeholder value (the last column), which nothing beats, so it is never
-    strictly beaten.  The stack doubles as it grows, so K classes hold at
-    most 2K rows of each kind.  Products count in float32: exact below
-    2**24, and a domain that large could not hold its order matrix."""
+    id of each distinct frontier registered so far (None for a sum), the
+    frontier and the sum attributes, each attribute's value order over the
+    stack's columns and its sign (-1.0 for a sum where higher is better),
+    and the witness scopes.  Frontier attribute i's class c has its rows at
+    ``stack[:, i, c]``; an empty frontier holds the placeholder value (the
+    last column), which nothing beats, so it is never strictly beaten.  The
+    stack at least doubles when it grows, so K classes hold at most 2K rows
+    of each kind.  Products count in float32: exact below 2**24, and a
+    domain that large could not hold its order matrix."""
 
     def __init__(self, spec: PreferenceSpec):
         attrs = spec.attributes
@@ -65,35 +90,43 @@ class _SpecPacking:
         self.classes: list[Optional[dict[frozenset, int]]] = [
             None if a.agg_kind is AggKind.SUM else {} for a in attrs
         ]
+        self.fronts = [i for i, classes in enumerate(self.classes) if classes is not None]
+        self.sums = [i for i, classes in enumerate(self.classes) if classes is None]
+        self.attr_rows = np.arange(len(attrs))[:, None]  # each attribute's index, as a column
         self.beats = np.zeros((len(attrs), span + 1, span + 1), dtype=np.float32)
         for i, a in enumerate(attrs):
             if a.agg_kind is not AggKind.SUM:
                 d = a.intra_order.universe_size
                 self.beats[i, :d, :d] = a.intra_order.matrix
         self.signs = [-1.0 if a.sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0 for a in attrs]
+        self.sum_signs = np.array([self.signs[i] for i in self.sums])
         # scope[i, k]: a witness i must not lose on k (i is not more important than k)
         self.scope = (~spec.importance.matrix).astype(np.float32)
 
-    def register(self, new: dict[int, list[frozenset]]) -> None:
-        """Add one class per frontier of ``new[i]`` to frontier attribute i,
-        for every i at once: frontiers not seen before and in range.  One
-        ``np.put`` sets their membership rows, and one batched product with
-        the value orders gives the unbeaten rows of the span of classes that
+    def register(self, attrs: np.ndarray, frontiers: list[frozenset], flags: np.ndarray) -> np.ndarray:
+        """Add one class to attribute ``attrs[k]`` for each frontier
+        ``frontiers[k]``, whose flag row is ``flags[k]``: frontiers not seen
+        before and in range, with ``attrs`` ascending.  Return their class
+        ids.  One assignment sets their membership rows (the placeholder
+        column for an empty frontier), and one batched product with the
+        value orders gives the unbeaten rows of the span of classes that
         holds them."""
-        starts = {i: len(self.classes[i]) for i in new}
-        end = max(starts[i] + len(frontiers) for i, frontiers in new.items())
-        while end > self.stack.shape[2]:
-            self.stack = np.concatenate((self.stack, np.zeros_like(self.stack)), axis=2)
-        _, _, held, n = self.stack.shape
-        np.put(self.stack, [
-            (i * held + starts[i] + row) * n + x
-            for i, frontiers in new.items() for row, f in enumerate(frontiers) for x in f or (n - 1,)
-        ], 1.0)
+        sizes = np.array([len(classes) if classes is not None else 0 for classes in self.classes])
+        # each attribute's new classes follow its registered ones
+        slots = sizes[attrs] + np.arange(len(attrs)) - np.searchsorted(attrs, attrs)
+        low, end = int(slots.min()), int(slots.max()) + 1
+        two, m, held, n = self.stack.shape
+        if end > held:
+            grown = np.zeros((two, m, max(end, 2 * held), n), dtype=np.float32)
+            grown[:, :, :held] = self.stack
+            self.stack = grown
         members, unbeaten = self.stack
-        low = min(starts.values())
+        members[attrs, slots, :flags.shape[1]] = flags
+        members[attrs, slots, -1] = ~flags.any(axis=1)
         unbeaten[:, low:end] = np.matmul(members[:, low:end], self.beats) == 0
-        for i, frontiers in new.items():
-            self.classes[i].update(zip(frontiers, range(starts[i], starts[i] + len(frontiers))))
+        for i, frontier, slot in zip(attrs.tolist(), frontiers, slots.tolist()):
+            self.classes[i][frontier] = slot
+        return slots
 
 
 def _packing(spec: PreferenceSpec) -> _SpecPacking:
@@ -158,20 +191,69 @@ class PackedPool:
                 if None in ids[-1]:
                     unseen[i] = frontiers
         if unseen:
-            new = {}
+            attrs, fresh = [], []
             for i, frontiers in unseen.items():
-                new[i] = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
-                check_range(spec.attributes[i], frozenset().union(*new[i]))
-            packing.register(new)
+                new = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
+                check_range(spec.attributes[i], frozenset().union(*new))
+                attrs += [i] * len(new)
+                fresh += new
+            flags = np.zeros((len(fresh), packing.stack.shape[3] - 1), dtype=np.bool_)
+            np.put(flags, [k * flags.shape[1] + x for k, f in enumerate(fresh) for x in f], True)
+            packing.register(np.array(attrs), fresh, flags)
             for i, frontiers in unseen.items():
                 ids[i] = list(map(packing.classes[i].__getitem__, frontiers))
-        self.signed = np.array(signed, dtype=np.float64).reshape(len(self.sums), c)
-        two, _, held, n = packing.stack.shape
         # narrow ids compare faster
-        self.ids = np.fromiter(chain.from_iterable(ids), np.int32, m * c).reshape(m, c)
-        flat = self.ids + held * np.arange(m)[:, None]  # rows of the stack with attributes flattened
+        self._gather(packing, np.fromiter(chain.from_iterable(ids), np.int32, m * c).reshape(m, c),
+                     np.array(signed, dtype=np.float64).reshape(len(self.sums), c))
+
+    @classmethod
+    def of_rows(cls, spec: PreferenceSpec, table: PackedStates, rows: Sequence[int],
+                valuations: Sequence[Valuation]) -> PackedPool:
+        """The pool of the rows ``rows`` of ``table``, a packed table of
+        valuations whose attributes are the spec's; ``valuations`` are those
+        rows' valuations.
+
+        Each (attribute, distinct frontier) that the rows hold is looked up
+        once in the attribute's classes, and the unseen ones are registered
+        from their flag rows in one call; no entry's frontier is hashed."""
+        pool = object.__new__(cls)
+        pool.valuations = list(valuations)
+        packing = _packing(spec)
+        fronts, count = packing.fronts, len(table.frontiers)
+        pool.sums = packing.sums
+        # (attribute, frontier) pairs as codes j * count + k, one row per entry
+        codes = table.index[rows] + count * np.arange(len(fronts))
+        held = np.zeros(len(fronts) * count, dtype=np.bool_)
+        held[codes] = True
+        pairs = np.flatnonzero(held)
+        js, ks = np.divmod(pairs, count)  # by attribute
+        keys = [table.frontiers[k] for k in ks.tolist()]
+        classes = [packing.classes[i] for i in fronts]
+        found = [classes[j].get(key, -1) for j, key in zip(js.tolist(), keys)]
+        class_of = np.zeros(held.shape, dtype=np.int32)
+        class_of[pairs] = found
+        if -1 in found:
+            unseen = np.flatnonzero(class_of[pairs] < 0)
+            class_of[pairs[unseen]] = packing.register(
+                np.array(fronts)[js[unseen]], [keys[u] for u in unseen.tolist()], table.flags[ks[unseen]])
+        # ids and signed sums row-major, as the relations read them: strided
+        # sums made a 300-entry pool's matrix twice as slow
+        if pool.sums:  # a sum holds class 0
+            ids = np.zeros((spec.attr_count, len(codes)), dtype=np.int32)
+            ids[fronts] = class_of.take(codes.T)
+            signed = np.ascontiguousarray((table.sums[rows] * packing.sum_signs).T)
+        else:
+            ids, signed = class_of.take(codes.T), np.zeros((0, len(codes)))
+        pool._gather(packing, ids, signed)
+        return pool
+
+    def _gather(self, packing: _SpecPacking, ids: np.ndarray, signed: np.ndarray) -> None:
+        """Hold the entries' ``(m, c)`` class ids, their class rows gathered
+        from the spec's stack in one ``take``, and the sums' signed values."""
+        two, m, held, n = packing.stack.shape
+        self.ids, self.signed, self.scope = ids, signed, packing.scope
+        flat = ids + held * packing.attr_rows  # rows of the stack with attributes flattened
         self.stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
-        self.scope = packing.scope
 
     def take(self, rows: Sequence[int]) -> PackedPool:
         """The pool of the entries ``rows``, in that order, read from this one."""
@@ -182,9 +264,9 @@ class PackedPool:
         pool.stack = self.stack.take(rows, axis=2)
         return pool
 
-    def _witnessed(self, rows: slice, cols: slice) -> np.ndarray:
-        """(m, rows, cols): [i, a, b] when attribute i witnesses pool[a]
-        dominating pool[b]."""
+    def _witnessed(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:
+        """(m, rows, cols) relations of the pool: the strict one, and [i, a,
+        b] when attribute i witnesses pool[a] dominating pool[b]."""
         strict = _strict(self.stack, self.signed, self.sums, rows, cols)
         tied = self.ids[:, rows, None] == self.ids[:, None, cols]
         if self.sums:
@@ -192,11 +274,11 @@ class PackedPool:
         lost = (~(strict | tied)).astype(np.float32)  # a float operand keeps the product on BLAS
         # one row of rows x cols cells per attribute (lost[:1].size also holds when m is 0)
         kept = np.matmul(self.scope, lost.reshape(len(lost), lost[:1].size)).reshape(lost.shape) == 0
-        return strict & kept
+        return strict, strict & kept
 
     def witness(self, a: int, b: int) -> int:
         """Lowest-id witness of pool[a] dominating pool[b], or -1."""
-        found = np.flatnonzero(self._witnessed(slice(a, a + 1), slice(b, b + 1)))
+        found = np.flatnonzero(self._witnessed(slice(a, a + 1), slice(b, b + 1))[1])
         return int(found[0]) if found.size else -1
 
     def best_on(self, i: int) -> list[int]:
@@ -210,17 +292,28 @@ class PackedPool:
             beaten |= _strict(stack, signed, sums, rows, slice(None))[0].any(axis=0)
         return np.flatnonzero(~beaten).tolist()
 
-    def dominance_matrix(self) -> np.ndarray:
-        """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b].
+    def sweep(self, attrs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+        """From one pass over blocks of rows: ``beaten[k, b]`` when some
+        entry strictly beats pool[b] on attribute ``attrs[k]``, and the
+        dominance matrix D, D[a, b] when pool[a] dominates pool[b].
 
         The diagonal is evaluated rather than assumed false, so irreflexivity
         failures would show up here.
         """
         c = len(self.valuations)
+        beaten = np.zeros((len(attrs), c), dtype=np.bool_)
         out = np.zeros((c, c), dtype=np.bool_)
         for rows in _row_blocks(len(self.ids), c):
-            out[rows] = self._witnessed(rows, slice(None)).any(axis=0)
-        return out
+            strict, witnessed = self._witnessed(rows, slice(None))
+            if attrs:
+                beaten |= strict[list(attrs)].any(axis=1)
+            out[rows] = witnessed.any(axis=0)
+        return beaten, out
+
+    def dominance_matrix(self) -> np.ndarray:
+        """Boolean matrix D with D[a, b] true when pool[a] dominates pool[b]
+        (see :meth:`sweep`)."""
+        return self.sweep(())[1]
 
     def undominated(self) -> list[int]:
         """Pool indices, in order, of the entries nothing in the pool dominates."""
@@ -235,7 +328,7 @@ def dominates(spec: PreferenceSpec, u: Valuation, v: Valuation) -> Optional[int]
 
 def witnesses(spec: PreferenceSpec, u: Valuation, v: Valuation) -> list[int]:
     """All attributes that certify u dominating v (empty when none)."""
-    return np.flatnonzero(PackedPool(spec, (u, v))._witnessed(slice(0, 1), slice(1, 2))).tolist()
+    return np.flatnonzero(PackedPool(spec, (u, v))._witnessed(slice(0, 1), slice(1, 2))[1]).tolist()
 
 
 def nondominated(spec: PreferenceSpec, valuations: Sequence[tuple[object, Valuation]]) -> set:

@@ -42,6 +42,7 @@ from .composition import (
     member_valuations,
     singleton_valuations,
 )
+from .dominance import PackedStates
 from .order import StrictOrder, transitive_closure
 from .preference import AggKind, AttributeSchema, PreferenceSpec
 
@@ -119,7 +120,8 @@ class RecursiveTree:
     ``nodes[k]`` is node k's composition, built once with the tree: its
     members (the components on its root path), its valuation, ``k`` as its
     ``provider_node`` and ``terminal`` when it has no children.  Every
-    provider over the tree hands out these objects.
+    provider over the tree hands out these objects, and ``packed`` holds
+    their valuations packed by node, as the valuation builder made them.
     """
 
     parent: list[int]                 # parent[0] == -1
@@ -127,6 +129,7 @@ class RecursiveTree:
     nodes: list[Composition]
     leaves: list[int]
     feasible_leaves: set[int]
+    packed: PackedStates
 
     @property
     def node_count(self) -> int:
@@ -273,7 +276,7 @@ def random_valuations(
 ) -> list[Valuation]:
     """``count`` singleton valuations, one uniform domain value per attribute:
     a singleton frontier, or the value's number for a sum."""
-    return singleton_valuations(spec, _random_value_ids(spec, rng, count))
+    return singleton_valuations(spec, _random_value_ids(spec, rng, count))[0]
 
 
 def generate_tree(
@@ -298,9 +301,9 @@ def generate_tree(
     for node in range(1, r + 1):
         members.append(members[parent[node]] + (node - 1,))
     if config.valuation_mode == "aggregated":
-        drawn = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
+        drawn, packed = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
     else:  # random_per_node
-        drawn = random_valuations(spec, rng, r)
+        drawn, packed = singleton_valuations(spec, _random_value_ids(spec, rng, r))
     valuations = [empty_composition(spec).valuation, *drawn]
     nodes = list(map(Composition, members, valuations, range(r + 1), [not c for c in children]))
 
@@ -314,14 +317,17 @@ def generate_tree(
         nodes=nodes,
         leaves=leaves,
         feasible_leaves=feasible_leaves,
+        packed=packed,
     )
 
 
 def tree_provider(
     tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET
 ) -> FeasibilityProvider:
-    """A provider over the tree's own node compositions, rooted at node 0."""
-    return FeasibilityProvider(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget)
+    """A provider over the tree's own node compositions and their packed
+    valuations, rooted at node 0."""
+    return FeasibilityProvider(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget,
+                               packed=tree.packed)
 
 
 def run_instance(

@@ -22,6 +22,7 @@ from prefcompose import (
     build_order,
     merge,
 )
+from prefcompose.dominance import PackedPool, _SpecPacking
 from prefcompose.simulator import SimConfig, random_spec
 
 
@@ -146,3 +147,39 @@ def scalar_tree_draws(spec, r, rng):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+def counting_registrations(monkeypatch):
+    """Record (packing, attribute, frontier) for every class registered, and
+    the attributes of each ``_SpecPacking.register`` call."""
+    built, calls = [], []
+    original = _SpecPacking.register
+
+    def counted(self, attrs, frontiers, flags):
+        calls.append(sorted(set(attrs.tolist())))
+        built.extend((id(self), i, f) for i, f in zip(attrs.tolist(), frontiers))
+        return original(self, attrs, frontiers, flags)
+
+    monkeypatch.setattr(_SpecPacking, "register", counted)
+    return built, calls
+
+
+def counting_packs(monkeypatch):
+    """Record the entry count of every pool packed from valuations
+    (``PackedPool(spec, valuations)``, which looks each entry's frontier up)
+    and the row count of every pool gathered from a packed table
+    (``PackedPool.of_rows``)."""
+    packs, gathers = [], []
+    init, of_rows = PackedPool.__init__, PackedPool.of_rows.__func__
+
+    def counted_init(self, spec, valuations):
+        packs.append(len(valuations))
+        init(self, spec, valuations)
+
+    def counted_of_rows(cls, spec, table, rows, valuations):
+        gathers.append(len(rows))
+        return of_rows(cls, spec, table, rows, valuations)
+
+    monkeypatch.setattr(PackedPool, "__init__", counted_init)
+    monkeypatch.setattr(PackedPool, "of_rows", classmethod(counted_of_rows))
+    return packs, gathers

@@ -18,7 +18,6 @@ from prefcompose import (
     interleave_compose,
     weakly_complete_compose,
 )
-from prefcompose import algorithms, dominance
 from prefcompose.aggregation import strictly_preferred
 from prefcompose.algorithms import ALGORITHMS
 from prefcompose.cli import load_instance, main
@@ -34,7 +33,7 @@ from prefcompose.order import FIRST, NEITHER, SECOND, maximal_set
 from prefcompose.preference import most_important_set
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 
-from conftest import mixed_spec_and_pool, sum_attribute, with_near_ties
+from conftest import counting_packs, counting_registrations, mixed_spec_and_pool, sum_attribute, with_near_ties
 
 
 def _provider(instance, **kwargs):
@@ -321,17 +320,12 @@ def _a2_cases(rng):
 def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
     """a3 returns the attribute-best set of its picked attribute; a2 the
     union, over the most important attributes, of the non-dominated part of
-    each attribute-best set.  Each packs exactly one pool, of the feasible
-    set, and reads every best set and filter from it."""
-    packs = []
-
-    class CountingPool(PackedPool):
-        def __init__(self, spec, valuations):
-            packs.append(len(valuations))
-            super().__init__(spec, valuations)
-
-    monkeypatch.setattr(algorithms, "PackedPool", CountingPool)
-    monkeypatch.setattr(dominance, "PackedPool", CountingPool)
+    each attribute-best set.  Each gathers exactly one pool, of the feasible
+    rows of the provider's packed table, and reads every best set and filter
+    from it: no pool is packed from valuations, so no entry's frontier is
+    looked up, and each class is registered once, by a3's pool."""
+    packs, gathers = counting_packs(monkeypatch)
+    built, _ = counting_registrations(monkeypatch)
     small_sum_best = 0
     for trial, (spec, pool, feasible) in enumerate(_a2_cases(rng)):
         comps = [Composition((i,), v, i) for i, v in enumerate(pool)] if feasible else []
@@ -341,8 +335,12 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
             return ExplicitProvider(spec, components, [[c.members[0]] for c in comps])
 
         packs.clear()
+        gathers.clear()
+        built.clear()
         a3 = att_weakly_complete_compose(spec, provider(), pick_seed=trial)
-        assert packs == [len(comps)]
+        assert packs == [] and gathers == [len(comps)]
+        classes = sum(len(c) for c in spec.packing.classes if c is not None)
+        assert len(built) == len(set(built)) == classes
         best = _attribute_best(spec, comps, a3.config["picked_attribute"])
         assert sorted(c.members[0] for c in a3.solutions) == sorted(c.members[0] for c in best)
         expected = set()
@@ -351,9 +349,10 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
             expected |= brute_nondominated(spec, [(c.members[0], c.valuation) for c in best])
             if len(comps) >= 40 and spec.attributes[attr_id].name == "cost":
                 small_sum_best += len(best) <= 2
-        packs.clear()
+        gathers.clear()
         a2 = weakly_complete_compose(spec, provider())
-        assert packs == [len(comps)]
+        assert packs == [] and gathers == [len(comps)]
+        assert len(built) == classes
         assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)
     assert small_sum_best >= 20
 

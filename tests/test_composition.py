@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prefcompose import (
     AggKind,
@@ -20,6 +23,7 @@ from prefcompose import (
     KindMismatch,
     PreferenceSpec,
     ShapeError,
+    SumPolarity,
     Valuation,
     build_order,
     dominates,
@@ -27,7 +31,8 @@ from prefcompose import (
     enumerate_feasible,
 )
 from prefcompose.cli import load_instance
-from prefcompose.simulator import SimConfig, generate_tree, random_spec, random_valuations, tree_provider
+from prefcompose.dominance import PackedPool
+from prefcompose.simulator import SimConfig, generate_tree, random_order, random_spec, random_valuations, tree_provider
 
 from conftest import frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
 
@@ -410,3 +415,79 @@ def test_every_provider_serves_its_state_table(case, rng):
     assert (first.invocation_count, second.invocation_count) == (5, 4)
     with pytest.raises(BudgetExceeded):
         first.extensions(root)
+
+
+_ALL_KINDS = (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX,
+              SumPolarity.LOWER_IS_BETTER, SumPolarity.HIGHER_IS_BETTER)
+
+
+def _explicit_case(rng):
+    """An explicit provider over a spec holding every aggregation kind (min
+    and max over total value orders, the frontier kinds over partial ones,
+    sums of both polarities over drawn numbers), with shared prefixes,
+    permuted and repeated members, and sometimes the empty sequence."""
+    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+    partial = random_spec(SimConfig(domain_size=n, attr_count=m, intra_kind="po"), rng)
+    total = random_spec(SimConfig(domain_size=n, attr_count=m, intra_kind="to"), rng)
+    attrs = []
+    for i in range(m):
+        kind = _ALL_KINDS[int(rng.integers(0, len(_ALL_KINDS)))]
+        if isinstance(kind, SumPolarity):
+            attrs.append(sum_attribute(i, f"s{i}", rng.integers(-4, 5, size=n) / 4, kind))
+        else:
+            order = (total if kind in (AggKind.MIN, AggKind.MAX) else partial).attributes[i].intra_order
+            attrs.append(AttributeSchema(i, f"x{i}", tuple(map(str, range(n))), order, kind))
+    spec = PreferenceSpec(tuple(attrs), partial.importance)
+    components = [Component(k, f"c{k}", Valuation(
+        AggValue.of_scalar(a.numeric_values[v]) if a.agg_kind is AggKind.SUM else AggValue.of_frontier((v,))
+        for a, v in zip(attrs, rng.integers(0, n, size=m).tolist())
+    )) for k in range(int(rng.integers(1, 7)))]
+    sequences = [rng.integers(0, len(components), size=int(rng.integers(0 if j == 0 else 1, 5))).tolist()
+                 for j in range(int(rng.integers(1, 9)))]
+    return spec, ExplicitProvider(spec, components, sequences[int(rng.integers(0, 2)):] or sequences)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("aggregated", "random_per_node", "explicit")), st.integers(0, 2**32 - 1))
+def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
+    """A pool gathered from a provider's packed table equals the pool of the
+    same states' valuations: the dominance matrix, every attribute's best
+    set and a sweep, on rows that hold the empty root, on the feasible rows,
+    on random rows and on none, under the builder's spec and under one with
+    other importance; and a provider built from the same states dict, which
+    has no packed table, gives the same pools.  Under a spec with other
+    attributes the states' valuations are packed, and a length mismatch
+    raises ``ShapeError``."""
+    rng = np.random.default_rng(seed)
+    if source == "explicit":
+        spec, provider = _explicit_case(rng)
+    else:
+        config = SimConfig(repo_size=int(rng.integers(1, 40)), attr_count=int(rng.integers(1, 6)),
+                           domain_size=int(rng.choice([2, 5, 70])), valuation_mode=source)
+        spec = random_spec(config, rng)
+        provider = tree_provider(generate_tree(spec, config, rng))
+    assert provider.packed is not None and provider.packed.attributes is spec.attributes
+    states = list(provider.table())
+    plain = FeasibilityProvider({c.key(): c for c in states}, {}, [], provider.root_key)
+    other = replace(spec, importance=random_order(spec.attr_count, "partial", rng))
+    feasible = provider.all_feasible()
+    picks = rng.integers(0, len(states), size=int(rng.integers(1, 12))).tolist()
+    for rows in (list(range(len(states))), [0, *picks], provider.rows(feasible), []):
+        comps = [states[r] for r in rows]
+        for reading in (spec, other):
+            valuations = [c.valuation for c in comps]
+            fresh = PackedPool(replace(reading), valuations)
+            for pool in (PackedPool.of_rows(reading, provider.packed, rows, valuations),
+                         provider.pool(reading, comps), plain.pool(reading, comps)):
+                assert pool.dominance_matrix().tolist() == fresh.dominance_matrix().tolist()
+                for i in range(spec.attr_count):
+                    assert pool.best_on(i) == fresh.best_on(i)
+                attrs = sorted(rng.choice(spec.attr_count, size=int(rng.integers(0, spec.attr_count + 1)),
+                                          replace=False).tolist())
+                beaten, matrix = pool.sweep(attrs)
+                assert matrix.tolist() == fresh.dominance_matrix().tolist()
+                assert [np.flatnonzero(~row).tolist() for row in beaten] == [fresh.best_on(i) for i in attrs]
+    wider = PreferenceSpec((*spec.attributes, sum_attribute(spec.attr_count, "extra", (1, 2))),
+                           build_order([], spec.attr_count + 1))
+    with pytest.raises(ShapeError):
+        provider.pool(wider, states)

@@ -39,7 +39,15 @@ from prefcompose.dominance import PackedPool, _SpecPacking
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
-from conftest import frontier_spec, mixed_spec_and_pool, singleton_valuation, sum_attribute, ulps_above
+from conftest import (
+    counting_packs,
+    counting_registrations,
+    frontier_spec,
+    mixed_spec_and_pool,
+    singleton_valuation,
+    sum_attribute,
+    ulps_above,
+)
 
 
 def test_witness_chain_of_bundled_counterexample():
@@ -255,23 +263,8 @@ def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
         assert grew, f"case {trial}: no pool met a new frontier after the first"
 
 
-def _counting_registrations(monkeypatch):
-    """Record (packing, attribute, frontier) for every class registered, and
-    the attributes of each ``_SpecPacking.register`` call."""
-    built, calls = [], []
-    original = _SpecPacking.register
-
-    def counted(self, new):
-        calls.append(sorted(new))
-        built.extend((id(self), i, f) for i, frontiers in new.items() for f in frontiers)
-        return original(self, new)
-
-    monkeypatch.setattr(_SpecPacking, "register", counted)
-    return built, calls
-
-
 def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
-    built, _ = _counting_registrations(monkeypatch)
+    built, _ = counting_registrations(monkeypatch)
     config = SimConfig(repo_size=200, attr_count=8)
     rng = np.random.default_rng(5)
     spec = random_spec(config, rng)
@@ -400,9 +393,14 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
 
 def test_a4_packs_its_state_table_once(monkeypatch):
     """On a tree shaped like the benchmark's (r=200, m=8, partial value
-    orders, interval importance, aggregated), a4 registers every frontier
-    attribute's classes in one call, before its first round."""
-    built, calls = _counting_registrations(monkeypatch)
+    orders, interval importance, aggregated), a4 gathers one pool of the
+    tree's whole packed table and registers every frontier attribute's
+    classes in one call, before its first round.  No algorithm packs a pool
+    from valuations, so no entry's frontier is looked up: a1, a2 and a3 then
+    each gather one pool of the feasible rows over the same spec, and
+    register no class again."""
+    built, calls = counting_registrations(monkeypatch)
+    packs, gathers = counting_packs(monkeypatch)
     rounds = []  # the number of registrations made before each round's filter
     filter_dominance = algorithms._filter_dominance
 
@@ -414,16 +412,21 @@ def test_a4_packs_its_state_table_once(monkeypatch):
     config = SimConfig(repo_size=200, attr_count=8, domain_size=6, intra_kind="po", importance_kind="io",
                        valuation_mode="aggregated")
     for seed in range(3):
-        built.clear()
-        calls.clear()
-        rounds.clear()
+        for found in (built, calls, rounds, packs, gathers):
+            found.clear()
         rng = np.random.default_rng(seed)
         spec = random_spec(config, rng)
-        interleave_compose(spec, tree_provider(generate_tree(spec, config, rng)))
+        tree = generate_tree(spec, config, rng)
+        interleave_compose(spec, tree_provider(tree))
         assert len(rounds) > 1
         assert calls == [list(range(spec.attr_count))]
         assert len(built) == len(set(built)) == sum(map(len, spec.packing.classes))
         assert set(rounds) == {1}
+        assert packs == [] and gathers == [tree.node_count]
+        for name in ("a1", "a2", "a3"):
+            algorithms.ALGORITHMS[name](spec, tree_provider(tree))
+        assert calls == [list(range(spec.attr_count))]
+        assert packs == [] and gathers == [tree.node_count] + [len(tree.feasible_leaves)] * 3
 
 
 def test_replaced_spec_starts_with_fresh_state(rng):
