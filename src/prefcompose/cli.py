@@ -18,6 +18,7 @@ import bisect
 import contextlib
 import dataclasses
 import enum
+import itertools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .composition import (
     ExplicitProvider,
     FeasibilityProvider,
 )
-from .dominance import dominates
+from .dominance import PackedPool
 from .order import CycleError, StrictOrder, build_order, classify
 from .preference import (
     AggKind,
@@ -335,14 +336,12 @@ def run_result_json(instance: Instance, result: RunResult) -> dict:
                 "valuation": [_agg_value_json(v) for v in comp.valuation],
             }
         )
+    pool = PackedPool(instance.spec, [comp.valuation for comp in result.solutions])
     annotations = []
-    for i, a in enumerate(result.solutions):
-        for j, b in enumerate(result.solutions):
-            if i == j:
-                continue
-            witness = dominates(instance.spec, a.valuation, b.valuation)
-            if witness is not None:
-                annotations.append({"winner": i, "loser": j, "witness": witness})
+    for i, j in itertools.permutations(range(len(solutions)), 2):
+        witness = pool.witness(i, j)
+        if witness >= 0:
+            annotations.append({"winner": i, "loser": j, "witness": witness})
     return {
         "format": 1,
         "algorithm": result.algorithm,

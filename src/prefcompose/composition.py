@@ -17,9 +17,10 @@ calls are counted and carry a configurable simulated delay.  The one
 :class:`ExplicitProvider` builds it from listed sequences, and
 ``simulator.tree_provider`` reads a generated tree's node table.  Both hand
 the provider their builder's packed table, whose first row is the empty
-root, and :meth:`FeasibilityProvider.pool` gathers the dominance pool of
-any states from its rows, so no algorithm looks an entry's frontier up.  A
-provider built from states alone packs their valuations.
+root; a provider built from states alone packs its table with
+:func:`dominance.pack_valuations` on its first pool.  Every dominance pool
+of states, :meth:`FeasibilityProvider.pool`, is rows of that one table, so
+no algorithm looks an entry's frontier up.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, check_range, path_frontiers
-from .dominance import PackedPool, PackedStates, ShapeError
+from .dominance import PackedPool, PackedStates, ShapeError, pack_valuations
 from .preference import PreferenceSpec
 
 DEFAULT_BUDGET = 10_000_000
@@ -235,9 +236,10 @@ class FeasibilityProvider:
     ``states[key]`` is a state (a dict, or a list keyed by position),
     ``children[key]`` the keys of its one-step extensions (empty when
     terminal) and ``feasible`` the feasible keys in ``all_feasible`` order.
-    ``packed``, when the table's builder gives it, holds the states'
-    valuations packed in table order (:class:`dominance.PackedStates`), and
-    dominance pools of states are gathered from it.
+    ``packed`` holds the states' valuations packed in table order
+    (:class:`dominance.PackedStates`), as the table's builder gives it or,
+    failing that, as the first pool packs it; dominance pools of states are
+    gathered from it.
     Providers over one table hand out its own objects and keep their own
     call counts, delays and budgets.  Extending a state the table does not
     hold raises ``KeyError`` (``IndexError`` for a list).
@@ -286,12 +288,14 @@ class FeasibilityProvider:
 
     def pool(self, spec: PreferenceSpec, comps: Sequence[Composition]) -> PackedPool:
         """The dominance pool of the states ``comps``, in order: their rows of
-        the packed table, or, when the table has none for the spec's
-        attributes, their valuations packed."""
-        valuations = [comp.valuation for comp in comps]
-        if self.packed is None or self.packed.attributes != spec.attributes:
-            return PackedPool(spec, valuations)
-        return PackedPool.of_rows(spec, self.packed, self.rows(comps), valuations)
+        the packed table, which a provider built from states alone packs on
+        its first pool.  A spec whose attributes are not the table's raises
+        ``ShapeError``."""
+        if self.packed is None:
+            self.packed = pack_valuations(spec, [comp.valuation for comp in self.table()])
+        if self.packed.attributes != spec.attributes:
+            raise ShapeError("the spec's attributes are not those of the provider's state table")
+        return PackedPool.of_rows(spec, self.packed, self.rows(comps), [comp.valuation for comp in comps])
 
     def all_feasible(self) -> list[Composition]:
         """Native feasible set; equals what recursive extension reaches."""

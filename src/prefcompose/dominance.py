@@ -22,26 +22,26 @@ important" matrix counts, for every witness at once, the attributes of its
 scope that are lost.  Sums compare exactly as float64, per pool, written
 into their rows of the strict and tie relations.
 
-A pool comes from one of two doors onto that one registration and gather.
-``PackedPool(spec, valuations)`` packs ad-hoc valuations, looking each
-entry's frontier up in its attribute's classes.  :meth:`PackedPool.of_rows`
-packs rows of a state table whose builder already made its frontiers' flag
-rows (a :class:`PackedStates`), looking each (attribute, distinct frontier)
-the rows hold up once.  :func:`dominates`, :func:`witnesses`,
-:meth:`PackedPool.best_on` (an attribute's unbeaten entries, read from the
-strict relation of that attribute) and :meth:`PackedPool.sweep` read the
-same relations, so there is one implementation of the rule.
+Every pool is rows of a packed table of valuations (a
+:class:`PackedStates`): :meth:`PackedPool.of_rows` looks each (attribute,
+distinct frontier) the rows hold up once and registers the unseen ones.  A
+state table's builder packs its table as it values the states;
+:func:`pack_valuations` packs any other valuations, checking them once, and
+``PackedPool(spec, valuations)`` is the pool of every row of that table.
+:func:`dominates`, :func:`witnesses`, :meth:`PackedPool.best_on` (an
+attribute's unbeaten entries, read from the strict relation of that
+attribute) and :meth:`PackedPool.sweep` read the same relations, so there is
+one implementation of the rule.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import isfinite
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import Valuation, check_range, not_finite
+from .aggregation import Valuation, check_kind, check_range, not_finite
 from .preference import AggKind, PreferenceSpec, SumPolarity
 
 # (attribute, pair) cells per row block of a pool's relations; bounds the
@@ -54,8 +54,8 @@ class ShapeError(ValueError):
 
 
 class PackedStates(NamedTuple):
-    """A table of valuations as its builder packed them, for pools of its
-    rows (:meth:`PackedPool.of_rows`).
+    """A table of valuations as its builder or :func:`pack_valuations`
+    packed them, for pools of its rows (:meth:`PackedPool.of_rows`).
 
     ``frontiers`` are the distinct frontiers and ``flags[k]`` is the flag row
     of ``frontiers[k]`` over the widest frontier domain (``[k, v]`` set when
@@ -71,12 +71,49 @@ class PackedStates(NamedTuple):
     sums: np.ndarray
 
 
+def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> PackedStates:
+    """The packed table of ``valuations``, in order: every distinct frontier
+    once, in first-seen order over the attributes, with its flag row.
+
+    A valuation not aligned with the spec raises ``ShapeError``.  Then the
+    attributes are checked in order, each for its values' kind
+    (``KindMismatch``), then their range or finiteness (``DomainError``), so
+    the lowest bad attribute's error is raised, as the oracle raises it."""
+    m, c = spec.attr_count, len(valuations)
+    for row in valuations:
+        if len(row) != m:
+            raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
+    columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
+    frontiers, sizes, sums = [], [], []  # frontier columns end to end, their domain sizes, sum columns
+    for attr, column in zip(spec.attributes, columns):
+        is_sum = attr.agg_kind is AggKind.SUM
+        held = [value.scalar if is_sum else value.frontier for value in column]
+        if None in held:
+            for value in column:
+                check_kind(attr, value)
+        if is_sum:
+            if not all(map(isfinite, held)):
+                raise not_finite(attr, next(x for x in held if not isfinite(x)))
+            sums.append(held)
+        else:
+            check_range(attr, frozenset().union(*held))
+            frontiers += held
+            sizes.append(len(attr.domain))
+    first: dict[frozenset, int] = {}
+    index = [first.setdefault(frontier, len(first)) for frontier in frontiers]
+    span = max(sizes, default=0)
+    flags = np.zeros((len(first), span), dtype=np.bool_)
+    flags.flat[[k * span + v for frontier, k in first.items() for v in frontier]] = True
+    return PackedStates(spec.attributes, list(first), flags, np.array(index, dtype=np.intp).reshape(len(sizes), c).T,
+                        np.array(sums, dtype=np.float64).reshape(len(sums), c).T)
+
+
 class _SpecPacking:
     """What every pool of one spec shares: the class rows, per attribute the
     id of each distinct frontier registered so far (None for a sum), the
     frontier and the sum attributes, each attribute's value order over the
-    stack's columns and its sign (-1.0 for a sum where higher is better),
-    and the witness scopes.  Frontier attribute i's class c has its rows at
+    stack's columns, each sum's sign (-1.0 where higher is better), and the
+    witness scopes.  Frontier attribute i's class c has its rows at
     ``stack[:, i, c]``; an empty frontier holds the placeholder value (the
     last column), which nothing beats, so it is never strictly beaten.  The
     stack at least doubles when it grows, so K classes hold at most 2K rows
@@ -98,8 +135,8 @@ class _SpecPacking:
             if a.agg_kind is not AggKind.SUM:
                 d = a.intra_order.universe_size
                 self.beats[i, :d, :d] = a.intra_order.matrix
-        self.signs = [-1.0 if a.sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0 for a in attrs]
-        self.sum_signs = np.array([self.signs[i] for i in self.sums])
+        self.sum_signs = np.array([-1.0 if attrs[i].sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0
+                                   for i in self.sums])
         # scope[i, k]: a witness i must not lose on k (i is not more important than k)
         self.scope = (~spec.importance.matrix).astype(np.float32)
 
@@ -158,60 +195,20 @@ def _row_blocks(m: int, c: int) -> Iterator[slice]:
 class PackedPool:
     """A list of valuations encoded once for dominance tests among them."""
 
-    def __init__(self, spec: PreferenceSpec, valuations: Sequence[Valuation]):
-        """Pack every attribute of the valuations: per attribute and entry
-        its class id (0 on a sum), the class rows gathered in one ``take``
-        (membership, unbeaten), the sums' signed values, and the sum
-        attributes.
-
-        Frontiers not seen before are range-checked for every attribute
-        first (an id outside the domain raises ``DomainError`` and registers
-        nothing), then registered together; a sum that is NaN or infinite
-        raises ``DomainError``."""
-        self.valuations = list(valuations)
-        m, c = spec.attr_count, len(self.valuations)
-        for row in self.valuations:
-            if len(row) != m:
-                raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
-        packing = _packing(spec)
-        columns = list(zip(*self.valuations)) or [()] * m  # per attribute, every entry's value
-        ids: list[list] = []
-        self.sums, signed = [], []
-        unseen: dict[int, list[frozenset]] = {}  # attribute -> every entry's frontier
-        for i, classes in enumerate(packing.classes):
-            if classes is None:
-                signed.append([packing.signs[i] * value.scalar for value in columns[i]])
-                if not all(map(isfinite, signed[-1])):
-                    raise not_finite(spec.attributes[i], next(v.scalar for v in columns[i] if not isfinite(v.scalar)))
-                self.sums.append(i)
-                ids.append([0] * c)
-            else:
-                frontiers = [value.frontier for value in columns[i]]
-                ids.append(list(map(classes.get, frontiers)))
-                if None in ids[-1]:
-                    unseen[i] = frontiers
-        if unseen:
-            attrs, fresh = [], []
-            for i, frontiers in unseen.items():
-                new = [f for f in dict.fromkeys(frontiers) if f not in packing.classes[i]]
-                check_range(spec.attributes[i], frozenset().union(*new))
-                attrs += [i] * len(new)
-                fresh += new
-            flags = np.zeros((len(fresh), packing.stack.shape[3] - 1), dtype=np.bool_)
-            np.put(flags, [k * flags.shape[1] + x for k, f in enumerate(fresh) for x in f], True)
-            packing.register(np.array(attrs), fresh, flags)
-            for i, frontiers in unseen.items():
-                ids[i] = list(map(packing.classes[i].__getitem__, frontiers))
-        # narrow ids compare faster
-        self._gather(packing, np.fromiter(chain.from_iterable(ids), np.int32, m * c).reshape(m, c),
-                     np.array(signed, dtype=np.float64).reshape(len(self.sums), c))
+    def __new__(cls, spec: PreferenceSpec, valuations: Sequence[Valuation]) -> PackedPool:
+        """The pool of ``valuations``, in order: every row of their packed
+        table (:func:`pack_valuations`)."""
+        valuations = list(valuations)
+        return cls.of_rows(spec, pack_valuations(spec, valuations), np.arange(len(valuations)), valuations)
 
     @classmethod
     def of_rows(cls, spec: PreferenceSpec, table: PackedStates, rows: Sequence[int],
                 valuations: Sequence[Valuation]) -> PackedPool:
         """The pool of the rows ``rows`` of ``table``, a packed table of
         valuations whose attributes are the spec's; ``valuations`` are those
-        rows' valuations.
+        rows' valuations.  The pool holds per attribute and entry its class
+        id (0 on a sum), the class rows gathered from the spec's stack in one
+        ``take`` (membership, unbeaten), and the sums' signed values.
 
         Each (attribute, distinct frontier) that the rows hold is looked up
         once in the attribute's classes, and the unseen ones are registered
@@ -220,12 +217,12 @@ class PackedPool:
         pool.valuations = list(valuations)
         packing = _packing(spec)
         fronts, count = packing.fronts, len(table.frontiers)
-        pool.sums = packing.sums
+        pool.sums, pool.scope = packing.sums, packing.scope
         # (attribute, frontier) pairs as codes j * count + k, one row per entry
         codes = table.index[rows] + count * np.arange(len(fronts))
         held = np.zeros(len(fronts) * count, dtype=np.bool_)
         held[codes] = True
-        pairs = np.flatnonzero(held)
+        pairs = held.nonzero()[0]
         js, ks = np.divmod(pairs, count)  # by attribute
         keys = [table.frontiers[k] for k in ks.tolist()]
         classes = [packing.classes[i] for i in fronts]
@@ -236,24 +233,19 @@ class PackedPool:
             unseen = np.flatnonzero(class_of[pairs] < 0)
             class_of[pairs[unseen]] = packing.register(
                 np.array(fronts)[js[unseen]], [keys[u] for u in unseen.tolist()], table.flags[ks[unseen]])
-        # ids and signed sums row-major, as the relations read them: strided
-        # sums made a 300-entry pool's matrix twice as slow
+        # ids (narrow ids compare faster) and signed sums row-major, as the
+        # relations read them: strided sums made a 300-entry pool's matrix
+        # twice as slow
         if pool.sums:  # a sum holds class 0
-            ids = np.zeros((spec.attr_count, len(codes)), dtype=np.int32)
-            ids[fronts] = class_of.take(codes.T)
-            signed = np.ascontiguousarray((table.sums[rows] * packing.sum_signs).T)
+            pool.ids = np.zeros((spec.attr_count, len(codes)), dtype=np.int32)
+            pool.ids[fronts] = class_of.take(codes.T)
+            pool.signed = np.ascontiguousarray((table.sums[rows] * packing.sum_signs).T)
         else:
-            ids, signed = class_of.take(codes.T), np.zeros((0, len(codes)))
-        pool._gather(packing, ids, signed)
+            pool.ids, pool.signed = class_of.take(codes.T), np.zeros((0, len(codes)))
+        two, m, slots, n = packing.stack.shape
+        flat = pool.ids + slots * packing.attr_rows  # rows of the stack with attributes flattened
+        pool.stack = packing.stack.reshape(two, m * slots, n).take(flat, axis=1)
         return pool
-
-    def _gather(self, packing: _SpecPacking, ids: np.ndarray, signed: np.ndarray) -> None:
-        """Hold the entries' ``(m, c)`` class ids, their class rows gathered
-        from the spec's stack in one ``take``, and the sums' signed values."""
-        two, m, held, n = packing.stack.shape
-        self.ids, self.signed, self.scope = ids, signed, packing.scope
-        flat = ids + held * packing.attr_rows  # rows of the stack with attributes flattened
-        self.stack = packing.stack.reshape(two, m * held, n).take(flat, axis=1)
 
     def take(self, rows: Sequence[int]) -> PackedPool:
         """The pool of the entries ``rows``, in that order, read from this one."""

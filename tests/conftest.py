@@ -22,6 +22,7 @@ from prefcompose import (
     build_order,
     merge,
 )
+from prefcompose import composition, dominance
 from prefcompose.dominance import PackedPool, _SpecPacking
 from prefcompose.simulator import SimConfig, random_spec
 
@@ -165,21 +166,21 @@ def counting_registrations(monkeypatch):
 
 
 def counting_packs(monkeypatch):
-    """Record the entry count of every pool packed from valuations
-    (``PackedPool(spec, valuations)``, which looks each entry's frontier up)
-    and the row count of every pool gathered from a packed table
-    (``PackedPool.of_rows``)."""
+    """Record the entry count of every ``pack_valuations`` call and the row
+    count of every pool gathered from a packed table (``PackedPool.of_rows``,
+    which every pool comes from)."""
     packs, gathers = [], []
-    init, of_rows = PackedPool.__init__, PackedPool.of_rows.__func__
+    pack, of_rows = dominance.pack_valuations, PackedPool.of_rows.__func__
 
-    def counted_init(self, spec, valuations):
+    def counted_pack(spec, valuations):
         packs.append(len(valuations))
-        init(self, spec, valuations)
+        return pack(spec, valuations)
 
     def counted_of_rows(cls, spec, table, rows, valuations):
         gathers.append(len(rows))
         return of_rows(cls, spec, table, rows, valuations)
 
-    monkeypatch.setattr(PackedPool, "__init__", counted_init)
+    for module in (dominance, composition):
+        monkeypatch.setattr(module, "pack_valuations", counted_pack)
     monkeypatch.setattr(PackedPool, "of_rows", classmethod(counted_of_rows))
     return packs, gathers

@@ -322,8 +322,9 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
     union, over the most important attributes, of the non-dominated part of
     each attribute-best set.  Each gathers exactly one pool, of the feasible
     rows of the provider's packed table, and reads every best set and filter
-    from it: no pool is packed from valuations, so no entry's frontier is
-    looked up, and each class is registered once, by a3's pool."""
+    from it: no ``pack_valuations`` call is made during a run, so no entry's
+    frontier is looked up, and each class is registered once, by a3's
+    pool."""
     packs, gathers = counting_packs(monkeypatch)
     built, _ = counting_registrations(monkeypatch)
     small_sum_best = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import sys
 import tempfile
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +33,7 @@ from prefcompose.cli import (
     parse_instance,
 )
 from prefcompose.composition import ExplicitProvider
+from prefcompose.dominance import dominates
 from prefcompose.fixtures import NAMES, fixture_path
 
 
@@ -798,3 +801,67 @@ def test_solve_on_an_aggregated_tree_of_every_kind_is_pinned(tmp_path, capsys, a
     assert main(["solve", str(path), "--algorithm", algorithm]) == EXIT_OK
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == _TREE_DIGESTS[algorithm]
+
+
+def _random_document(rng):
+    """An explicit document with one attribute of every aggregation kind (a
+    sum of each polarity), in random order, over partial value orders where
+    the kind allows; importance that is empty, partial, or the non-interval
+    {0>2, 1>3}; and one component that repeats another's valuation, so
+    equal valuations appear among the compositions."""
+    kinds = rng.permutation(["worst_frontier", "best_frontier", "min", "max", "sum", "sum"]).tolist()
+    attributes = []
+    for k, agg in enumerate(kinds):
+        domain = [f"a{k}v{v}" for v in range(int(rng.integers(2, 6)))]
+        attr = {"name": f"a{k}", "domain": domain, "agg": agg}
+        if agg == "sum":
+            attr["numeric_values"] = rng.integers(-3, 4, size=len(domain)).tolist()
+            attr["sum_polarity"] = ("lower", "higher")[kinds[:k].count("sum")]
+        else:
+            ranked = rng.permutation(domain).tolist()
+            total = agg in ("min", "max")
+            attr["intra_edges"] = [[x, y] for i, x in enumerate(ranked) for y in ranked[i + 1:]
+                                   if total or rng.random() < 0.4]
+        attributes.append(attr)
+    names = [attr["name"] for attr in attributes]
+    importance = [
+        [],
+        [[names[i], names[j]] for i in range(6) for j in range(i + 1, 6) if rng.random() < 0.3],
+        [[names[0], names[2]], [names[1], names[3]]],
+    ][int(rng.integers(0, 3))]
+    components = [
+        {"name": f"C{c}", "valuation": {attr["name"]: str(rng.choice(attr["domain"])) for attr in attributes}}
+        for c in range(int(rng.integers(3, 7)))
+    ]
+    components[-1]["valuation"] = dict(components[0]["valuation"])
+    feasible = [rng.choice([c["name"] for c in components], size=int(rng.integers(1, 4))).tolist()
+                for _ in range(int(rng.integers(4, 12)))]
+    return {"format": 1, "attributes": attributes, "importance_edges": importance,
+            "components": components, "feasible_sets": feasible}
+
+
+def test_the_annotation_is_the_pairwise_witness():
+    """Every ``dominance_among_solutions`` entry, read from one pool of the
+    solutions, is ``dominates`` of its ordered pair, and every ordered pair
+    that ``dominates`` gives a witness is annotated: for each algorithm's
+    answer and for every feasible composition as the answer, on random
+    explicit documents and on the aggregated simulate-block instance."""
+    rng = np.random.default_rng(26)
+    documents = [_random_document(rng) for _ in range(40)] + [_TREE_DOC]
+    annotated = 0
+    for doc in documents:
+        instance = parse_instance(copy.deepcopy(doc))
+        spec = instance.spec
+        results = [ALGORITHMS[name](spec, cli._provider_for(instance, cli.DEFAULT_BUDGET)) for name in ALGORITHMS]
+        every = cli._provider_for(instance, cli.DEFAULT_BUDGET).all_feasible()
+        results.append(dataclasses.replace(results[0], solutions=every))
+        for result in results:
+            comps = result.solutions
+            expected = [
+                {"winner": i, "loser": j, "witness": dominates(spec, a.valuation, b.valuation)}
+                for i, a in enumerate(comps) for j, b in enumerate(comps)
+                if i != j and dominates(spec, a.valuation, b.valuation) is not None
+            ]
+            assert cli.run_result_json(instance, result)["dominance_among_solutions"] == expected
+            annotated += len(expected)
+    assert annotated > 100

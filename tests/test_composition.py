@@ -455,9 +455,8 @@ def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
     set and a sweep, on rows that hold the empty root, on the feasible rows,
     on random rows and on none, under the builder's spec and under one with
     other importance; and a provider built from the same states dict, which
-    has no packed table, gives the same pools.  Under a spec with other
-    attributes the states' valuations are packed, and a length mismatch
-    raises ``ShapeError``."""
+    packs its table on its first pool, gives the same pools.  A spec with
+    other attributes raises ``ShapeError``."""
     rng = np.random.default_rng(seed)
     if source == "explicit":
         spec, provider = _explicit_case(rng)
@@ -469,6 +468,7 @@ def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
     assert provider.packed is not None and provider.packed.attributes is spec.attributes
     states = list(provider.table())
     plain = FeasibilityProvider({c.key(): c for c in states}, {}, [], provider.root_key)
+    assert plain.packed is None
     other = replace(spec, importance=random_order(spec.attr_count, "partial", rng))
     feasible = provider.all_feasible()
     picks = rng.integers(0, len(states), size=int(rng.integers(1, 12))).tolist()
@@ -489,5 +489,7 @@ def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
                 assert [np.flatnonzero(~row).tolist() for row in beaten] == [fresh.best_on(i) for i in attrs]
     wider = PreferenceSpec((*spec.attributes, sum_attribute(spec.attr_count, "extra", (1, 2))),
                            build_order([], spec.attr_count + 1))
-    with pytest.raises(ShapeError):
-        provider.pool(wider, states)
+    assert plain.packed.attributes is spec.attributes
+    for reading in (provider, plain):
+        with pytest.raises(ShapeError):
+            reading.pool(wider, states)

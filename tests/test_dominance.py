@@ -29,12 +29,14 @@ from prefcompose import (
 )
 from prefcompose.aggregation import (
     DomainError,
+    KindMismatch,
     at_least_as_preferred,
     merge,
     strictly_preferred,
 )
 from prefcompose.algorithms import interleave_compose
 from prefcompose.cli import main
+from prefcompose.composition import Composition, FeasibilityProvider
 from prefcompose.dominance import PackedPool, _SpecPacking
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
@@ -395,8 +397,8 @@ def test_a4_packs_its_state_table_once(monkeypatch):
     """On a tree shaped like the benchmark's (r=200, m=8, partial value
     orders, interval importance, aggregated), a4 gathers one pool of the
     tree's whole packed table and registers every frontier attribute's
-    classes in one call, before its first round.  No algorithm packs a pool
-    from valuations, so no entry's frontier is looked up: a1, a2 and a3 then
+    classes in one call, before its first round.  No algorithm calls
+    ``pack_valuations``, so no entry's frontier is looked up: a1, a2 and a3 then
     each gather one pool of the feasible rows over the same spec, and
     register no class again."""
     built, calls = counting_registrations(monkeypatch)
@@ -471,6 +473,73 @@ def test_out_of_range_frontier_ids_raise_the_merge_error(bad):
     # the spec's packing kept no class for the rejected frontier
     assert dominates(spec, good, singleton_valuation(2)) == 0
     assert wrong[0].frontier not in spec.packing.classes[0]
+
+
+@pytest.mark.parametrize("wrong_at", [0, 1])
+def test_wrong_kind_values_raise_the_merge_error(wrong_at):
+    """A scalar on a worst-frontier attribute, or a frontier on a sum
+    attribute, raises KindMismatch with merge's message, naming the
+    attribute, from every pairwise and pool reading, in both positions."""
+    frontier = frontier_spec([("abc", [(0, 1), (1, 2)])], []).attributes[0]
+    spec = PreferenceSpec((frontier, sum_attribute(1, "cost", (1, 2))), build_order([], 2))
+    attr = spec.attributes[wrong_at]
+    good = Valuation((AggValue.of_frontier((0,)), AggValue.of_scalar(1.0)))
+    values = list(good)
+    values[wrong_at] = (AggValue.of_scalar(2.0), AggValue.of_frontier((1,)))[wrong_at]
+    wrong = Valuation(values)
+    with pytest.raises(KindMismatch) as info:
+        merge(attr, wrong[wrong_at], good[wrong_at])
+    expected = str(info.value)
+    assert expected.startswith(f"attribute {attr.name} aggregates as {attr.agg_kind.value}")
+    for u, v in ((good, wrong), (wrong, good)):
+        readings = [
+            lambda: dominates(spec, u, v),
+            lambda: witnesses(spec, u, v),
+            lambda: nondominated(spec, [(0, u), (1, v)]),
+            lambda: PackedPool(spec, [u, v]).best_on(wrong_at),
+            lambda: plain_dominates(spec, u, v),
+            lambda: strictly_preferred(attr, u[wrong_at], v[wrong_at]),
+            lambda: at_least_as_preferred(attr, u[wrong_at], v[wrong_at]),
+            lambda: brute_nondominated(spec, [(0, u), (1, v)]),
+        ]
+        for reading in readings:
+            with pytest.raises(KindMismatch) as info:
+                reading()
+            assert str(info.value) == expected
+
+
+@pytest.mark.parametrize("sum_first", [False, True])
+def test_the_lowest_bad_attribute_raises_the_oracle_error(sum_first):
+    """A valuation with value id 7 on a frontier attribute (domain of 3) and
+    a NaN sum on a sum attribute raises the error of whichever attribute
+    comes first, with the oracle's message, from every pool reading."""
+    frontier = frontier_spec([("abc", [(0, 1), (1, 2)])], []).attributes[0]
+    attrs = [frontier, sum_attribute(1, "cost", (1, 2))]
+    good = [AggValue.of_frontier((0,)), AggValue.of_scalar(1.0)]
+    bad = [AggValue.of_frontier((7,)), AggValue(None, float("nan"))]
+    if sum_first:
+        attrs = [replace(attrs[1], attr_id=0), replace(attrs[0], attr_id=1)]
+        good, bad = good[::-1], bad[::-1]
+    spec = PreferenceSpec(tuple(attrs), build_order([], 2))
+    good, bad = Valuation(good), Valuation(bad)
+    with pytest.raises(DomainError) as info:
+        brute_nondominated(spec, [(0, good), (1, bad)])
+    expected = str(info.value)
+    assert expected == ("attribute cost: sum nan is not finite" if sum_first
+                        else "attribute x0: value id 7 outside domain of size 3")
+    states = {0: Composition((), good, 0), 1: Composition((0,), bad, 1)}
+    for u, v in ((good, bad), (bad, good)):
+        readings = [
+            lambda: dominates(spec, u, v),
+            lambda: witnesses(spec, u, v),
+            lambda: nondominated(spec, [(0, u), (1, v)]),
+            lambda: PackedPool(spec, [u, v]),
+            lambda: FeasibilityProvider(states, {}, [], 0).pool(spec, list(states.values())),
+        ]
+        for reading in readings:
+            with pytest.raises(DomainError) as info:
+                reading()
+            assert str(info.value) == expected
 
 
 def test_a_rejected_frontier_registers_no_attribute():
