@@ -104,14 +104,13 @@ def _field(obj: dict, key: str, kind: str, where: str, default=_REQUIRED):
     An absent key gives ``default``, and a field without one is required.  A
     field whose default is null may also be given as null.
     """
-    path = f"{where}.{key}" if where else key
     if key not in obj:
-        _require(default is not _REQUIRED, f"{path}: missing")
+        _require(default is not _REQUIRED, f"{where}.{key}: missing" if where else f"{key}: missing")
         return default
     value = obj[key]
     if _KINDS[kind](value) or (value is None and default is None):
         return value
-    raise _wrong_type(path, kind, value)
+    raise _wrong_type(f"{where}.{key}" if where else key, kind, value)
 
 
 def _items(obj: dict, key: str, kind: str, where: str, default=_REQUIRED):
@@ -178,26 +177,33 @@ def _parse_attribute(index: int, data: dict) -> tuple[AttributeSchema, dict]:
     return schema, label_ids
 
 
+def _singletons(attr: AttributeSchema) -> list[AggValue]:
+    """The value of each value id of ``attr`` on its own, one ``AggValue``
+    for every component that holds it: a singleton frontier, or for a sum its
+    ``numeric_values`` entry, as far as those reach."""
+    if attr.agg_kind is AggKind.SUM:
+        return [AggValue.of_scalar(x) for x in attr.numeric_values or ()]
+    return [AggValue(frozenset((v,)), None) for v in range(len(attr.domain))]
+
+
 def _parse_valuation(
-    spec: PreferenceSpec, label_ids: list[dict], data: dict, where: str
+    spec: PreferenceSpec, label_ids: list[dict], singletons: list[list[AggValue]], data: dict, where: str
 ) -> Valuation:
     values = []
-    for attr, ids in zip(spec.attributes, label_ids):
+    for attr, ids, singles in zip(spec.attributes, label_ids, singletons):
         raw = _field(data, attr.name, "a label", where)
         if attr.agg_kind is AggKind.SUM and _is_number(raw):
             values.append(AggValue.of_scalar(float(raw)))
             continue
-        (index,) = _resolve(ids, [raw], "label", f"{where}.{attr.name}")
-        if attr.agg_kind is not AggKind.SUM:
-            values.append(AggValue.of_frontier((index,)))
-            continue
-        numeric = attr.numeric_values or ()
-        _require(
-            index < len(numeric),
-            f"{where}.{attr.name}: label {raw!r} has no attributes[{attr.attr_id}].numeric_values entry",
-        )
-        values.append(AggValue.of_scalar(numeric[index]))
-    return Valuation(tuple(values))
+        index = ids.get(raw)  # labels are hashable
+        if index is None:  # an unknown label
+            (index,) = _resolve(ids, [raw], "label", f"{where}.{attr.name}")
+        if index >= len(singles):  # a frontier's singletons cover its domain
+            raise InstanceError(
+                f"{where}.{attr.name}: label {raw!r} has no attributes[{attr.attr_id}].numeric_values entry"
+            )
+        values.append(singles[index])
+    return Valuation(values)
 
 
 # The generator settings that draw a random spec, which an instance's own
@@ -224,6 +230,7 @@ def parse_instance(doc: dict) -> Instance:
     spec = PreferenceSpec(attributes=attributes, importance=importance)
 
     label_ids = [ids for _, ids in parsed]
+    singletons = [_singletons(attr) for attr in attributes]
     components: list[Component] = []
     component_ids: dict[str, int] = {}
     for i, entry in enumerate(_items(doc, "components", "an object", "", [])):
@@ -233,7 +240,7 @@ def parse_instance(doc: dict) -> Instance:
         valuation = _field(entry, "valuation", "an object", where)
         component_ids[name] = i
         components.append(
-            Component(i, name, _parse_valuation(spec, label_ids, valuation, f"{where}.valuation"))
+            Component(i, name, _parse_valuation(spec, label_ids, singletons, valuation, f"{where}.valuation"))
         )
 
     _require(

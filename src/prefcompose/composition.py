@@ -26,7 +26,7 @@ no algorithm looks an entry's frontier up.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, repeat, zip_longest
+from itertools import chain, compress, repeat
 from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -167,17 +167,22 @@ def member_valuations(
     and the packed table of the empty composition followed by these
     valuations.
 
-    A set's frontier values are the OR of its members' bits, and
+    The members of every set are read once, end to end, into one array.  A
+    set's frontier values are the OR of its members' bits, and
     :func:`aggregation.path_frontiers` gives the flag rows of their
     frontiers.  Each distinct frontier is one shared ``AggValue`` and one
-    flag row of the packed table.  Each sum folds the members' values from
-    0.0 in ascending order, one member column at a time over all sets; a
-    shorter set adds 0.0, which changes no bit, as a fold from 0.0 never
-    holds -0.0.  A sum past the float64 range raises
-    ``DomainError`` naming ``attributes[i]``."""
+    flag row of the packed table.  The sums fold over one sets x longest
+    member matrix, padded with the zero row past the last component: from
+    0.0, one member column at a time over all sets, so each sum adds its
+    members in ascending order, and a shorter set adds 0.0, which changes no
+    bit, as a fold from 0.0 never holds -0.0.  A sum past the float64 range
+    raises ``DomainError`` naming ``attributes[i]``.  Each distinct sum is
+    then one shared ``AggValue``: equal finite sums other than -0.0 have
+    equal bits, so sharing is exact."""
     fronts, sum_ids, _ = _layout(spec)
-    flat = list(chain.from_iterable(member_sets))
-    starts = list(accumulate(map(len, member_sets), initial=0))[:-1]
+    lengths = np.fromiter(map(len, member_sets), np.intp, len(member_sets))
+    flat = np.fromiter(chain.from_iterable(member_sets), np.intp, int(lengths.sum()))
+    starts = np.cumsum(lengths) - lengths
     index = np.empty((len(member_sets), len(spec.attributes)), dtype=np.intp)
     if fronts:
         kept = path_frontiers([spec.attributes[i] for i in fronts], np.bitwise_or.reduceat(bits[flat], starts))
@@ -190,14 +195,18 @@ def member_valuations(
     totals = np.zeros((len(member_sets) + 1, len(sum_ids)))  # the empty composition's zero sums first
     if sum_ids:
         padded = np.concatenate([sums, np.zeros((1, len(sum_ids)))])  # a zero row past the last component
+        matrix = np.full((len(member_sets), int(lengths.max(initial=0))), len(sums), dtype=np.intp)
+        rows = np.repeat(np.arange(len(member_sets)), lengths)  # each member's set
+        matrix[rows, np.arange(len(flat)) - starts[rows]] = flat
         with np.errstate(over="ignore", invalid="ignore"):
-            for column in zip_longest(*member_sets, fillvalue=len(sums)):  # member j of every set
-                totals[1:] += padded[list(column)]
+            for column in matrix.T:  # member j of every set
+                totals[1:] += padded[column]
         if not np.isfinite(totals).all():
             i = sum_ids[int(np.argmin(np.isfinite(totals).all(axis=0)))]
             raise DomainError(f"attributes[{i}] ({spec.attributes[i].name}): a composition's sum is not finite")
-        index[:, sum_ids] = len(interned) + np.arange(totals[1:].size).reshape(totals[1:].shape)
-        interned += [AggValue(None, x) for x in totals[1:].ravel().tolist()]
+        distinct, inverse = np.unique(totals[1:], return_inverse=True)
+        index[:, sum_ids] = len(interned) + inverse.reshape(len(member_sets), len(sum_ids))
+        interned += [AggValue(None, x) for x in distinct.tolist()]
     return _valuations(interned, index), PackedStates(spec.attributes, frontiers, flags, table_index, totals)
 
 
@@ -310,8 +319,12 @@ class ExplicitProvider(FeasibilityProvider):
     multiset), and the one-step extensions of a state are the deduplicated
     next elements of every sequence it prefixes.  A multiset is feasible when
     it equals some listed sequence's multiset.  The table is built with the
-    provider, as a tree's nodes are: one checked :func:`member_valuations`
-    call values every state from its members.
+    provider, as a tree's nodes are.  One walk over the sequences maps each
+    prefix to its children in first-seen order; the table holds the empty
+    root, then the prefixes in the order they are first extended, then the
+    other feasible multisets.  One checked :func:`member_valuations` call
+    values every state from its members, the states are made in one pass,
+    and each state's child keys are its walk entry's.
     """
 
     def __init__(
@@ -328,15 +341,18 @@ class ExplicitProvider(FeasibilityProvider):
         for seq in feasible_sequences:
             key: tuple[int, ...] = ()
             for nxt in seq:
-                nexts.setdefault(key, {})[nxt] = child = tuple(sorted((*key, nxt)))
+                step = nexts.setdefault(key, {})
+                child = step.get(nxt)
+                if child is None:  # a child seen before is not sorted again
+                    step[nxt] = child = tuple(sorted((*key, nxt)))
                 key = child
             feasible.append(key)
         keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
         valuations, packed = member_valuations(spec, *component_values(spec, components), keys)
         states = {(): empty_composition(spec)}
-        for key, valuation in zip(keys, valuations):
-            states[key] = Composition(key, valuation, key, terminal=key not in nexts)
-        children = {key: list(nexts.get(key, {}).values()) for key in states}
+        states.update(zip(keys, map(Composition, keys, valuations, keys, [key not in nexts for key in keys])))
+        children = dict.fromkeys(states, ())  # none for a terminal state
+        children.update((key, list(step.values())) for key, step in nexts.items())
         super().__init__(states, children, feasible, (), fdelay_ms=fdelay_ms, budget=budget, packed=packed)
 
 

@@ -78,14 +78,19 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
     A valuation not aligned with the spec raises ``ShapeError``.  Then the
     attributes are checked in order, each for its values' kind
     (``KindMismatch``), then their range or finiteness (``DomainError``), so
-    the lowest bad attribute's error is raised, as the oracle raises it."""
+    the lowest bad attribute's error is raised, as the oracle raises it.  An
+    attribute whose frontiers the spec has all registered is not range
+    checked again."""
     m, c = spec.attr_count, len(valuations)
     for row in valuations:
         if len(row) != m:
             raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
     columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
+    # an attribute whose frontiers are all registered under the spec needs no
+    # range check: registration admits only in-range frontiers
+    registered = spec.packing.classes if spec.packing is not None else [{}] * m
     frontiers, sizes, sums = [], [], []  # frontier columns end to end, their domain sizes, sum columns
-    for attr, column in zip(spec.attributes, columns):
+    for attr, column, known in zip(spec.attributes, columns, registered):
         is_sum = attr.agg_kind is AggKind.SUM
         held = [value.scalar if is_sum else value.frontier for value in column]
         if None in held:
@@ -96,7 +101,8 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
                 raise not_finite(attr, next(x for x in held if not isfinite(x)))
             sums.append(held)
         else:
-            check_range(attr, frozenset().union(*held))
+            if not all(map(known.__contains__, held)):
+                check_range(attr, frozenset().union(*held))
             frontiers += held
             sizes.append(len(attr.domain))
     first: dict[frozenset, int] = {}

@@ -865,3 +865,21 @@ def test_the_annotation_is_the_pairwise_witness():
             assert cli.run_result_json(instance, result)["dominance_among_solutions"] == expected
             annotated += len(expected)
     assert annotated > 100
+
+
+# The solve output of a1-a4 on the random explicit documents above, pinned
+# byte for byte as one digest.  Of the bundled fixtures only courses holds a
+# sum; these documents hold two, of both polarities, over partial orders.
+_RANDOM_DOCUMENTS_DIGEST = "fcda11f6aabc08f37047c382554d0e4dc9140dcd0d1a1e6b59d9a322e7a6897e"
+
+
+def test_solve_on_random_explicit_documents_is_pinned(tmp_path, capsys):
+    rng = np.random.default_rng(26)
+    digest = hashlib.sha256()
+    for k in range(40):
+        path = tmp_path / f"{k}.json"
+        path.write_text(json.dumps(_random_document(rng)))
+        for algorithm in ("a1", "a2", "a3", "a4"):
+            assert main(["solve", str(path), "--algorithm", algorithm]) == EXIT_OK
+            digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == _RANDOM_DOCUMENTS_DIGEST

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -30,7 +31,7 @@ from prefcompose import (
     empty_composition,
     enumerate_feasible,
 )
-from prefcompose.cli import load_instance
+from prefcompose.cli import load_instance, parse_instance
 from prefcompose.dominance import PackedPool
 from prefcompose.simulator import SimConfig, generate_tree, random_order, random_spec, random_valuations, tree_provider
 
@@ -213,6 +214,141 @@ def test_empty_frontier_components_are_neutral(kind):
         for comp_id in comp.members:
             fold = merged(spec, fold, bases[comp_id])
         assert comp.valuation == fold
+
+
+# Sum values whose fold shows its order and sign: -0.0, a non-dyadic
+# fraction, and magnitudes that absorb small addends.
+_SUM_VALUES = (-0.0, 0.0, 0.1, -0.25, 3.0, -3.0, 1e16, -1e16)
+
+
+def _build_document(rng):
+    """An explicit document holding a worst frontier over a partial order, a
+    max over a total one, and a sum of each polarity, in random order; each
+    component gives each sum as a label or as a raw number.  Its sequences
+    repeat components, and hold a prefix of another sequence, a duplicate
+    and a permutation of one."""
+    kinds = rng.permutation(["worst_frontier", "max", "lower", "higher"]).tolist()
+    attributes = []
+    for k, kind in enumerate(kinds):
+        domain = [f"a{k}v{v}" for v in range(int(rng.integers(1, 5)))]
+        attr = {"name": f"a{k}", "domain": domain}
+        if kind in ("lower", "higher"):
+            attr.update(agg="sum", sum_polarity=kind,
+                        numeric_values=[float(rng.choice(_SUM_VALUES)) for _ in domain])
+        else:
+            ranked = rng.permutation(domain).tolist()
+            attr.update(agg=kind, intra_edges=[[x, y] for i, x in enumerate(ranked) for y in ranked[i + 1:]
+                                               if kind == "max" or rng.random() < 0.5])
+        attributes.append(attr)
+    components = []
+    for c in range(int(rng.integers(1, 6))):
+        valuation = {}
+        for attr in attributes:
+            raw = attr.get("agg") == "sum" and rng.random() < 0.5
+            valuation[attr["name"]] = float(rng.choice(_SUM_VALUES)) if raw else str(rng.choice(attr["domain"]))
+        components.append({"name": f"c{c}", "valuation": valuation})
+    names = [c["name"] for c in components]
+    sequences = [rng.choice(names, size=int(rng.integers(1, 6))).tolist() for _ in range(int(rng.integers(1, 8)))]
+    for copied in (lambda seq: seq[:int(rng.integers(1, len(seq) + 1))], list, lambda seq: seq[::-1]):
+        sequences.insert(int(rng.integers(0, len(sequences) + 1)),
+                         copied(sequences[int(rng.integers(0, len(sequences)))]))
+    return {"format": 1, "attributes": attributes, "components": components, "feasible_sets": sequences}
+
+
+def _reference_table(spec, components, sequences):
+    """The explicit state table by a plain dict loop, in table order: each
+    state's key, terminal flag, child keys and valuation, the ascending
+    ``merge`` fold of its members; and the feasible keys."""
+    nexts, feasible = {}, []
+    for seq in sequences:
+        key = ()
+        for nxt in seq:
+            child = tuple(sorted(key + (nxt,)))
+            nexts.setdefault(key, {})[nxt] = child
+            key = child
+        feasible.append(key)
+    table = []
+    for key in dict.fromkeys([(), *nexts, *feasible]):
+        fold = empty_composition(spec).valuation
+        for member in key:
+            fold = merged(spec, fold, components[member].base_valuation)
+        table.append((key, key != () and key not in nexts, list(nexts.get(key, {}).values()), fold))
+    return table, feasible
+
+
+def _bits(valuation):
+    """A valuation with each sum as its exact bits, so -0.0 differs from 0.0."""
+    return [(value.frontier, None if value.frontier is not None else value.scalar.hex()) for value in valuation]
+
+
+def test_explicit_build_equals_a_dict_loop_and_a_merge_fold():
+    """On random documents with repeated members, prefix, duplicate and
+    permuted sequences, and label and raw-number sums of both polarities,
+    the provider's table equals the reference: keys and their order,
+    terminal flags, children in order, the feasible keys, and valuations
+    bit for bit.  No sum is -0.0, equal sums share one ``AggValue``, and
+    components holding one label share its ``AggValue``."""
+    for seed in range(80):
+        rng = np.random.default_rng(seed)
+        doc = _build_document(rng)
+        instance = parse_instance(doc)
+        spec, components = instance.spec, instance.components
+        table, feasible = _reference_table(spec, components, instance.feasible_sequences)
+        provider = ExplicitProvider(spec, components, instance.feasible_sequences)
+        states = provider.table()
+        assert [c.key() for c in states] == [key for key, *_ in table]
+        assert [c.members for c in states] == [key for key, *_ in table]
+        assert [c.terminal for c in states] == [terminal for _, terminal, *_ in table]
+        assert [list(provider.children[c.key()]) for c in states] == [children for _, _, children, _ in table]
+        assert provider.feasible == feasible
+        assert [c.key() for c in provider.all_feasible()] == feasible
+        assert [_bits(c.valuation) for c in states] == [_bits(fold) for *_, fold in table]
+        sums = [value for c in states[1:] for value in c.valuation if value.frontier is None]
+        assert all(value.scalar.hex() != "-0x0.0p+0" for value in sums)
+        assert len({id(value) for value in sums}) == len({value.scalar for value in sums})
+        for i, attr in enumerate(doc["attributes"]):
+            held = {}
+            for entry, component in zip(doc["components"], components):
+                raw = entry["valuation"][attr["name"]]
+                if isinstance(raw, str):
+                    assert held.setdefault(raw, component.base_valuation[i]) is component.base_valuation[i]
+
+
+def test_a_set_of_negative_zeros_sums_to_positive_zero():
+    """The fold starts from 0.0, so a set whose members all hold -0.0 sums
+    to 0.0, as the ``merge`` fold does: no -0.0 reaches the interning,
+    where it would be one value with 0.0."""
+    for sequence in (["z"], ["z", "z"]):
+        instance = parse_instance({
+            "format": 1,
+            "attributes": [{"name": "cost", "domain": ["nz"], "agg": "sum", "numeric_values": [-0.0]}],
+            "components": [{"name": "z", "valuation": {"cost": -0.0}}],
+            "feasible_sets": [sequence],
+        })
+        provider = ExplicitProvider(instance.spec, instance.components, instance.feasible_sequences)
+        (state,) = provider.all_feasible()
+        assert state.valuation[0].scalar.hex() == "0x0.0p+0"
+
+
+def test_an_overflowing_sum_names_its_attribute():
+    """A sum past the float64 range raises ``DomainError`` naming
+    ``attributes[i]``, whether the overflowing set is a prefix or a whole
+    sequence, and whichever polarity the sum has."""
+    for polarity in ("lower", "higher"):
+        doc = {
+            "format": 1,
+            "attributes": [
+                {"name": "fit", "domain": ["a", "b"], "intra_edges": [["a", "b"]]},
+                {"name": "cost", "domain": ["big"], "agg": "sum", "numeric_values": [1.5e308],
+                 "sum_polarity": polarity},
+            ],
+            "components": [{"name": "x", "valuation": {"fit": "a", "cost": "big"}},
+                           {"name": "y", "valuation": {"fit": "b", "cost": 1.0}}],
+            "feasible_sets": [["y"], ["x", "y", "x"]],
+        }
+        instance = parse_instance(doc)
+        with pytest.raises(DomainError, match=re.escape("attributes[1] (cost): a composition's sum is not finite")):
+            ExplicitProvider(instance.spec, instance.components, instance.feasible_sequences)
 
 
 def test_explicit_provider_all_feasible_matches_enumeration(unsound_instance):

@@ -556,3 +556,30 @@ def test_a_rejected_frontier_registers_no_attribute():
         nondominated(spec, [(0, known), (1, fresh)])
     assert spec.packing.classes == before
     assert np.array_equal(spec.packing.stack, stack)
+
+
+def test_registered_frontiers_are_not_range_checked_again():
+    """``pack_valuations`` skips the range check of an attribute whose
+    frontiers the spec has all registered for it, since registration admits
+    only in-range frontiers; an out-of-range frontier packed beside
+    registered ones still raises, naming the smallest bad id."""
+    spec = frontier_spec([("abc", [(0, 1), (1, 2)]), ("ab", [(0, 1)])], [])
+    a, b = singleton_valuation(0, 1), singleton_valuation(2, 0)
+    original, checked = dominance.check_range, []
+
+    def check_range(attr, ids):
+        checked.append(sorted(ids))
+        return original(attr, ids)
+
+    with mock.patch.object(dominance, "check_range", check_range):
+        dominance.pack_valuations(spec, [a, b])
+        assert checked == [[0, 2], [0, 1]]  # nothing registered yet
+        PackedPool.of_rows(spec, dominance.pack_valuations(spec, [a]), [0], [a])
+        checked.clear()
+        dominance.pack_valuations(spec, [a, a])
+        assert checked == []  # a's frontiers are registered
+        dominance.pack_valuations(spec, [a, b])
+        assert checked == [[0, 2], [0, 1]]  # b's are not
+        bad = Valuation((AggValue.of_frontier((1, 9, 7)), AggValue.of_frontier((1,))))
+        with pytest.raises(DomainError, match="attribute x0: value id 7 outside domain of size 3"):
+            dominance.pack_valuations(spec, [a, bad])
