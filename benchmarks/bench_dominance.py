@@ -8,10 +8,6 @@ all-pairs reading of ``oracle.plain_dominates`` and prints the timing.  With
 that file (the committed record is ``BENCH_dominance.json``); without it, the
 run only checks and prints, and writes nothing.
 
-Each pass is timed twice: cold, each pool under a fresh copy of its spec, so
-every frontier is packed anew; then warm, the same pools again under the
-same specs, whose class rows the cold pass packed.
-
 The recorded "before" figure is the pairwise witness scan that the matrix
 replaced, timed with the same pools (commit 820bed8,
 ``python benchmarks/bench_dominance.py --pools 50``, 2 cores, NumPy 2.4,
@@ -30,7 +26,6 @@ import platform
 import statistics
 import sys
 import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -94,41 +89,33 @@ def main():
     args = parser.parse_args()
 
     pools = build_pools(POOLS, POOL_SIZE, SEED)
-    time_matrices([(replace(spec), vals) for spec, vals in pools[:1]])  # warm-up
+    time_matrices(pools[:1])  # warm-up
     expected = [[[plain_dominates(spec, u, v) for v in vals] for u in vals] for spec, vals in pools]
-    times: dict[str, list[float]] = {"cold": [], "warm": []}
+    times = []
     for _ in range(REPEATS):
-        fresh = [(replace(spec), vals) for spec, vals in pools]
-        for state in ("cold", "warm"):
-            elapsed, matrices = time_matrices(fresh)
-            times[state].append(elapsed)
-            if [matrix.tolist() for matrix in matrices] != expected:
-                raise SystemExit(f"{state} dominance matrix disagrees with oracle.plain_dominates")
+        elapsed, matrices = time_matrices(pools)
+        times.append(elapsed)
+        if [matrix.tolist() for matrix in matrices] != expected:
+            raise SystemExit("dominance matrix disagrees with oracle.plain_dominates")
 
-    def timing(state, what):
-        return {
-            "what": what,
-            "pools": POOLS,
-            "pool_size": POOL_SIZE,
-            "seed": SEED,
-            "pairs": POOLS * POOL_SIZE**2,
-            "seconds": statistics.median(times[state]),
-            "seconds_all": times[state],
-            "checked_against": "oracle.plain_dominates, every pair",
-        }
-
-    after = timing("cold", "PackedPool(spec, pool).dominance_matrix() per pool, under a fresh copy of its spec")
-    warm = timing("warm", "the same pools again under the same specs, reusing their packed frontier classes")
+    after = {
+        "what": "PackedPool(spec, pool).dominance_matrix() per pool",
+        "pools": POOLS,
+        "pool_size": POOL_SIZE,
+        "seed": SEED,
+        "pairs": POOLS * POOL_SIZE**2,
+        "seconds": statistics.median(times),
+        "seconds_all": times,
+        "checked_against": "oracle.plain_dominates, every pair",
+    }
     report = {
         "command": "python " + " ".join(sys.argv),
         "machine": machine_facts(),
         "before": BEFORE,
         "after": after,
-        "warm": warm,
         "speedup": BEFORE["seconds"] / after["seconds"],
     }
-    print(f"dominance matrix: {after['pairs']} pairs in {after['seconds']:.3f} s cold, "
-          f"{warm['seconds']:.3f} s warm (medians of {REPEATS}); "
+    print(f"dominance matrix: {after['pairs']} pairs in {after['seconds']:.3f} s (median of {REPEATS}); "
           f"before: {BEFORE['pairs']} pairs in {BEFORE['seconds']:.3f} s")
     if args.out:
         with open(args.out, "w") as handle:

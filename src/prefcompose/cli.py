@@ -18,6 +18,7 @@ import bisect
 import contextlib
 import dataclasses
 import enum
+import functools
 import itertools
 import json
 import math
@@ -133,12 +134,19 @@ def _choice(enum_type: type[enum.Enum], obj: dict, key: str, where: str, default
         raise InstanceError(f"{where}.{key}: expected one of {allowed}, got {name!r}") from None
 
 
+def _key(label):
+    """``label`` as a lookup key: a bool matches only a bool, though Python
+    counts ``True`` equal to 1 (the numbers 1 and 1.0 stay one key)."""
+    return (bool, label) if isinstance(label, bool) else label
+
+
 def _resolve(ids: dict, labels: list, what: str, where: str) -> list[int]:
-    """The ids of ``labels`` in ``ids``, the one lookup table of a domain."""
+    """The ids of ``labels`` in ``ids``, the one lookup table of a domain,
+    keyed by :func:`_key`."""
     resolved = []
     for label in labels:
         try:
-            resolved.append(ids[label])
+            resolved.append(ids[_key(label)])
         except (KeyError, TypeError):
             raise InstanceError(f"{where}: unknown {what} {reprlib.repr(label)}") from None
     return resolved
@@ -160,7 +168,7 @@ def _parse_attribute(index: int, data: dict) -> tuple[AttributeSchema, dict]:
     where = f"attributes[{index}]"
     name = _field(data, "name", "a string", where)
     domain = _items(data, "domain", "a label", where)
-    label_ids = {label: i for i, label in enumerate(domain)}
+    label_ids = {_key(label): i for i, label in enumerate(domain)}
     _require(len(label_ids) == len(domain), f"{where}.domain: duplicate labels")
     edges = [
         _resolve(label_ids, pair, "label", f"{where}.intra_edges[{j}]")
@@ -195,7 +203,7 @@ def _parse_valuation(
         if attr.agg_kind is AggKind.SUM and _is_number(raw):
             values.append(AggValue.of_scalar(float(raw)))
             continue
-        index = ids.get(raw)  # labels are hashable
+        index = ids.get(_key(raw))  # labels are hashable
         if index is None:  # an unknown label
             (index,) = _resolve(ids, [raw], "label", f"{where}.{attr.name}")
         if index >= len(singles):  # a frontier's singletons cover its domain
@@ -610,8 +618,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: building it costs about twenty times
+    what parsing one command line does."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (InstanceError, DomainError, BudgetExceeded) as exc:  # DomainError: e.g. a sum past float64

@@ -4,10 +4,10 @@ A composition's valuation is a function of the multiset of components it
 holds: :func:`member_valuations` builds it for many member sets at once, for
 every explicit state here and every node of an aggregated simulator tree.
 It also returns the table of the empty composition and those valuations,
-packed as it made them (:class:`dominance.PackedStates`): the distinct
-frontiers with their flag rows, each row's frontier per attribute, and the
-sums.  :func:`singleton_valuations` does the same for the singleton
-valuations of a per-node simulator tree.
+packed once by :func:`dominance.packed_table` from the distinct frontiers
+it interned, each row's frontier per attribute, and the sums.
+:func:`singleton_valuations` does the same for the singleton valuations of a
+per-node simulator tree.
 
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
@@ -32,7 +32,7 @@ from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, check_range, path_frontiers
-from .dominance import PackedPool, PackedStates, ShapeError, pack_valuations
+from .dominance import PackedPool, PackedStates, ShapeError, pack_valuations, packed_table
 from .preference import PreferenceSpec
 
 DEFAULT_BUDGET = 10_000_000
@@ -154,8 +154,7 @@ def singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> tuple[list[Va
     index = np.empty((len(ids) + 1, len(fronts)), dtype=np.intp)
     index[0], index[1:] = span, ids[:, fronts]  # the empty frontier is the last flag row
     totals = np.concatenate([np.zeros((1, len(sums))), _drawn_sums(spec, ids, sums)])
-    packed = PackedStates(spec.attributes, [*frontiers, frozenset()], np.eye(span + 1, span, dtype=np.bool_),
-                          index, totals)
+    packed = packed_table(spec, np.eye(span + 1, span, dtype=np.bool_), index, totals)
     return _valuations(values, ids + np.cumsum([0, *sizes[:-1]])), packed
 
 
@@ -207,7 +206,7 @@ def member_valuations(
         distinct, inverse = np.unique(totals[1:], return_inverse=True)
         index[:, sum_ids] = len(interned) + inverse.reshape(len(member_sets), len(sum_ids))
         interned += [AggValue(None, x) for x in distinct.tolist()]
-    return _valuations(interned, index), PackedStates(spec.attributes, frontiers, flags, table_index, totals)
+    return _valuations(interned, index), packed_table(spec, flags, table_index, totals)
 
 
 def _interned_frontiers(kept: np.ndarray) -> tuple[list[frozenset], np.ndarray, np.ndarray]:

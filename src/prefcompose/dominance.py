@@ -5,33 +5,31 @@ every attribute that is at least as important (strictly more important or
 incomparable, including the witness itself) stays at least as preferred.
 
 A :class:`PackedPool` encodes a list of valuations once and evaluates that
-rule for many pairs at a time, every attribute at once.  The pools of one
-spec share its packing state (``PreferenceSpec.packing``, filled here only):
-each distinct frontier, packed the first time a pool holds it, is a class of
-its attribute with a membership row and an unbeaten row (the values it
-leaves unbeaten) in one ``(2, m, K, span + 1)`` stack, over the widest
-domain plus a placeholder column for the empty frontier.  A pool's unseen
-frontiers of every attribute are registered together from their flag rows,
-with one assignment and one batched product against the
-``(m, span + 1, span + 1)`` stack of value orders.  A pool holds an
-``(m, c)`` array of its entries' class ids and gathers their rows with one
-``take``.  Per block of rows, one batched product of unbeaten rows with
-membership rows gives every attribute's strict relation, one class-id
-comparison every tie, and one product with the spec's ``(m, m)`` "not more
-important" matrix counts, for every witness at once, the attributes of its
-scope that are lost.  Sums compare exactly as float64, per pool, written
-into their rows of the strict and tie relations.
-
-Every pool is rows of a packed table of valuations (a
-:class:`PackedStates`): :meth:`PackedPool.of_rows` looks each (attribute,
-distinct frontier) the rows hold up once and registers the unseen ones.  A
+rule for many pairs at a time, every attribute at once.  Every pool is rows
+of a packed table of valuations (a :class:`PackedStates`), which
+:func:`packed_table` makes once, from the distinct frontiers its builder
+interned: each (attribute, frontier) pair the table holds is a class, with a
+membership row and an unbeaten row (the values the frontier leaves unbeaten)
+over the widest domain plus a placeholder column for the empty frontier.  A
 state table's builder packs its table as it values the states;
 :func:`pack_valuations` packs any other valuations, checking them once, and
 ``PackedPool(spec, valuations)`` is the pool of every row of that table.
-:func:`dominates`, :func:`witnesses`, :meth:`PackedPool.best_on` (an
-attribute's unbeaten entries, read from the strict relation of that
-attribute) and :meth:`PackedPool.sweep` read the same relations, so there is
-one implementation of the rule.
+:meth:`PackedPool.of_rows` only gathers: its rows' ``(m, c)`` class ids,
+their signed sums and, with one ``take``, their class rows.  What the tables
+and pools of one spec share is made from the spec on first use and never
+changed (``PreferenceSpec.packing``): the ``(m, span + 1, span + 1)`` stack
+of value orders, the frontier and sum attributes, the sum signs and the
+``(m, m)`` "not more important" matrix.
+
+Per block of rows, one batched product of unbeaten rows with membership rows
+gives every attribute's strict relation, one class-id comparison every tie,
+and one product with the "not more important" matrix counts, for every
+witness at once, the attributes of its scope that are lost.  Sums compare
+exactly as float64, per pool, written into their rows of the strict and tie
+relations.  :func:`dominates`, :func:`witnesses`,
+:meth:`PackedPool.best_on` (an attribute's unbeaten entries, read from the
+strict relation of that attribute) and :meth:`PackedPool.sweep` read the
+same relations, so there is one implementation of the rule.
 """
 
 from __future__ import annotations
@@ -54,43 +52,76 @@ class ShapeError(ValueError):
 
 
 class PackedStates(NamedTuple):
-    """A table of valuations as its builder or :func:`pack_valuations`
-    packed them, for pools of its rows (:meth:`PackedPool.of_rows`).
+    """A table of valuations packed once, by :func:`packed_table`, for pools
+    of its rows (:meth:`PackedPool.of_rows`).
 
-    ``frontiers`` are the distinct frontiers and ``flags[k]`` is the flag row
-    of ``frontiers[k]`` over the widest frontier domain (``[k, v]`` set when
-    v is in it).  ``index[s, j]`` is the frontier that row s holds on the
-    j-th frontier attribute of ``attributes``, and ``sums[s, j]`` its j-th
-    sum, finite.  Frontier ids are in range.
+    ``ids[i, s]`` is row s's class on attribute i: on a frontier attribute,
+    two rows hold one class exactly when they hold one frontier; a sum holds
+    class 0, whose rows are all zero.  ``signed[j, s]`` is row s's
+    j-th sum, negated where higher is better.  Class k's membership row
+    ``classes[0, k]`` flags its frontier's values over the widest domain,
+    plus a placeholder column set for the empty frontier; its unbeaten row
+    ``classes[1, k]`` flags the values (and the placeholder, which nothing
+    beats) that no member of the frontier beats.
     """
 
     attributes: tuple
-    frontiers: list[frozenset]
-    flags: np.ndarray
-    index: np.ndarray
-    sums: np.ndarray
+    ids: np.ndarray
+    signed: np.ndarray
+    classes: np.ndarray
+
+
+def packed_table(spec: PreferenceSpec, flags: np.ndarray, index: np.ndarray, totals: np.ndarray) -> PackedStates:
+    """The packed table of rows whose frontiers are rows of ``flags`` (one
+    flag row per distinct frontier over the widest frontier domain, ``[k, v]``
+    set when v is in frontier k): ``index[s, j]`` is the frontier row s holds
+    on the j-th frontier attribute and ``totals[s, j]`` its j-th sum, finite.
+    Frontier ids are in range.
+
+    Each (attribute, frontier) pair the rows hold is one class, numbered
+    from 1 in order of attribute then frontier; class 0 is the sums'.  One
+    assignment sets the membership rows, and one product per frontier
+    attribute with its value order the unbeaten rows."""
+    packing = _packing(spec)
+    fronts, count = packing.fronts, len(flags)
+    codes = index + count * np.arange(len(fronts))  # (attribute, frontier) pairs
+    held = np.zeros(len(fronts) * count, dtype=np.bool_)
+    held[codes] = True
+    pairs = held.nonzero()[0]
+    rank = np.add.accumulate(held, dtype=np.int32)  # each held pair's class
+    ids = np.zeros((spec.attr_count, len(index)), dtype=np.int32)  # narrow ids compare faster
+    ids[fronts] = rank[codes].T
+    classes = np.zeros((2, len(pairs) + 1, packing.beats.shape[1]), dtype=np.float32)
+    if len(pairs):
+        members, unbeaten = classes[:, 1:]
+        rows = flags[pairs % count]
+        members[:, :flags.shape[1]] = rows
+        members[:, -1] = ~rows.any(axis=1)  # the empty frontier holds the placeholder
+        ends = rank[count - 1::count].tolist()  # each attribute's last class
+        for i, low, high in zip(fronts, [0, *ends], ends):  # count the members beating each value
+            np.matmul(members[low:high], packing.beats[i], out=unbeaten[low:high])
+        unbeaten[:] = unbeaten == 0
+    # row-major signed sums, as the relations read them: strided sums made a
+    # 300-entry pool's matrix twice as slow
+    signed = np.ascontiguousarray((totals * packing.sum_signs).T)
+    return PackedStates(spec.attributes, ids, signed, classes)
 
 
 def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> PackedStates:
-    """The packed table of ``valuations``, in order: every distinct frontier
-    once, in first-seen order over the attributes, with its flag row.
+    """The packed table of ``valuations``, in order, from their distinct
+    frontiers in first-seen order over the attributes.
 
     A valuation not aligned with the spec raises ``ShapeError``.  Then the
     attributes are checked in order, each for its values' kind
     (``KindMismatch``), then their range or finiteness (``DomainError``), so
-    the lowest bad attribute's error is raised, as the oracle raises it.  An
-    attribute whose frontiers the spec has all registered is not range
-    checked again."""
+    the lowest bad attribute's error is raised, as the oracle raises it."""
     m, c = spec.attr_count, len(valuations)
     for row in valuations:
         if len(row) != m:
             raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
     columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
-    # an attribute whose frontiers are all registered under the spec needs no
-    # range check: registration admits only in-range frontiers
-    registered = spec.packing.classes if spec.packing is not None else [{}] * m
     frontiers, sizes, sums = [], [], []  # frontier columns end to end, their domain sizes, sum columns
-    for attr, column, known in zip(spec.attributes, columns, registered):
+    for attr, column in zip(spec.attributes, columns):
         is_sum = attr.agg_kind is AggKind.SUM
         held = [value.scalar if is_sum else value.frontier for value in column]
         if None in held:
@@ -101,8 +132,7 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
                 raise not_finite(attr, next(x for x in held if not isfinite(x)))
             sums.append(held)
         else:
-            if not all(map(known.__contains__, held)):
-                check_range(attr, frozenset().union(*held))
+            check_range(attr, frozenset().union(*held))
             frontiers += held
             sizes.append(len(attr.domain))
     first: dict[frozenset, int] = {}
@@ -110,70 +140,35 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
     span = max(sizes, default=0)
     flags = np.zeros((len(first), span), dtype=np.bool_)
     flags.flat[[k * span + v for frontier, k in first.items() for v in frontier]] = True
-    return PackedStates(spec.attributes, list(first), flags, np.array(index, dtype=np.intp).reshape(len(sizes), c).T,
+    return packed_table(spec, flags, np.array(index, dtype=np.intp).reshape(len(sizes), c).T,
                         np.array(sums, dtype=np.float64).reshape(len(sums), c).T)
 
 
 class _SpecPacking:
-    """What every pool of one spec shares: the class rows, per attribute the
-    id of each distinct frontier registered so far (None for a sum), the
-    frontier and the sum attributes, each attribute's value order over the
-    stack's columns, each sum's sign (-1.0 where higher is better), and the
-    witness scopes.  Frontier attribute i's class c has its rows at
-    ``stack[:, i, c]``; an empty frontier holds the placeholder value (the
-    last column), which nothing beats, so it is never strictly beaten.  The
-    stack at least doubles when it grows, so K classes hold at most 2K rows
-    of each kind.  Products count in float32: exact below 2**24, and a
-    domain that large could not hold its order matrix."""
+    """What every table and pool of one spec reads, made from the spec once
+    and never changed: the frontier and the sum attributes, each attribute's
+    value order over the widest domain plus the placeholder column, each
+    sum's sign (-1.0 where higher is better), and the witness scopes.
+    Products count in float32: exact below 2**24, and a domain that large
+    could not hold its order matrix."""
 
     def __init__(self, spec: PreferenceSpec):
         attrs = spec.attributes
         span = max((a.intra_order.universe_size for a in attrs if a.agg_kind is not AggKind.SUM), default=0)
-        self.stack = np.zeros((2, len(attrs), 1, span + 1), dtype=np.float32)  # membership, unbeaten
-        self.classes: list[Optional[dict[frozenset, int]]] = [
-            None if a.agg_kind is AggKind.SUM else {} for a in attrs
-        ]
-        self.fronts = [i for i, classes in enumerate(self.classes) if classes is not None]
-        self.sums = [i for i, classes in enumerate(self.classes) if classes is None]
-        self.attr_rows = np.arange(len(attrs))[:, None]  # each attribute's index, as a column
+        self.fronts = [i for i, a in enumerate(attrs) if a.agg_kind is not AggKind.SUM]
+        self.sums = [i for i, a in enumerate(attrs) if a.agg_kind is AggKind.SUM]
         self.beats = np.zeros((len(attrs), span + 1, span + 1), dtype=np.float32)
-        for i, a in enumerate(attrs):
-            if a.agg_kind is not AggKind.SUM:
-                d = a.intra_order.universe_size
-                self.beats[i, :d, :d] = a.intra_order.matrix
+        for i in self.fronts:
+            d = attrs[i].intra_order.universe_size
+            self.beats[i, :d, :d] = attrs[i].intra_order.matrix
         self.sum_signs = np.array([-1.0 if attrs[i].sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0
                                    for i in self.sums])
         # scope[i, k]: a witness i must not lose on k (i is not more important than k)
         self.scope = (~spec.importance.matrix).astype(np.float32)
 
-    def register(self, attrs: np.ndarray, frontiers: list[frozenset], flags: np.ndarray) -> np.ndarray:
-        """Add one class to attribute ``attrs[k]`` for each frontier
-        ``frontiers[k]``, whose flag row is ``flags[k]``: frontiers not seen
-        before and in range, with ``attrs`` ascending.  Return their class
-        ids.  One assignment sets their membership rows (the placeholder
-        column for an empty frontier), and one batched product with the
-        value orders gives the unbeaten rows of the span of classes that
-        holds them."""
-        sizes = np.array([len(classes) if classes is not None else 0 for classes in self.classes])
-        # each attribute's new classes follow its registered ones
-        slots = sizes[attrs] + np.arange(len(attrs)) - np.searchsorted(attrs, attrs)
-        low, end = int(slots.min()), int(slots.max()) + 1
-        two, m, held, n = self.stack.shape
-        if end > held:
-            grown = np.zeros((two, m, max(end, 2 * held), n), dtype=np.float32)
-            grown[:, :, :held] = self.stack
-            self.stack = grown
-        members, unbeaten = self.stack
-        members[attrs, slots, :flags.shape[1]] = flags
-        members[attrs, slots, -1] = ~flags.any(axis=1)
-        unbeaten[:, low:end] = np.matmul(members[:, low:end], self.beats) == 0
-        for i, frontier, slot in zip(attrs.tolist(), frontiers, slots.tolist()):
-            self.classes[i][frontier] = slot
-        return slots
-
 
 def _packing(spec: PreferenceSpec) -> _SpecPacking:
-    """The spec's packing state, made on its first pool."""
+    """The spec's packing constants, made on first use."""
     if spec.packing is None:
         spec.packing = _SpecPacking(spec)
     return spec.packing
@@ -212,45 +207,15 @@ class PackedPool:
                 valuations: Sequence[Valuation]) -> PackedPool:
         """The pool of the rows ``rows`` of ``table``, a packed table of
         valuations whose attributes are the spec's; ``valuations`` are those
-        rows' valuations.  The pool holds per attribute and entry its class
-        id (0 on a sum), the class rows gathered from the spec's stack in one
-        ``take`` (membership, unbeaten), and the sums' signed values.
-
-        Each (attribute, distinct frontier) that the rows hold is looked up
-        once in the attribute's classes, and the unseen ones are registered
-        from their flag rows in one call; no entry's frontier is hashed."""
+        rows' valuations.  The pool gathers per attribute and entry its class
+        id and its class rows (membership, unbeaten, in one ``take``), and the
+        sums' signed values."""
         pool = object.__new__(cls)
         pool.valuations = list(valuations)
         packing = _packing(spec)
-        fronts, count = packing.fronts, len(table.frontiers)
         pool.sums, pool.scope = packing.sums, packing.scope
-        # (attribute, frontier) pairs as codes j * count + k, one row per entry
-        codes = table.index[rows] + count * np.arange(len(fronts))
-        held = np.zeros(len(fronts) * count, dtype=np.bool_)
-        held[codes] = True
-        pairs = held.nonzero()[0]
-        js, ks = np.divmod(pairs, count)  # by attribute
-        keys = [table.frontiers[k] for k in ks.tolist()]
-        classes = [packing.classes[i] for i in fronts]
-        found = [classes[j].get(key, -1) for j, key in zip(js.tolist(), keys)]
-        class_of = np.zeros(held.shape, dtype=np.int32)
-        class_of[pairs] = found
-        if -1 in found:
-            unseen = np.flatnonzero(class_of[pairs] < 0)
-            class_of[pairs[unseen]] = packing.register(
-                np.array(fronts)[js[unseen]], [keys[u] for u in unseen.tolist()], table.flags[ks[unseen]])
-        # ids (narrow ids compare faster) and signed sums row-major, as the
-        # relations read them: strided sums made a 300-entry pool's matrix
-        # twice as slow
-        if pool.sums:  # a sum holds class 0
-            pool.ids = np.zeros((spec.attr_count, len(codes)), dtype=np.int32)
-            pool.ids[fronts] = class_of.take(codes.T)
-            pool.signed = np.ascontiguousarray((table.sums[rows] * packing.sum_signs).T)
-        else:
-            pool.ids, pool.signed = class_of.take(codes.T), np.zeros((0, len(codes)))
-        two, m, slots, n = packing.stack.shape
-        flat = pool.ids + slots * packing.attr_rows  # rows of the stack with attributes flattened
-        pool.stack = packing.stack.reshape(two, m * slots, n).take(flat, axis=1)
+        pool.ids, pool.signed = table.ids.take(rows, axis=1), table.signed.take(rows, axis=1)
+        pool.stack = table.classes.take(pool.ids, axis=1)
         return pool
 
     def take(self, rows: Sequence[int]) -> PackedPool:

@@ -44,8 +44,9 @@ class PreferenceSpec:
 
     attributes: tuple[AttributeSchema, ...]
     importance: StrictOrder
-    # What the dominance pools of this spec share (one stack of every frontier
-    # class's rows, the witness scopes); only dominance reads or fills it.
+    # What dominance reads of this spec in every table and pool (the value
+    # orders, the witness scopes), made on first use and never changed;
+    # only dominance reads or sets it.
     packing: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -23,7 +23,7 @@ from prefcompose import (
     merge,
 )
 from prefcompose import composition, dominance
-from prefcompose.dominance import PackedPool, _SpecPacking
+from prefcompose.dominance import PackedPool
 from prefcompose.simulator import SimConfig, random_spec
 
 
@@ -150,19 +150,56 @@ def rng():
     return np.random.default_rng(20240811)
 
 
-def counting_registrations(monkeypatch):
-    """Record (packing, attribute, frontier) for every class registered, and
-    the attributes of each ``_SpecPacking.register`` call."""
-    built, calls = [], []
-    original = _SpecPacking.register
+def counting_tables(monkeypatch):
+    """Record the row count of every table ``dominance.packed_table`` packs,
+    whichever builder calls it."""
+    tables = []
+    original = dominance.packed_table
 
-    def counted(self, attrs, frontiers, flags):
-        calls.append(sorted(set(attrs.tolist())))
-        built.extend((id(self), i, f) for i, f in zip(attrs.tolist(), frontiers))
-        return original(self, attrs, frontiers, flags)
+    def counted(spec, flags, index, totals):
+        tables.append(len(index))
+        return original(spec, flags, index, totals)
 
-    monkeypatch.setattr(_SpecPacking, "register", counted)
-    return built, calls
+    for module in (dominance, composition):
+        monkeypatch.setattr(module, "packed_table", counted)
+    return tables
+
+
+def check_class_rows(spec, table, valuations):
+    """Assert that ``table`` packs ``valuations`` by the class rule: on each
+    frontier attribute, an entry's membership row is its frontier's flags
+    plus the placeholder column (set for the empty frontier), its unbeaten
+    row flags the values that no member of its frontier beats under the
+    attribute's value order (every value past the domain, and the
+    placeholder, unbeaten), and two entries share an id exactly when they
+    share the frontier; a sum's signed row is its sum, negated where higher
+    is better.  Only the (attribute, frontier) pairs the entries hold have
+    class rows, plus the sums' zero class 0."""
+    members, unbeaten = table.classes
+    width = members.shape[1]
+    held = set()
+    sums = [attr for attr in spec.attributes if attr.agg_kind is AggKind.SUM]
+    assert table.ids.shape == (spec.attr_count, len(valuations))
+    assert table.signed.shape == (len(sums), len(valuations))
+    for i, attr in enumerate(spec.attributes):
+        ids = table.ids[i].tolist()
+        if attr.agg_kind is AggKind.SUM:
+            sign = -1.0 if attr.sum_polarity is SumPolarity.HIGHER_IS_BETTER else 1.0
+            assert table.signed[sums.index(attr)].tolist() == [sign * v[i].scalar for v in valuations]
+            assert set(ids) <= {0}
+            continue
+        matrix = attr.intra_order.matrix
+        for k, v in zip(ids, valuations):
+            frontier = v[i].frontier
+            held.add((i, frontier))
+            assert members[k].tolist() == [float(x in frontier or (x == width - 1 and not frontier))
+                                           for x in range(width)]
+            assert unbeaten[k].tolist() == [float(x >= len(matrix) or not any(matrix[u, x] for u in frontier))
+                                            for x in range(width)]
+        for k, v in zip(ids, valuations):
+            assert [k == j for j in ids] == [v[i].frontier == u[i].frontier for u in valuations]
+    assert len(members) == len(held) + 1
+    assert not members[0].any() and not unbeaten[0].any()
 
 
 def counting_packs(monkeypatch):

@@ -33,7 +33,7 @@ from prefcompose.order import FIRST, NEITHER, SECOND, maximal_set
 from prefcompose.preference import most_important_set
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 
-from conftest import counting_packs, counting_registrations, mixed_spec_and_pool, sum_attribute, with_near_ties
+from conftest import counting_packs, counting_tables, mixed_spec_and_pool, sum_attribute, with_near_ties
 
 
 def _provider(instance, **kwargs):
@@ -322,11 +322,10 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
     union, over the most important attributes, of the non-dominated part of
     each attribute-best set.  Each gathers exactly one pool, of the feasible
     rows of the provider's packed table, and reads every best set and filter
-    from it: no ``pack_valuations`` call is made during a run, so no entry's
-    frontier is looked up, and each class is registered once, by a3's
-    pool."""
+    from it: no ``pack_valuations`` or ``packed_table`` call is made during
+    a run, so the provider's builder packs the only table."""
     packs, gathers = counting_packs(monkeypatch)
-    built, _ = counting_registrations(monkeypatch)
+    tables = counting_tables(monkeypatch)
     small_sum_best = 0
     for trial, (spec, pool, feasible) in enumerate(_a2_cases(rng)):
         comps = [Composition((i,), v, i) for i, v in enumerate(pool)] if feasible else []
@@ -335,13 +334,10 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
         def provider():
             return ExplicitProvider(spec, components, [[c.members[0]] for c in comps])
 
-        packs.clear()
-        gathers.clear()
-        built.clear()
+        for found in (packs, gathers, tables):
+            found.clear()
         a3 = att_weakly_complete_compose(spec, provider(), pick_seed=trial)
-        assert packs == [] and gathers == [len(comps)]
-        classes = sum(len(c) for c in spec.packing.classes if c is not None)
-        assert len(built) == len(set(built)) == classes
+        assert packs == [] and gathers == [len(comps)] and tables == [len(comps) + 1]
         best = _attribute_best(spec, comps, a3.config["picked_attribute"])
         assert sorted(c.members[0] for c in a3.solutions) == sorted(c.members[0] for c in best)
         expected = set()
@@ -351,9 +347,9 @@ def test_a2_and_a3_answers_from_attribute_best_sets(rng, monkeypatch):
             if len(comps) >= 40 and spec.attributes[attr_id].name == "cost":
                 small_sum_best += len(best) <= 2
         gathers.clear()
+        tables.clear()
         a2 = weakly_complete_compose(spec, provider())
-        assert packs == [] and gathers == [len(comps)]
-        assert len(built) == classes
+        assert packs == [] and gathers == [len(comps)] and tables == [len(comps) + 1]
         assert sorted(c.members[0] for c in a2.solutions) == sorted(expected)
     assert small_sum_best >= 20
 

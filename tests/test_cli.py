@@ -574,6 +574,55 @@ def test_malformed_instance_names_the_field(tmp_path, capsys, where, value, path
     assert err.startswith("error:") and f" {path}:" in err, err
 
 
+def _bool_attribute_doc():
+    doc = copy.deepcopy(_GOOD)
+    doc["importance_edges"] = [[True, 0]]
+    return doc
+
+
+def _bool_sum_doc():
+    doc = copy.deepcopy(_GOOD)
+    doc["attributes"][1]["domain"] = [0, 1]
+    doc["components"][0]["valuation"]["cost"] = False
+    return doc
+
+
+def _bool_label_doc():
+    doc = copy.deepcopy(_GOOD)
+    doc["attributes"][0]["domain"] = ["a", 1]
+    doc["attributes"][0]["intra_edges"] = [[True, "a"]]
+    doc["components"][0]["valuation"]["quality"] = 1.0  # the number 1 is still the label 1
+    doc["components"][1]["valuation"]["quality"] = "a"
+    return doc
+
+
+@pytest.mark.parametrize("doc, message", [
+    (_bool_attribute_doc(), "importance_edges[0]: unknown attribute True"),
+    (_bool_sum_doc(), "components[0].valuation.cost: unknown label False"),
+    (_bool_label_doc(), "attributes[0].intra_edges[0]: unknown label True"),
+], ids=["attribute", "sum-label", "label"])
+def test_a_json_bool_resolves_only_to_a_bool(tmp_path, capsys, doc, message):
+    """JSON's true and false are not the numbers 1 and 0: in an importance
+    edge, a component value or a value-order edge, a bool names no attribute
+    or label but a bool label, so each of these exits 2 with the field."""
+    instance = tmp_path / "bad.json"
+    instance.write_text(json.dumps(doc))
+    assert main(["solve", str(instance)]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_bool_label_resolves_to_itself():
+    doc = _bool_label_doc()
+    doc["attributes"][0]["domain"] = ["a", 1, True]
+    instance = parse_instance(doc)
+    assert np.argwhere(instance.spec.attributes[0].intra_order.matrix).tolist() == [[2, 0]]
+    assert [c.base_valuation[0].frontier for c in instance.components] == [{1}, {0}]
+
+
+def test_the_parser_is_built_once():
+    assert cli._parser() is cli._parser()
+
+
 # Address space of the child runs below: enough to import the package, far
 # too little for an order matrix over 10^5 or 10^6 elements.
 _CHILD_ADDRESS_SPACE = 3 << 30

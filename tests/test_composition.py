@@ -35,7 +35,7 @@ from prefcompose.cli import load_instance, parse_instance
 from prefcompose.dominance import PackedPool
 from prefcompose.simulator import SimConfig, generate_tree, random_order, random_spec, random_valuations, tree_provider
 
-from conftest import frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
+from conftest import check_class_rows, frontier_spec, merged, scalar_tree_draws, singleton_valuation, sum_attribute
 
 
 @pytest.fixture(scope="module")
@@ -583,6 +583,29 @@ def _explicit_case(rng):
     return spec, ExplicitProvider(spec, components, sequences[int(rng.integers(0, 2)):] or sequences)
 
 
+def _provider_case(source, rng):
+    """A spec and a provider over an aggregated tree, a per-node tree or an
+    explicit document (``_explicit_case``)."""
+    if source == "explicit":
+        return _explicit_case(rng)
+    config = SimConfig(repo_size=int(rng.integers(1, 40)), attr_count=int(rng.integers(1, 6)),
+                       domain_size=int(rng.choice([2, 5, 70])), valuation_mode=source)
+    spec = random_spec(config, rng)
+    return spec, tree_provider(generate_tree(spec, config, rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(("aggregated", "random_per_node", "explicit")), st.integers(0, 2**32 - 1))
+def test_builders_pack_class_rows_by_the_rule(source, seed):
+    """The table of an aggregated tree, a per-node tree and an explicit
+    document (every aggregation kind) gives each (attribute, frontier) its
+    states hold one class, with the rows the rule gives (see
+    ``conftest.check_class_rows``)."""
+    rng = np.random.default_rng(seed)
+    spec, provider = _provider_case(source, rng)
+    check_class_rows(spec, provider.packed, [comp.valuation for comp in provider.table()])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(("aggregated", "random_per_node", "explicit")), st.integers(0, 2**32 - 1))
 def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
@@ -594,13 +617,7 @@ def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
     packs its table on its first pool, gives the same pools.  A spec with
     other attributes raises ``ShapeError``."""
     rng = np.random.default_rng(seed)
-    if source == "explicit":
-        spec, provider = _explicit_case(rng)
-    else:
-        config = SimConfig(repo_size=int(rng.integers(1, 40)), attr_count=int(rng.integers(1, 6)),
-                           domain_size=int(rng.choice([2, 5, 70])), valuation_mode=source)
-        spec = random_spec(config, rng)
-        provider = tree_provider(generate_tree(spec, config, rng))
+    spec, provider = _provider_case(source, rng)
     assert provider.packed is not None and provider.packed.attributes is spec.attributes
     states = list(provider.table())
     plain = FeasibilityProvider({c.key(): c for c in states}, {}, [], provider.root_key)

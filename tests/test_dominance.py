@@ -35,15 +35,16 @@ from prefcompose.aggregation import (
     strictly_preferred,
 )
 from prefcompose.algorithms import interleave_compose
-from prefcompose.cli import main
-from prefcompose.composition import Composition, FeasibilityProvider
-from prefcompose.dominance import PackedPool, _SpecPacking
+from prefcompose.cli import load_instance, main
+from prefcompose.composition import Composition, ExplicitProvider, FeasibilityProvider
+from prefcompose.dominance import PackedPool
 from prefcompose.simulator import SimConfig, generate_tree, random_spec, tree_provider
 from prefcompose.oracle import brute_nondominated, intransitivity_fixture, plain_dominates
 
 from conftest import (
+    check_class_rows,
     counting_packs,
-    counting_registrations,
+    counting_tables,
     frontier_spec,
     mixed_spec_and_pool,
     singleton_valuation,
@@ -232,22 +233,17 @@ def _with_empty_frontiers(spec, pool, rng):
 
 
 def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
-    # Many pools packed under one spec, in shuffled order, so that later
-    # pools meet frontiers first seen midway; each answer must equal a pack
-    # under a fresh copy of the spec and the oracle.
+    # Many pools packed under one spec, in shuffled order; each answer must
+    # equal a pack under a fresh copy of the spec and the oracle.
     cases = [(kind, size) for size in (None, 70, 300) for kind in ("po", "to", "io", "wo")]
-    for trial, (kind, size) in enumerate(cases):
+    for kind, size in cases:
         spec, pool = mixed_spec_and_pool(rng, kind, domain_size=size, pool_size=10)
         pool = _with_empty_frontiers(spec, pool, rng)
-        grew = False
-        # one entry first, so that the larger pools after it meet new frontiers
         for count in (1, 3, 6, len(pool), int(rng.integers(1, len(pool))), len(pool)):
             picked = rng.permutation(len(pool))[:count]
             sub = [pool[j] for j in picked]
-            before = [len(c) for c in spec.packing.classes if c is not None] if spec.packing else []
             fresh = replace(spec)
             matrix = PackedPool(spec, sub).dominance_matrix()
-            grew |= bool(before) and before != [len(c) for c in spec.packing.classes if c is not None]
             assert matrix.tolist() == PackedPool(fresh, sub).dominance_matrix().tolist()
             assert matrix.tolist() == [[plain_dominates(spec, u, v) for v in sub] for u in sub]
             assert PackedPool(spec, sub).undominated() == PackedPool(fresh, sub).undominated()
@@ -262,28 +258,23 @@ def test_pools_sharing_a_spec_match_fresh_packs_and_the_oracle(rng):
                 assert dominates(spec, u, v) == dominates(fresh, u, v)
                 assert witnesses(spec, u, v) == witnesses(fresh, u, v) == _witness_attributes(spec, u, v)
                 assert (dominates(spec, u, v) is not None) == plain_dominates(spec, u, v)
-        assert grew, f"case {trial}: no pool met a new frontier after the first"
 
 
-def test_each_frontier_is_packed_once_per_spec(monkeypatch, tmp_path):
-    built, _ = counting_registrations(monkeypatch)
-    config = SimConfig(repo_size=200, attr_count=8)
-    rng = np.random.default_rng(5)
-    spec = random_spec(config, rng)
-    tree = generate_tree(spec, config, rng)
-    interleave_compose(spec, tree_provider(tree))
-    assert built and len(built) == len(set(built))
-    # each attribute's classes are exactly the frontiers built for it
-    for i, classes in enumerate(spec.packing.classes):
-        assert sorted(map(sorted, classes)) == sorted(
-            sorted(f) for key, j, f in built if key == id(spec.packing) and j == i
-        )
-
-    built.clear()
-    # an annotated solve: a1's pool, then one two-row pool per ordered pair
+def test_every_explicit_table_is_packed_once_by_its_builder(monkeypatch, tmp_path):
+    """An explicit provider's builder packs its one table; a1-a4 pack none;
+    an annotated ``solve`` packs one more, of its solutions."""
+    tables = counting_tables(monkeypatch)
+    instance = load_instance("courses")
+    provider = ExplicitProvider(instance.spec, instance.components, instance.feasible_sequences)
+    assert tables == [len(provider.table())]
+    for algorithm in algorithms.ALGORITHMS.values():
+        algorithm(instance.spec, provider)
+    assert tables == [len(provider.table())]
+    tables.clear()
     assert main(["solve", "courses", "--algorithm", "a1", "--out", str(tmp_path / "out.json")]) == 0
-    assert len(json.loads((tmp_path / "out.json").read_text())["solutions"]) > 1
-    assert built and len(built) == len(set(built))
+    solutions = json.loads((tmp_path / "out.json").read_text())["solutions"]
+    assert len(solutions) > 1
+    assert tables == [len(provider.table()), len(solutions)]
 
 
 _FRONTIER_KINDS = (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
@@ -334,34 +325,27 @@ def _spec_and_pool(draw):
 @settings(max_examples=60, deadline=None)
 @given(_spec_and_pool(), st.data())
 def test_pools_in_any_order_match_a_fresh_spec(case, data):
-    """Pools over one spec, built in any order (each registering the
-    frontiers it meets first), give the matrices, ids and sums that each
-    pool gives on a fresh copy of the spec, and every registered class's
-    rows equal the rows that class gets when the whole pool is packed on a
-    fresh spec."""
+    """Pools over one spec, built in any order, give the matrices, ids and
+    sums that each pool gives on a fresh copy of the spec."""
     spec, pool = case
     indices = st.lists(st.integers(0, len(pool) - 1), max_size=8) if pool else st.just([])
     for rows in data.draw(st.lists(indices, min_size=1, max_size=5)):
         sub = [pool[j] for j in rows]
-        fresh = replace(spec)
-        shared, alone = PackedPool(spec, sub), PackedPool(fresh, sub)
+        shared, alone = PackedPool(spec, sub), PackedPool(replace(spec), sub)
         assert shared.dominance_matrix().tolist() == alone.dominance_matrix().tolist()
-        assert np.array_equal(shared.signed, alone.signed) and shared.sums == alone.sums
-        # class ids depend on the order frontiers were met; ties do not
-        assert np.array_equal(shared.ids[:, :, None] == shared.ids[:, None, :],
-                              alone.ids[:, :, None] == alone.ids[:, None, :])
-    whole = replace(spec)
-    PackedPool(whole, pool)
-    if spec.packing is None:
-        return
-    for i, classes in enumerate(spec.packing.classes):
-        if classes is None:
-            continue
-        # each registered class once, with the whole pack's rows
-        assert sorted(classes.values()) == list(range(len(classes)))
-        for frontier, k in classes.items():
-            expected = whole.packing.stack[:, i, whole.packing.classes[i][frontier]]
-            assert np.array_equal(spec.packing.stack[:, i, k], expected)
+        for name in ("ids", "stack", "signed"):
+            assert np.array_equal(getattr(shared, name), getattr(alone, name))
+        assert shared.sums == alone.sums
+
+
+@settings(max_examples=100, deadline=None)
+@given(_spec_and_pool())
+def test_packed_valuations_follow_the_class_rule(case):
+    """``pack_valuations`` over every aggregation kind, sum polarity and
+    empty frontiers gives each (attribute, frontier) it holds one class, with
+    the rows the rule gives (see ``conftest.check_class_rows``)."""
+    spec, pool = case
+    check_class_rows(spec, dominance.pack_valuations(spec, pool), pool)
 
 
 @settings(max_examples=150, deadline=None)
@@ -370,7 +354,8 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
     """The stacked matrix, each pool witness, ``witnesses`` and ``best_on``,
     on the pool and on a ``take`` of it, equal the pairwise reading of the
     definition, whether the pool fits one row block or spans many; ``take``
-    equals a fresh pool over its rows."""
+    gives the class rows, signed sums and ties of a fresh pool over its rows
+    (its ids may differ: a fresh table numbers only the classes it holds)."""
     spec, pool = case
     with mock.patch.object(dominance, "BLOCK_CELLS", block_cells):
         packed = PackedPool(spec, pool)
@@ -383,8 +368,10 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
         rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8)) if pool else []
         taken, fresh = packed.take(rows), PackedPool(spec, [pool[j] for j in rows])
         assert taken.valuations == fresh.valuations
-        for name in ("ids", "stack", "signed"):
+        for name in ("stack", "signed"):
             assert np.array_equal(getattr(taken, name), getattr(fresh, name))
+        assert np.array_equal(taken.ids[:, :, None] == taken.ids[:, None, :],
+                              fresh.ids[:, :, None] == fresh.ids[:, None, :])
         assert taken.dominance_matrix().tolist() == fresh.dominance_matrix().tolist()
         for i, attr in enumerate(spec.attributes):
             for reading in (packed, taken):
@@ -395,39 +382,37 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
 
 def test_a4_packs_its_state_table_once(monkeypatch):
     """On a tree shaped like the benchmark's (r=200, m=8, partial value
-    orders, interval importance, aggregated), a4 gathers one pool of the
-    tree's whole packed table and registers every frontier attribute's
-    classes in one call, before its first round.  No algorithm calls
-    ``pack_valuations``, so no entry's frontier is looked up: a1, a2 and a3 then
-    each gather one pool of the feasible rows over the same spec, and
-    register no class again."""
-    built, calls = counting_registrations(monkeypatch)
+    orders, interval importance, aggregated), the tree's builder packs its
+    one table; a4 gathers one pool of the whole table before its first round
+    and packs nothing.  No algorithm calls ``pack_valuations`` or
+    ``packed_table``: a1, a2 and a3 then each gather one pool of the
+    feasible rows of the same table."""
+    tables = counting_tables(monkeypatch)
     packs, gathers = counting_packs(monkeypatch)
-    rounds = []  # the number of registrations made before each round's filter
+    rounds = []  # the number of tables packed before each round's filter
     filter_dominance = algorithms._filter_dominance
 
     def counted_filter(*args):
-        rounds.append(len(calls))
+        rounds.append(len(tables))
         return filter_dominance(*args)
 
     monkeypatch.setattr(algorithms, "_filter_dominance", counted_filter)
     config = SimConfig(repo_size=200, attr_count=8, domain_size=6, intra_kind="po", importance_kind="io",
                        valuation_mode="aggregated")
     for seed in range(3):
-        for found in (built, calls, rounds, packs, gathers):
+        for found in (tables, rounds, packs, gathers):
             found.clear()
         rng = np.random.default_rng(seed)
         spec = random_spec(config, rng)
         tree = generate_tree(spec, config, rng)
+        assert tables == [tree.node_count]
         interleave_compose(spec, tree_provider(tree))
         assert len(rounds) > 1
-        assert calls == [list(range(spec.attr_count))]
-        assert len(built) == len(set(built)) == sum(map(len, spec.packing.classes))
         assert set(rounds) == {1}
         assert packs == [] and gathers == [tree.node_count]
         for name in ("a1", "a2", "a3"):
             algorithms.ALGORITHMS[name](spec, tree_provider(tree))
-        assert calls == [list(range(spec.attr_count))]
+        assert tables == [tree.node_count]
         assert packs == [] and gathers == [tree.node_count] + [len(tree.feasible_leaves)] * 3
 
 
@@ -470,9 +455,8 @@ def test_out_of_range_frontier_ids_raise_the_merge_error(bad):
             with pytest.raises(DomainError) as info:
                 reading()
             assert str(info.value) == expected
-    # the spec's packing kept no class for the rejected frontier
+    # the spec still reads valid pools after the error
     assert dominates(spec, good, singleton_valuation(2)) == 0
-    assert wrong[0].frontier not in spec.packing.classes[0]
 
 
 @pytest.mark.parametrize("wrong_at", [0, 1])
@@ -540,46 +524,3 @@ def test_the_lowest_bad_attribute_raises_the_oracle_error(sum_first):
             with pytest.raises(DomainError) as info:
                 reading()
             assert str(info.value) == expected
-
-
-def test_a_rejected_frontier_registers_no_attribute():
-    """Every attribute's unseen frontiers are range-checked before any is
-    registered: a pool whose second attribute holds an out-of-range id
-    leaves the first attribute's new frontiers unregistered too."""
-    spec = frontier_spec([("abc", [(0, 1), (1, 2)]), ("ab", [(0, 1)])], [])
-    known = Valuation((AggValue.of_frontier((0,)), AggValue.of_frontier((0,))))
-    dominates(spec, known, known)
-    before = [dict(c) for c in spec.packing.classes]
-    stack = spec.packing.stack.copy()
-    fresh = Valuation((AggValue.of_frontier((1, 2)), AggValue.of_frontier((5,))))
-    with pytest.raises(DomainError, match="value id 5 outside domain of size 2"):
-        nondominated(spec, [(0, known), (1, fresh)])
-    assert spec.packing.classes == before
-    assert np.array_equal(spec.packing.stack, stack)
-
-
-def test_registered_frontiers_are_not_range_checked_again():
-    """``pack_valuations`` skips the range check of an attribute whose
-    frontiers the spec has all registered for it, since registration admits
-    only in-range frontiers; an out-of-range frontier packed beside
-    registered ones still raises, naming the smallest bad id."""
-    spec = frontier_spec([("abc", [(0, 1), (1, 2)]), ("ab", [(0, 1)])], [])
-    a, b = singleton_valuation(0, 1), singleton_valuation(2, 0)
-    original, checked = dominance.check_range, []
-
-    def check_range(attr, ids):
-        checked.append(sorted(ids))
-        return original(attr, ids)
-
-    with mock.patch.object(dominance, "check_range", check_range):
-        dominance.pack_valuations(spec, [a, b])
-        assert checked == [[0, 2], [0, 1]]  # nothing registered yet
-        PackedPool.of_rows(spec, dominance.pack_valuations(spec, [a]), [0], [a])
-        checked.clear()
-        dominance.pack_valuations(spec, [a, a])
-        assert checked == []  # a's frontiers are registered
-        dominance.pack_valuations(spec, [a, b])
-        assert checked == [[0, 2], [0, 1]]  # b's are not
-        bad = Valuation((AggValue.of_frontier((1, 9, 7)), AggValue.of_frontier((1,))))
-        with pytest.raises(DomainError, match="attribute x0: value id 7 outside domain of size 3"):
-            dominance.pack_valuations(spec, [a, bad])
