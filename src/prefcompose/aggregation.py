@@ -133,10 +133,9 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
     """The rule of :func:`_extremes` for many value sets of frontier
     attributes at once.
 
-    ``paths[k, j]`` packs one set of in-range value ids of ``attrs[j]`` into
-    little-endian uint64 words (value v is bit v % 64 of word v // 64).  The
-    result holds one row of flags per set and attribute, over the widest
-    domain: ``[k, j, v]`` is set when v is in the frontier of set k.  With
+    ``paths[k, j, v]`` is set when value v of ``attrs[j]`` is in set k, over
+    the widest domain.  The result holds the frontiers in the same flag rows:
+    ``[k, j, v]`` is set when v is in the frontier of set k.  With
     ``seen`` the sets as 0/1 rows and ``rivals[y, x]`` set when y rules x
     out (x beats y for worst kinds, y beats x for best kinds), the frontier
     is ``seen & (seen @ rivals == 0)``: one batched float64 product over the
@@ -147,8 +146,7 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
     as the intra orders are strict.  A min or max set that keeps more than
     one value raises ``DomainError``, as :func:`_extremes` does.
     """
-    rows, count, words = paths.shape
-    span = max(len(attr.domain) for attr in attrs)
+    rows, count, span = paths.shape
     rivals = np.zeros((count, span, span), dtype=np.float64)
     for j, attr in enumerate(attrs):
         n = len(attr.domain)
@@ -159,8 +157,8 @@ def path_frontiers(attrs: Sequence[AttributeSchema], paths: np.ndarray) -> np.nd
     step = max(1, BLOCK_CELLS // max(1, count * span))  # span is 0 when every domain is empty
     for start in range(0, rows, step):
         block = slice(start, start + step)
-        seen = np.unpackbits(paths[block].view(np.uint8), axis=2, count=span, bitorder="little")
-        seen = seen.transpose(1, 0, 2)  # (attribute, set, value)
+        # (attribute, set, value), as float64: a bool operand multiplies several times slower
+        seen = paths[block].transpose(1, 0, 2).astype(np.float64)
         kept = seen > np.matmul(seen, rivals)  # in the set, and ruled out by none of it
         if unique:
             sizes = kept[unique].sum(axis=2)

@@ -2,12 +2,13 @@
 
 A composition's valuation is a function of the multiset of components it
 holds: :func:`member_valuations` builds it for many member sets at once, for
-every explicit state here and every node of an aggregated simulator tree.
-It also returns the table of the empty composition and those valuations,
-packed once by :func:`dominance.packed_table` from the distinct frontiers
-it interned, each row's frontier per attribute, and the sums.
-:func:`singleton_valuations` does the same for the singleton valuations of a
-per-node simulator tree.
+every explicit state here and every node of a simulator tree (a per-node
+tree's node holds one drawn component).  Components give it their values
+as flag rows, one per frontier attribute over the widest domain, and their
+sums (:func:`component_values`, :func:`drawn_values`).  It also returns the
+table of the empty composition and those valuations, packed once by
+:func:`dominance.packed_table` from the distinct frontiers it interned,
+each row's frontier per attribute, and the sums.
 
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
@@ -83,20 +84,21 @@ def empty_composition(spec: PreferenceSpec) -> Composition:
 
 
 def _layout(spec: PreferenceSpec) -> tuple[list[int], list[int], int]:
-    """The frontier and sum attribute ids, and the words of the widest domain."""
+    """The frontier and sum attribute ids, and the widest frontier domain."""
     fronts = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is not AggKind.SUM]
     sums = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is AggKind.SUM]
-    return fronts, sums, max([(len(spec.attributes[i].domain) + 63) // 64 for i in fronts], default=0)
+    return fronts, sums, max([len(spec.attributes[i].domain) for i in fronts], default=0)
 
 
 def component_values(
     spec: PreferenceSpec, components: Sequence[Component]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each component's base valuation as :func:`member_valuations` reads it:
-    its frontier values packed per frontier attribute (value v is bit v % 64
-    of word v // 64) and its sums.  A wrong length, kind or value id raises
+    its frontier values as flag rows, ``[k, j, v]`` set when value v is in
+    component k's frontier of the j-th frontier attribute, over the widest
+    domain, and its sums.  A wrong length, kind or value id raises
     ``ShapeError``, ``KindMismatch`` or ``DomainError``, as ``merge`` does."""
-    fronts, sums, words = _layout(spec)
+    fronts, sums, span = _layout(spec)
     rows = [component.base_valuation for component in components]
     for component, row in zip(components, rows):
         if len(row) != len(spec.attributes):
@@ -105,69 +107,41 @@ def component_values(
     for attr, column in zip(spec.attributes, columns):
         for value in column:
             check_kind(attr, value)
-    packed = []
+    frontiers = []  # attribute by attribute, every component's frontier
     for i in fronts:
-        attr, frontiers = spec.attributes[i], [value.frontier for value in columns[i]]
-        check_range(attr, frozenset().union(*frontiers))
-        packed += [sum(1 << v for v in frontier).to_bytes(8 * words, "little") for frontier in frontiers]
+        column = [value.frontier for value in columns[i]]
+        check_range(spec.attributes[i], frozenset().union(*column))
+        frontiers += column
+    flags = np.zeros((len(fronts), len(components), span), dtype=np.bool_)
+    owners = np.repeat(np.arange(len(frontiers)), list(map(len, frontiers)))  # each frontier value's row
+    flags.reshape(len(frontiers), span)[owners, list(chain.from_iterable(frontiers))] = True
     totals = np.array([[value.scalar for value in columns[i]] for i in sums], dtype=np.float64)
-    bits = np.frombuffer(b"".join(packed), dtype="<u8").reshape(len(fronts), len(components), words)
-    return bits.transpose(1, 0, 2), totals.reshape(len(sums), len(components)).T
+    return flags.transpose(1, 0, 2), totals.reshape(len(sums), len(components)).T
 
 
 def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`component_values` of components that hold one in-range value id
-    per attribute, ``ids[k]`` for component k."""
-    fronts, sums, words = _layout(spec)
-    bits = np.zeros((len(ids), len(fronts), words), dtype="<u8")
-    bits[np.arange(len(ids))[:, None], np.arange(len(fronts)), ids[:, fronts] // 64] = np.left_shift(
-        np.uint64(1), (ids[:, fronts] % 64).astype(np.uint64)
-    )
-    return bits, _drawn_sums(spec, ids, sums)
-
-
-def _drawn_sums(spec: PreferenceSpec, ids: np.ndarray, sums: list[int]) -> np.ndarray:
-    """The number of value ``ids[k, i]`` of each sum attribute i of ``sums``, per component k."""
+    per attribute, ``ids[k]`` for component k: a singleton frontier, or the
+    value's number for a sum."""
+    fronts, sums, span = _layout(spec)
+    flags = np.zeros((len(ids), len(fronts), span), dtype=np.bool_)
+    flags[np.arange(len(ids))[:, None], np.arange(len(fronts)), ids[:, fronts]] = True
     totals = np.zeros((len(ids), len(sums)))
     for j, i in enumerate(sums):
         totals[:, j] = np.array(spec.attributes[i].numeric_values, dtype=np.float64)[ids[:, i]]
-    return totals
-
-
-def singleton_valuations(spec: PreferenceSpec, ids: np.ndarray) -> tuple[list[Valuation], PackedStates]:
-    """The base valuation of each component of :func:`drawn_values`: a
-    singleton frontier, or the value's number for a sum, one shared
-    ``AggValue`` per (attribute, value id); and the packed table of the
-    empty composition followed by these valuations, one distinct frontier
-    per value id."""
-    fronts, sums, _ = _layout(spec)
-    span = max([len(spec.attributes[i].domain) for i in fronts], default=0)
-    frontiers = [frozenset((v,)) for v in range(span)]
-    values = [
-        AggValue.of_scalar(attr.numeric_values[v])  # type: ignore[index]
-        if attr.agg_kind is AggKind.SUM
-        else AggValue(frontiers[v], None)
-        for attr in spec.attributes
-        for v in range(len(attr.domain))
-    ]
-    sizes = [len(attr.domain) for attr in spec.attributes]
-    index = np.empty((len(ids) + 1, len(fronts)), dtype=np.intp)
-    index[0], index[1:] = span, ids[:, fronts]  # the empty frontier is the last flag row
-    totals = np.concatenate([np.zeros((1, len(sums))), _drawn_sums(spec, ids, sums)])
-    packed = packed_table(spec, np.eye(span + 1, span, dtype=np.bool_), index, totals)
-    return _valuations(values, ids + np.cumsum([0, *sizes[:-1]])), packed
+    return flags, totals
 
 
 def member_valuations(
-    spec: PreferenceSpec, bits: np.ndarray, sums: np.ndarray, member_sets: Sequence[tuple[int, ...]]
+    spec: PreferenceSpec, flags: np.ndarray, sums: np.ndarray, member_sets: Sequence[tuple[int, ...]]
 ) -> tuple[list[Valuation], PackedStates]:
     """The valuation of each nonempty sorted multiset of components, where
-    component k holds ``bits[k]`` and ``sums[k]`` (see :func:`component_values`),
-    and the packed table of the empty composition followed by these
-    valuations.
+    component k holds the flag rows ``flags[k]`` and the sums ``sums[k]``
+    (see :func:`component_values`), and the packed table of the empty
+    composition followed by these valuations.
 
     The members of every set are read once, end to end, into one array.  A
-    set's frontier values are the OR of its members' bits, and
+    set's frontier values are the union of its members' flag rows, and
     :func:`aggregation.path_frontiers` gives the flag rows of their
     frontiers.  Each distinct frontier is one shared ``AggValue`` and one
     flag row of the packed table.  The sums fold over one sets x longest
@@ -178,17 +152,25 @@ def member_valuations(
     raises ``DomainError`` naming ``attributes[i]``.  Each distinct sum is
     then one shared ``AggValue``: equal finite sums other than -0.0 have
     equal bits, so sharing is exact."""
-    fronts, sum_ids, _ = _layout(spec)
+    fronts, sum_ids, span = _layout(spec)
     lengths = np.fromiter(map(len, member_sets), np.intp, len(member_sets))
     flat = np.fromiter(chain.from_iterable(member_sets), np.intp, int(lengths.sum()))
     starts = np.cumsum(lengths) - lengths
     index = np.empty((len(member_sets), len(spec.attributes)), dtype=np.intp)
     if fronts:
-        kept = path_frontiers([spec.attributes[i] for i in fronts], np.bitwise_or.reduceat(bits[flat], starts))
-        frontiers, flags, table_index = _interned_frontiers(kept)
+        # The union ORs eight flag bytes at a time, through a uint64 view of the
+        # members' rows padded to a multiple of 8 bytes (an OR of 0/1 bytes stays
+        # 0/1); a bool logical_or.reduceat runs several times slower.
+        cells = len(fronts) * span
+        members = np.zeros((len(flat), -(-cells // 8) * 8), dtype=np.uint8)
+        members[:, :cells] = flags[flat].reshape(len(flat), cells)
+        union = np.bitwise_or.reduceat(members.view(np.uint64), starts).view(np.bool_)[:, :cells]
+        union = union.reshape(len(member_sets), len(fronts), span)
+        kept = path_frontiers([spec.attributes[i] for i in fronts], union)
+        frontiers, table_flags, table_index = _interned_frontiers(kept)
         index[:, fronts] = table_index[1:]
     else:
-        frontiers, flags = [], np.zeros((0, 0), dtype=np.bool_)
+        frontiers, table_flags = [], np.zeros((0, 0), dtype=np.bool_)
         table_index = np.zeros((len(member_sets) + 1, 0), dtype=np.intp)
     interned = [AggValue(frontier, None) for frontier in frontiers]
     totals = np.zeros((len(member_sets) + 1, len(sum_ids)))  # the empty composition's zero sums first
@@ -206,7 +188,7 @@ def member_valuations(
         distinct, inverse = np.unique(totals[1:], return_inverse=True)
         index[:, sum_ids] = len(interned) + inverse.reshape(len(member_sets), len(sum_ids))
         interned += [AggValue(None, x) for x in distinct.tolist()]
-    return _valuations(interned, index), packed_table(spec, flags, table_index, totals)
+    return _valuations(interned, index), packed_table(spec, table_flags, table_index, totals)
 
 
 def _interned_frontiers(kept: np.ndarray) -> tuple[list[frozenset], np.ndarray, np.ndarray]:

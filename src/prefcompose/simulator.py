@@ -9,10 +9,11 @@ importance order.
 
 Node valuations are drawn independently per node (``random_per_node``), or
 each component draws one value per attribute and a node holds the aggregate
-of the components on its root path (``aggregated``).  Aggregated nodes get
-their valuations from :func:`composition.member_valuations`, as every
-explicit provider state does, which reads each node's members: its root
-path, in ascending component order.
+of the components on its root path (``aggregated``).  Every node gets its
+valuation from :func:`composition.member_valuations`, as every explicit
+provider state does: an aggregated node reads its members, its root path in
+ascending component order, and a per-node node the one-member set of its own
+draw.
 
 A generated tree builds each node's :class:`Composition` once, and
 :func:`tree_provider` serves them as a :class:`composition.FeasibilityProvider`
@@ -40,7 +41,6 @@ from .composition import (
     drawn_values,
     empty_composition,
     member_valuations,
-    singleton_valuations,
 )
 from .dominance import PackedStates
 from .order import StrictOrder, transitive_closure
@@ -274,9 +274,11 @@ def _random_value_ids(
 def random_valuations(
     spec: PreferenceSpec, rng: np.random.Generator, count: int
 ) -> list[Valuation]:
-    """``count`` singleton valuations, one uniform domain value per attribute:
-    a singleton frontier, or the value's number for a sum."""
-    return singleton_valuations(spec, _random_value_ids(spec, rng, count))[0]
+    """``count`` valuations of one uniform domain value per attribute (a
+    singleton frontier, or the value's number for a sum), each built by
+    :func:`composition.member_valuations` as a one-member set."""
+    ids = _random_value_ids(spec, rng, count)
+    return member_valuations(spec, *drawn_values(spec, ids), [(k,) for k in range(count)])[0]
 
 
 def generate_tree(
@@ -300,10 +302,9 @@ def generate_tree(
     members: list[tuple[int, ...]] = [()]
     for node in range(1, r + 1):
         members.append(members[parent[node]] + (node - 1,))
-    if config.valuation_mode == "aggregated":
-        drawn, packed = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), members[1:])
-    else:  # random_per_node
-        drawn, packed = singleton_valuations(spec, _random_value_ids(spec, rng, r))
+    # A per-node tree's node k > 0 holds the one-member set of the value draw k - 1.
+    sets = members[1:] if config.valuation_mode == "aggregated" else [(k,) for k in range(r)]
+    drawn, packed = member_valuations(spec, *drawn_values(spec, _random_value_ids(spec, rng, r)), sets)
     valuations = [empty_composition(spec).valuation, *drawn]
     nodes = list(map(Composition, members, valuations, range(r + 1), [not c for c in children]))
 

@@ -812,7 +812,7 @@ def test_simulate_output_is_pinned(capsys, options):
 # An aggregated simulate-block instance whose tree covers every aggregation
 # kind: a sum with -0.0 and 1e16 values (the summation order shows in the
 # low digits), min and max over total orders, a best frontier, and a
-# 70-value worst frontier, wider than one 64-bit word.
+# 70-value worst frontier, whose flag rows pass the 64th value.
 _TREE_DOC = {
     "format": 1,
     "attributes": [

@@ -27,9 +27,11 @@ from prefcompose import (
     SumPolarity,
     Valuation,
     build_order,
+    composition,
     dominates,
     empty_composition,
     enumerate_feasible,
+    simulator,
 )
 from prefcompose.cli import load_instance, parse_instance
 from prefcompose.dominance import PackedPool
@@ -562,7 +564,7 @@ def _explicit_case(rng):
     and max over total value orders, the frontier kinds over partial ones,
     sums of both polarities over drawn numbers), with shared prefixes,
     permuted and repeated members, and sometimes the empty sequence."""
-    m, n = int(rng.integers(1, 8)), int(rng.integers(1, 6))
+    m, n = int(rng.integers(1, 8)), int(rng.choice([1, 2, 3, 4, 5, 70]))  # 70 values pass the 64th
     partial = random_spec(SimConfig(domain_size=n, attr_count=m, intra_kind="po"), rng)
     total = random_spec(SimConfig(domain_size=n, attr_count=m, intra_kind="to"), rng)
     attrs = []
@@ -604,6 +606,27 @@ def test_builders_pack_class_rows_by_the_rule(source, seed):
     rng = np.random.default_rng(seed)
     spec, provider = _provider_case(source, rng)
     check_class_rows(spec, provider.packed, [comp.valuation for comp in provider.table()])
+
+
+@pytest.mark.parametrize("source", ["aggregated", "random_per_node", "explicit"])
+def test_every_state_table_comes_from_one_member_valuations_call(source, rng, monkeypatch):
+    """One builder values every provider state: a tree build of either mode
+    and an ``ExplicitProvider`` each make one ``member_valuations`` call, as
+    does ``random_valuations``."""
+    calls = []
+    original = composition.member_valuations
+
+    def counted(spec, flags, sums, member_sets):
+        calls.append(len(member_sets))
+        return original(spec, flags, sums, member_sets)
+
+    for module in (composition, simulator):
+        monkeypatch.setattr(module, "member_valuations", counted)
+    spec, provider = _provider_case(source, rng)
+    assert calls == [len(provider.table()) - 1]
+    calls.clear()
+    assert len(random_valuations(spec, rng, 3)) == 3
+    assert calls == [3]
 
 
 @settings(max_examples=60, deadline=None)

@@ -142,23 +142,25 @@ def _every_kind_spec(n, rng):
     return PreferenceSpec(tuple(attrs), random_order(len(attrs), "interval", rng))
 
 
+# The aggregated cases keep their test ids without the mode.
+@pytest.mark.parametrize("mode", ["aggregated", "random_per_node"], ids=[pytest.HIDDEN_PARAM, "random_per_node"])
 @pytest.mark.parametrize("block_cells", [aggregation.BLOCK_CELLS, 1])
 @pytest.mark.parametrize("n", [2, 6, 70, 300])
-def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, monkeypatch):
-    """Every aggregated node valuation, of every kind and domain size (70 and
-    300 values span two and five 64-bit words), is the ``merge`` fold of its
-    members' bases; sums match to the sign of zero.  A block of
-    one set per product gives the same nodes."""
+def test_aggregated_nodes_equal_the_merge_fold_of_their_members(n, block_cells, mode, monkeypatch):
+    """Every node valuation, of every kind and domain size (70 and 300
+    values pass the 64th), is the ``merge`` fold of its members' bases (a
+    per-node node's one member is its own draw); sums match to the sign of
+    zero.  A block of one set per product gives the same nodes."""
     monkeypatch.setattr(aggregation, "BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(n)
     for _ in range(3):
         spec = _every_kind_spec(n, rng)
         _, bases = scalar_tree_draws(spec, 120, copy.deepcopy(rng))
-        tree = generate_tree(spec, SimConfig(repo_size=120, valuation_mode="aggregated"), rng)
+        tree = generate_tree(spec, SimConfig(repo_size=120, valuation_mode=mode), rng)
         bottom = composition.empty_composition(spec).valuation
         for node in range(1, tree.node_count):
             fold = bottom
-            for comp_id in tree.nodes[node].members:
+            for comp_id in tree.nodes[node].members if mode == "aggregated" else (node - 1,):
                 fold = merged(spec, fold, bases[comp_id])
             assert tree.nodes[node].valuation == fold
             got, want = tree.nodes[node].valuation[-1].scalar, fold[-1].scalar
