@@ -38,7 +38,8 @@ class RunResult:
 
 
 def _sorted_solutions(comps: Iterable[Composition]) -> list[Composition]:
-    return sorted(comps, key=lambda c: (c.members, str(c.provider_node)))
+    """``comps`` by their members, which are unique within a state table."""
+    return sorted(comps, key=lambda c: c.members)
 
 
 def _filter_dominance(pool: PackedPool, comps: Sequence[Composition]) -> list[Composition]:
@@ -123,17 +124,17 @@ def interleave_compose(
     min/max), and pointless under worst-frontier aggregation where an
     extension never dominates what it extends.
 
-    The provider's whole state table is packed once; each round filters the
-    working list's rows of that pool.
+    Each round filters the pool of the working list's rows of the
+    provider's packed state table.
     """
     cost = _Cost(provider)
-    table = provider.pool(spec, provider.table())
     root = provider.root()
     working = {root.key(): root}  # the working list, keyed by state
     extended: set = set()
 
     while working:
-        kept = _filter_dominance(table.take(provider.rows(working.values())), list(working.values()))
+        comps = list(working.values())
+        kept = _filter_dominance(provider.pool(spec, comps), comps)
         best = {c.key(): c for c in kept}
         replacement: dict = {}
         for comp in best.values():

@@ -5,7 +5,8 @@ holds: :func:`member_valuations` builds it for many member sets at once, for
 every explicit state here and every node of a simulator tree (a per-node
 tree's node holds one drawn component).  Components give it their values
 as flag rows, one per frontier attribute over the widest domain, and their
-sums (:func:`component_values`, :func:`drawn_values`).  It also returns the
+sums: explicit components as :func:`dominance.read_valuations` reads their
+base valuations, drawn ones from :func:`drawn_values`.  It also returns the
 table of the empty composition and those valuations, packed once by
 :func:`dominance.packed_table` from the distinct frontiers it interned,
 each row's frontier per attribute, and the sums.
@@ -13,12 +14,12 @@ each row's frontier per attribute, and the sums.
 A provider answers three questions: is a composition feasible, what are its
 one-step extensions, and (natively) what is the full feasible set.  Extension
 calls are counted and carry a configurable simulated delay.  The one
-:class:`FeasibilityProvider` serves a table of prebuilt states keyed by
-``Composition.key()``, so a search space plugs in by building that table:
-:class:`ExplicitProvider` builds it from listed sequences, and
-``simulator.tree_provider`` reads a generated tree's node table.  Both hand
-the provider their builder's packed table, whose first row is the empty
-root; a provider built from states alone packs its table with
+:class:`FeasibilityProvider` serves a list of prebuilt states in table
+order, each keyed by its row, with the empty root at row 0, so a search
+space plugs in by building that list: :class:`ExplicitProvider` builds it
+from listed sequences, and ``simulator.tree_provider`` reads a generated
+tree's node list.  Both hand the provider their builder's packed table, in
+the same row order; a provider built from states alone packs its table with
 :func:`dominance.pack_valuations` on its first pool.  Every dominance pool
 of states, :meth:`FeasibilityProvider.pool`, is rows of that one table, so
 no algorithm looks an entry's frontier up.
@@ -28,12 +29,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from typing import Hashable, Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .aggregation import AggKind, AggValue, DomainError, Valuation, check_kind, check_range, path_frontiers
-from .dominance import PackedPool, PackedStates, ShapeError, pack_valuations, packed_table
+from .aggregation import AggKind, AggValue, DomainError, Valuation, path_frontiers
+from .dominance import (
+    PackedPool,
+    PackedStates,
+    ShapeError,
+    pack_valuations,
+    packed_table,
+    read_valuations,
+    spec_packing,
+)
 from .preference import PreferenceSpec
 
 DEFAULT_BUDGET = 10_000_000
@@ -55,75 +64,41 @@ class Component:
 class Composition(NamedTuple):
     """An unordered collection of component ids with its cached valuation.
 
-    ``provider_node`` identifies the provider-side search state (a tree node,
-    a sorted sequence prefix); a provider's state table and algorithm
-    bookkeeping key on it, never on the valuation, because distinct states
-    may share equal valuations.
+    ``provider_node`` is the state's row of its provider's state table (a
+    tree's node number); the provider and algorithm bookkeeping key on it,
+    never on the valuation, because distinct states may share equal
+    valuations.
     ``terminal`` marks states the provider cannot extend further.  A named
     tuple, so it is built, read and hashed in C.
     """
 
     members: tuple[int, ...]
     valuation: Valuation
-    provider_node: Hashable
+    provider_node: int
     terminal: bool = False
 
-    def key(self) -> Hashable:
+    def key(self) -> int:
         return self.provider_node
 
 
 def empty_composition(spec: PreferenceSpec) -> Composition:
-    """The neutral starting point: empty frontiers, zero sums, no members."""
+    """The neutral starting point: empty frontiers, zero sums, no members,
+    at row 0, the root of every state table."""
     values = []
     for attr in spec.attributes:
         if attr.agg_kind is AggKind.SUM:
             values.append(AggValue.of_scalar(0.0))
         else:
             values.append(AggValue.of_frontier(()))
-    return Composition(members=(), valuation=Valuation(values), provider_node=())
-
-
-def _layout(spec: PreferenceSpec) -> tuple[list[int], list[int], int]:
-    """The frontier and sum attribute ids, and the widest frontier domain."""
-    fronts = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is not AggKind.SUM]
-    sums = [i for i, attr in enumerate(spec.attributes) if attr.agg_kind is AggKind.SUM]
-    return fronts, sums, max([len(spec.attributes[i].domain) for i in fronts], default=0)
-
-
-def component_values(
-    spec: PreferenceSpec, components: Sequence[Component]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each component's base valuation as :func:`member_valuations` reads it:
-    its frontier values as flag rows, ``[k, j, v]`` set when value v is in
-    component k's frontier of the j-th frontier attribute, over the widest
-    domain, and its sums.  A wrong length, kind or value id raises
-    ``ShapeError``, ``KindMismatch`` or ``DomainError``, as ``merge`` does."""
-    fronts, sums, span = _layout(spec)
-    rows = [component.base_valuation for component in components]
-    for component, row in zip(components, rows):
-        if len(row) != len(spec.attributes):
-            raise ShapeError(f"component {component.name}: valuation not aligned with spec")
-    columns = list(zip(*rows)) or [()] * len(spec.attributes)  # per attribute, every component's value
-    for attr, column in zip(spec.attributes, columns):
-        for value in column:
-            check_kind(attr, value)
-    frontiers = []  # attribute by attribute, every component's frontier
-    for i in fronts:
-        column = [value.frontier for value in columns[i]]
-        check_range(spec.attributes[i], frozenset().union(*column))
-        frontiers += column
-    flags = np.zeros((len(fronts), len(components), span), dtype=np.bool_)
-    owners = np.repeat(np.arange(len(frontiers)), list(map(len, frontiers)))  # each frontier value's row
-    flags.reshape(len(frontiers), span)[owners, list(chain.from_iterable(frontiers))] = True
-    totals = np.array([[value.scalar for value in columns[i]] for i in sums], dtype=np.float64)
-    return flags.transpose(1, 0, 2), totals.reshape(len(sums), len(components)).T
+    return Composition(members=(), valuation=Valuation(values), provider_node=0)
 
 
 def drawn_values(spec: PreferenceSpec, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`component_values` of components that hold one in-range value id
-    per attribute, ``ids[k]`` for component k: a singleton frontier, or the
-    value's number for a sum."""
-    fronts, sums, span = _layout(spec)
+    """The flag rows and sums, as :func:`member_valuations` reads them, of
+    components that hold one in-range value id per attribute, ``ids[k]`` for
+    component k: a singleton frontier, or the value's number for a sum."""
+    packing = spec_packing(spec)
+    fronts, sums, span = packing.fronts, packing.sums, packing.span
     flags = np.zeros((len(ids), len(fronts), span), dtype=np.bool_)
     flags[np.arange(len(ids))[:, None], np.arange(len(fronts)), ids[:, fronts]] = True
     totals = np.zeros((len(ids), len(sums)))
@@ -137,8 +112,9 @@ def member_valuations(
 ) -> tuple[list[Valuation], PackedStates]:
     """The valuation of each nonempty sorted multiset of components, where
     component k holds the flag rows ``flags[k]`` and the sums ``sums[k]``
-    (see :func:`component_values`), and the packed table of the empty
-    composition followed by these valuations.
+    (``flags[k, j, v]`` set when value v is in component k's frontier of the
+    j-th frontier attribute, over the widest domain), and the packed table of
+    the empty composition followed by these valuations.
 
     The members of every set are read once, end to end, into one array.  A
     set's frontier values are the union of its members' flag rows, and
@@ -152,7 +128,8 @@ def member_valuations(
     raises ``DomainError`` naming ``attributes[i]``.  Each distinct sum is
     then one shared ``AggValue``: equal finite sums other than -0.0 have
     equal bits, so sharing is exact."""
-    fronts, sum_ids, span = _layout(spec)
+    packing = spec_packing(spec)
+    fronts, sum_ids, span = packing.fronts, packing.sums, packing.span
     lengths = np.fromiter(map(len, member_sets), np.intp, len(member_sets))
     flat = np.fromiter(chain.from_iterable(member_sets), np.intp, int(lengths.sum()))
     starts = np.cumsum(lengths) - lengths
@@ -220,38 +197,35 @@ def _valuations(values: list[AggValue], index: np.ndarray) -> list[Valuation]:
 
 
 class FeasibilityProvider:
-    """Counted, delayed access to a search space of prebuilt compositions,
-    keyed by ``Composition.key()``.
+    """Counted, delayed access to a search space of prebuilt compositions.
 
-    ``states[key]`` is a state (a dict, or a list keyed by position),
-    ``children[key]`` the keys of its one-step extensions (empty when
-    terminal) and ``feasible`` the feasible keys in ``all_feasible`` order.
-    ``packed`` holds the states' valuations packed in table order
-    (:class:`dominance.PackedStates`), as the table's builder gives it or,
-    failing that, as the first pool packs it; dominance pools of states are
-    gathered from it.
+    ``states`` lists the states in table order, and a state's key, its
+    ``provider_node``, is its row; the root, row 0, is the empty
+    composition and is not terminal.  ``children[row]`` lists the rows of
+    the state's one-step extensions (empty when terminal) and ``feasible``
+    the feasible rows in ``all_feasible`` order.  ``packed`` holds the
+    states' valuations packed in table order (:class:`dominance.PackedStates`),
+    as the table's builder gives it or, failing that, as the first pool
+    packs it; dominance pools of states are gathered from it.
     Providers over one table hand out its own objects and keep their own
     call counts, delays and budgets.  Extending a state the table does not
-    hold raises ``KeyError`` (``IndexError`` for a list).
+    hold raises ``IndexError``.
     """
 
-    def __init__(self, states, children, feasible: Sequence[Hashable], root_key: Hashable,
+    def __init__(self, states: Sequence[Composition], children: Sequence[Sequence[int]], feasible: Sequence[int],
                  fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET, packed: Optional[PackedStates] = None):
         self.states = states
         self.children = children
         self.feasible = feasible
-        self.root_key = root_key
         self.packed = packed
         self._feasible_keys = frozenset(feasible)
-        # a list's rows are its keys
-        self._row_of = dict(zip(states, range(len(states)))) if isinstance(states, dict) else None
         self.fdelay_ms = fdelay_ms
         self.budget = budget
         self.invocation_count = 0
         self.simulated_ms = 0.0
 
     def root(self) -> Composition:
-        return self.states[self.root_key]
+        return self.states[0]
 
     def is_feasible(self, comp: Composition) -> bool:
         return comp.key() in self._feasible_keys
@@ -267,25 +241,17 @@ class FeasibilityProvider:
         self._charge()
         return [self.states[child] for child in self.children[comp.key()]]
 
-    def table(self) -> Sequence[Composition]:
-        """Every state in table order."""
-        return list(self.states.values()) if isinstance(self.states, dict) else self.states
-
-    def rows(self, comps: Iterable[Composition]) -> list[int]:
-        """Each state's row in table order."""
-        keys = [comp.key() for comp in comps]
-        return keys if self._row_of is None else list(map(self._row_of.__getitem__, keys))
-
     def pool(self, spec: PreferenceSpec, comps: Sequence[Composition]) -> PackedPool:
         """The dominance pool of the states ``comps``, in order: their rows of
         the packed table, which a provider built from states alone packs on
         its first pool.  A spec whose attributes are not the table's raises
         ``ShapeError``."""
         if self.packed is None:
-            self.packed = pack_valuations(spec, [comp.valuation for comp in self.table()])
+            self.packed = pack_valuations(spec, [comp.valuation for comp in self.states])
         if self.packed.attributes != spec.attributes:
             raise ShapeError("the spec's attributes are not those of the provider's state table")
-        return PackedPool.of_rows(spec, self.packed, self.rows(comps), [comp.valuation for comp in comps])
+        rows = [comp.key() for comp in comps]
+        return PackedPool.of_rows(spec, self.packed, rows, [comp.valuation for comp in comps])
 
     def all_feasible(self) -> list[Composition]:
         """Native feasible set; equals what recursive extension reaches."""
@@ -296,16 +262,19 @@ class ExplicitProvider(FeasibilityProvider):
     """Search space given by explicit feasible component sequences.
 
     Each listed sequence is one way to build a feasible composition; partial
-    states are prefixes of the sequences, keyed by their sorted members (a
-    multiset), and the one-step extensions of a state are the deduplicated
-    next elements of every sequence it prefixes.  A multiset is feasible when
-    it equals some listed sequence's multiset.  The table is built with the
-    provider, as a tree's nodes are.  One walk over the sequences maps each
-    prefix to its children in first-seen order; the table holds the empty
-    root, then the prefixes in the order they are first extended, then the
-    other feasible multisets.  One checked :func:`member_valuations` call
-    values every state from its members, the states are made in one pass,
-    and each state's child keys are its walk entry's.
+    states are prefixes of the sequences, identified by their sorted members
+    (a multiset), and the one-step extensions of a state are the
+    deduplicated next elements of every sequence it prefixes.  A multiset is
+    feasible when it equals some listed sequence's multiset.  The table is
+    built with the provider, as a tree's nodes are.  One walk over the
+    sequences maps each prefix to its children in first-seen order; the
+    table holds the empty root, then the prefixes in the order they are
+    first extended, then the other feasible multisets, and one dict gives
+    each multiset its row.  The components' base valuations are checked and
+    read once (:func:`dominance.read_valuations`), one
+    :func:`member_valuations` call values every state from its members, the
+    states are made in one pass, and each state's child rows are its walk
+    entry's.
     """
 
     def __init__(
@@ -328,20 +297,22 @@ class ExplicitProvider(FeasibilityProvider):
                     step[nxt] = child = tuple(sorted((*key, nxt)))
                 key = child
             feasible.append(key)
-        keys = [key for key in dict.fromkeys([*nexts, *feasible]) if key]
-        valuations, packed = member_valuations(spec, *component_values(spec, components), keys)
-        states = {(): empty_composition(spec)}
-        states.update(zip(keys, map(Composition, keys, valuations, keys, [key not in nexts for key in keys])))
-        children = dict.fromkeys(states, ())  # none for a terminal state
-        children.update((key, list(step.values())) for key, step in nexts.items())
-        super().__init__(states, children, feasible, (), fdelay_ms=fdelay_ms, budget=budget, packed=packed)
+        rows = {key: row for row, key in enumerate(dict.fromkeys([(), *nexts, *feasible]))}
+        keys = list(rows)[1:]
+        flags, index, sums = read_valuations(spec, [component.base_valuation for component in components])
+        valuations, packed = member_valuations(spec, flags[index], sums, keys)
+        terminal = [key not in nexts for key in keys]
+        states = [empty_composition(spec), *map(Composition, keys, valuations, range(1, len(rows)), terminal)]
+        children = [[rows[child] for child in nexts.get(key, {}).values()] for key in rows]
+        super().__init__(states, children, [rows[key] for key in feasible], fdelay_ms=fdelay_ms, budget=budget,
+                         packed=packed)
 
 
 def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:
     """Full feasible set reached by recursive one-step extension from the root.
 
-    The walk runs over the provider's keys: it reads each state's child keys
-    from ``provider.children`` and its feasibility from the feasible key set.
+    The walk runs over the provider's rows: it reads each state's child rows
+    from ``provider.children`` and its feasibility from the feasible row set.
     Each non-terminal state it reaches costs one extension call, charged to
     the counter, delay and budget as an ``extensions`` call is; a terminal
     state by definition extends to nothing.  A state reachable along several
@@ -349,8 +320,8 @@ def enumerate_feasible(provider: FeasibilityProvider) -> list[Composition]:
     """
     states, children, feasible = provider.states, provider.children, provider._feasible_keys
     found: list[Composition] = []
-    stack = [provider.root_key]
-    visited = {provider.root_key}
+    stack = [0]  # the root's row
+    visited = {0}
     while stack:
         key = stack.pop()
         state = states[key]

@@ -11,8 +11,10 @@ of a packed table of valuations (a :class:`PackedStates`), which
 interned: each (attribute, frontier) pair the table holds is a class, with a
 membership row and an unbeaten row (the values the frontier leaves unbeaten)
 over the widest domain plus a placeholder column for the empty frontier.  A
-state table's builder packs its table as it values the states;
-:func:`pack_valuations` packs any other valuations, checking them once, and
+state table's builder packs its table as it values the states.
+:func:`read_valuations` checks valuations once and reads them as
+:func:`packed_table` does (an explicit provider reads its components so),
+:func:`pack_valuations` packs any other valuations through it, and
 ``PackedPool(spec, valuations)`` is the pool of every row of that table.
 :meth:`PackedPool.of_rows` only gathers: its rows' ``(m, c)`` class ids,
 their signed sums and, with one ``take``, their class rows.  What the tables
@@ -82,7 +84,7 @@ def packed_table(spec: PreferenceSpec, flags: np.ndarray, index: np.ndarray, tot
     from 1 in order of attribute then frontier; class 0 is the sums'.  One
     assignment sets the membership rows, and one product per frontier
     attribute with its value order the unbeaten rows."""
-    packing = _packing(spec)
+    packing = spec_packing(spec)
     fronts, count = packing.fronts, len(flags)
     codes = index + count * np.arange(len(fronts))  # (attribute, frontier) pairs
     held = np.zeros(len(fronts) * count, dtype=np.bool_)
@@ -107,9 +109,12 @@ def packed_table(spec: PreferenceSpec, flags: np.ndarray, index: np.ndarray, tot
     return PackedStates(spec.attributes, ids, signed, classes)
 
 
-def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> PackedStates:
-    """The packed table of ``valuations``, in order, from their distinct
-    frontiers in first-seen order over the attributes.
+def read_valuations(
+    spec: PreferenceSpec, valuations: Sequence[Valuation]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``valuations`` as :func:`packed_table` reads them: the flag rows of
+    their distinct frontiers, in first-seen order over the attributes, each
+    valuation's row per frontier attribute (``index[s, j]``), and its sums.
 
     A valuation not aligned with the spec raises ``ShapeError``.  Then the
     attributes are checked in order, each for its values' kind
@@ -120,7 +125,7 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
         if len(row) != m:
             raise ShapeError(f"valuation has {len(row)} attributes, spec has {m}")
     columns = list(zip(*valuations)) or [()] * m  # per attribute, every entry's value
-    frontiers, sizes, sums = [], [], []  # frontier columns end to end, their domain sizes, sum columns
+    frontiers, sums = [], []  # frontier columns end to end, sum columns
     for attr, column in zip(spec.attributes, columns):
         is_sum = attr.agg_kind is AggKind.SUM
         held = [value.scalar if is_sum else value.frontier for value in column]
@@ -134,30 +139,35 @@ def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> Pa
         else:
             check_range(attr, frozenset().union(*held))
             frontiers += held
-            sizes.append(len(attr.domain))
+    packing = spec_packing(spec)
     first: dict[frozenset, int] = {}
-    index = [first.setdefault(frontier, len(first)) for frontier in frontiers]
-    span = max(sizes, default=0)
-    flags = np.zeros((len(first), span), dtype=np.bool_)
-    flags.flat[[k * span + v for frontier, k in first.items() for v in frontier]] = True
-    return packed_table(spec, flags, np.array(index, dtype=np.intp).reshape(len(sizes), c).T,
-                        np.array(sums, dtype=np.float64).reshape(len(sums), c).T)
+    index = np.array([first.setdefault(frontier, len(first)) for frontier in frontiers], dtype=np.intp)
+    flags = np.zeros((len(first), packing.span), dtype=np.bool_)
+    flags.flat[[k * packing.span + v for frontier, k in first.items() for v in frontier]] = True
+    return flags, index.reshape(len(packing.fronts), c).T, np.array(sums, dtype=np.float64).reshape(len(sums), c).T
+
+
+def pack_valuations(spec: PreferenceSpec, valuations: Sequence[Valuation]) -> PackedStates:
+    """The packed table of ``valuations``, in order, checked and read by
+    :func:`read_valuations`."""
+    return packed_table(spec, *read_valuations(spec, valuations))
 
 
 class _SpecPacking:
     """What every table and pool of one spec reads, made from the spec once
-    and never changed: the frontier and the sum attributes, each attribute's
-    value order over the widest domain plus the placeholder column, each
-    sum's sign (-1.0 where higher is better), and the witness scopes.
+    and never changed: the frontier and the sum attributes, the widest
+    frontier domain (``span``), each attribute's value order over it plus
+    the placeholder column, each sum's sign (-1.0 where higher is better),
+    and the witness scopes.
     Products count in float32: exact below 2**24, and a domain that large
     could not hold its order matrix."""
 
     def __init__(self, spec: PreferenceSpec):
         attrs = spec.attributes
-        span = max((a.intra_order.universe_size for a in attrs if a.agg_kind is not AggKind.SUM), default=0)
         self.fronts = [i for i, a in enumerate(attrs) if a.agg_kind is not AggKind.SUM]
         self.sums = [i for i, a in enumerate(attrs) if a.agg_kind is AggKind.SUM]
-        self.beats = np.zeros((len(attrs), span + 1, span + 1), dtype=np.float32)
+        self.span = max((attrs[i].intra_order.universe_size for i in self.fronts), default=0)
+        self.beats = np.zeros((len(attrs), self.span + 1, self.span + 1), dtype=np.float32)
         for i in self.fronts:
             d = attrs[i].intra_order.universe_size
             self.beats[i, :d, :d] = attrs[i].intra_order.matrix
@@ -167,7 +177,7 @@ class _SpecPacking:
         self.scope = (~spec.importance.matrix).astype(np.float32)
 
 
-def _packing(spec: PreferenceSpec) -> _SpecPacking:
+def spec_packing(spec: PreferenceSpec) -> _SpecPacking:
     """The spec's packing constants, made on first use."""
     if spec.packing is None:
         spec.packing = _SpecPacking(spec)
@@ -212,19 +222,10 @@ class PackedPool:
         sums' signed values."""
         pool = object.__new__(cls)
         pool.valuations = list(valuations)
-        packing = _packing(spec)
+        packing = spec_packing(spec)
         pool.sums, pool.scope = packing.sums, packing.scope
         pool.ids, pool.signed = table.ids.take(rows, axis=1), table.signed.take(rows, axis=1)
         pool.stack = table.classes.take(pool.ids, axis=1)
-        return pool
-
-    def take(self, rows: Sequence[int]) -> PackedPool:
-        """The pool of the entries ``rows``, in that order, read from this one."""
-        pool = object.__new__(PackedPool)
-        pool.valuations = [self.valuations[j] for j in rows]
-        pool.scope, pool.sums = self.scope, self.sums
-        pool.ids, pool.signed = self.ids.take(rows, axis=1), self.signed.take(rows, axis=1)
-        pool.stack = self.stack.take(rows, axis=2)
         return pool
 
     def _witnessed(self, rows: slice, cols: slice) -> tuple[np.ndarray, np.ndarray]:

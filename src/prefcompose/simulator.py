@@ -17,7 +17,7 @@ draw.
 
 A generated tree builds each node's :class:`Composition` once, and
 :func:`tree_provider` serves them as a :class:`composition.FeasibilityProvider`
-keyed by node number, which hands out those objects and builds none.
+whose rows are node numbers, which hands out those objects and builds none.
 """
 
 from __future__ import annotations
@@ -78,8 +78,8 @@ class SimConfig:
     attr_count: int = 4
     repo_size: int = 40
     fdelay_ms: float = 1.0
-    intra_kind: str = "po"          # po | to
-    importance_kind: str = "io"     # io | to
+    intra_kind: str = "po"          # po | to | io | wo, or partial | total | interval | weak
+    importance_kind: str = "io"     # as intra_kind
     valuation_mode: str = "random_per_node"  # random_per_node | aggregated
     seed: int = 0
     density: float = 0.3
@@ -326,8 +326,8 @@ def tree_provider(
     tree: RecursiveTree, fdelay_ms: float = 0.0, budget: int = DEFAULT_BUDGET
 ) -> FeasibilityProvider:
     """A provider over the tree's own node compositions and their packed
-    valuations, rooted at node 0."""
-    return FeasibilityProvider(tree.nodes, tree.children, sorted(tree.feasible_leaves), 0, fdelay_ms, budget,
+    valuations: node k is row k, and the root node 0 is row 0."""
+    return FeasibilityProvider(tree.nodes, tree.children, sorted(tree.feasible_leaves), fdelay_ms, budget,
                                packed=tree.packed)
 
 

@@ -286,9 +286,9 @@ def _bits(valuation):
 def test_explicit_build_equals_a_dict_loop_and_a_merge_fold():
     """On random documents with repeated members, prefix, duplicate and
     permuted sequences, and label and raw-number sums of both polarities,
-    the provider's table equals the reference: keys and their order,
-    terminal flags, children in order, the feasible keys, and valuations
-    bit for bit.  No sum is -0.0, equal sums share one ``AggValue``, and
+    the provider's table equals the reference: each state keyed by its row,
+    member sets and their order, terminal flags, children in order, the
+    feasible rows, and valuations bit for bit.  No sum is -0.0, equal sums share one ``AggValue``, and
     components holding one label share its ``AggValue``."""
     for seed in range(80):
         rng = np.random.default_rng(seed)
@@ -297,13 +297,15 @@ def test_explicit_build_equals_a_dict_loop_and_a_merge_fold():
         spec, components = instance.spec, instance.components
         table, feasible = _reference_table(spec, components, instance.feasible_sequences)
         provider = ExplicitProvider(spec, components, instance.feasible_sequences)
-        states = provider.table()
-        assert [c.key() for c in states] == [key for key, *_ in table]
+        states = provider.states
+        rows = {key: row for row, (key, *_) in enumerate(table)}
+        assert [c.key() for c in states] == list(range(len(table)))
         assert [c.members for c in states] == [key for key, *_ in table]
         assert [c.terminal for c in states] == [terminal for _, terminal, *_ in table]
-        assert [list(provider.children[c.key()]) for c in states] == [children for _, _, children, _ in table]
-        assert provider.feasible == feasible
-        assert [c.key() for c in provider.all_feasible()] == feasible
+        assert [list(provider.children[c.key()]) for c in states] == [
+            [rows[child] for child in children] for _, _, children, _ in table]
+        assert provider.feasible == [rows[key] for key in feasible]
+        assert [c.members for c in provider.all_feasible()] == feasible
         assert [_bits(c.valuation) for c in states] == [_bits(fold) for *_, fold in table]
         sums = [value for c in states[1:] for value in c.valuation if value.frontier is None]
         assert all(value.scalar.hex() != "-0x0.0p+0" for value in sums)
@@ -443,8 +445,7 @@ def test_key_walk_matches_the_object_walk(case, rng):
     table = _walk_table(case, rng)
 
     def provider(budget=10_000_000):
-        return FeasibilityProvider(table.states, table.children, table.feasible, table.root_key,
-                                   fdelay_ms=0.1, budget=budget)
+        return FeasibilityProvider(table.states, table.children, table.feasible, fdelay_ms=0.1, budget=budget)
 
     ours, theirs = provider(), provider()
     for _ in range(2):  # the second walk adds to the counts of the first
@@ -504,7 +505,7 @@ def _two_providers_over_one_table(case, rng):
         instance = load_instance("interleave_unsound")
         sequences = [*instance.feasible_sequences, list(reversed(instance.feasible_sequences[-1]))]
         first = ExplicitProvider(instance.spec, instance.components, sequences, budget=5)
-        return first, FeasibilityProvider(first.states, first.children, first.feasible, first.root_key, budget=3)
+        return first, FeasibilityProvider(first.states, first.children, first.feasible, budget=3)
     config = SimConfig(repo_size=40, feas=0.5, valuation_mode=case)
     tree = generate_tree(random_spec(config, rng), config, rng)
     return tree_provider(tree, budget=5), tree_provider(tree, budget=3)
@@ -512,16 +513,18 @@ def _two_providers_over_one_table(case, rng):
 
 @pytest.mark.parametrize("case", ["random_per_node", "aggregated", "explicit"])
 def test_every_provider_serves_its_state_table(case, rng):
-    """The root and every extension are the table's own objects, every state
+    """Every state's key is its row of the table, and the root is row 0.
+    The root and every extension are the table's own objects, every state
     is reached, ``is_feasible`` holds exactly on ``all_feasible``'s keys, and
     providers over one table share objects but count and budget apart.  A
     tree's provider is the plain ``FeasibilityProvider``."""
     first, second = _two_providers_over_one_table(case, rng)
     if case != "explicit":
         assert type(first) is type(second) is FeasibilityProvider
-    walker = FeasibilityProvider(first.states, first.children, first.feasible, first.root_key)
+    assert [state.provider_node for state in first.states] == list(range(len(first.states)))
+    walker = FeasibilityProvider(first.states, first.children, first.feasible)
     root = walker.root()
-    assert root is first.root() is second.root() is first.states[first.root_key]
+    assert root is first.root() is second.root() is first.states[0]
     feasible = walker.all_feasible()
     assert all(c is walker.states[c.key()] for c in feasible)
     feasible_keys = {c.key() for c in feasible}
@@ -605,7 +608,7 @@ def test_builders_pack_class_rows_by_the_rule(source, seed):
     ``conftest.check_class_rows``)."""
     rng = np.random.default_rng(seed)
     spec, provider = _provider_case(source, rng)
-    check_class_rows(spec, provider.packed, [comp.valuation for comp in provider.table()])
+    check_class_rows(spec, provider.packed, [comp.valuation for comp in provider.states])
 
 
 @pytest.mark.parametrize("source", ["aggregated", "random_per_node", "explicit"])
@@ -623,7 +626,7 @@ def test_every_state_table_comes_from_one_member_valuations_call(source, rng, mo
     for module in (composition, simulator):
         monkeypatch.setattr(module, "member_valuations", counted)
     spec, provider = _provider_case(source, rng)
-    assert calls == [len(provider.table()) - 1]
+    assert calls == [len(provider.states) - 1]
     calls.clear()
     assert len(random_valuations(spec, rng, 3)) == 3
     assert calls == [3]
@@ -636,19 +639,19 @@ def test_pools_of_packed_rows_equal_pools_of_valuations(source, seed):
     same states' valuations: the dominance matrix, every attribute's best
     set and a sweep, on rows that hold the empty root, on the feasible rows,
     on random rows and on none, under the builder's spec and under one with
-    other importance; and a provider built from the same states dict, which
+    other importance; and a provider built from the same states list, which
     packs its table on its first pool, gives the same pools.  A spec with
     other attributes raises ``ShapeError``."""
     rng = np.random.default_rng(seed)
     spec, provider = _provider_case(source, rng)
     assert provider.packed is not None and provider.packed.attributes is spec.attributes
-    states = list(provider.table())
-    plain = FeasibilityProvider({c.key(): c for c in states}, {}, [], provider.root_key)
+    states = provider.states
+    plain = FeasibilityProvider(list(states), [], [])
     assert plain.packed is None
     other = replace(spec, importance=random_order(spec.attr_count, "partial", rng))
     feasible = provider.all_feasible()
     picks = rng.integers(0, len(states), size=int(rng.integers(1, 12))).tolist()
-    for rows in (list(range(len(states))), [0, *picks], provider.rows(feasible), []):
+    for rows in (list(range(len(states))), [0, *picks], [c.key() for c in feasible], []):
         comps = [states[r] for r in rows]
         for reading in (spec, other):
             valuations = [c.valuation for c in comps]

@@ -266,15 +266,15 @@ def test_every_explicit_table_is_packed_once_by_its_builder(monkeypatch, tmp_pat
     tables = counting_tables(monkeypatch)
     instance = load_instance("courses")
     provider = ExplicitProvider(instance.spec, instance.components, instance.feasible_sequences)
-    assert tables == [len(provider.table())]
+    assert tables == [len(provider.states)]
     for algorithm in algorithms.ALGORITHMS.values():
         algorithm(instance.spec, provider)
-    assert tables == [len(provider.table())]
+    assert tables == [len(provider.states)]
     tables.clear()
     assert main(["solve", "courses", "--algorithm", "a1", "--out", str(tmp_path / "out.json")]) == 0
     solutions = json.loads((tmp_path / "out.json").read_text())["solutions"]
     assert len(solutions) > 1
-    assert tables == [len(provider.table()), len(solutions)]
+    assert tables == [len(provider.states), len(solutions)]
 
 
 _FRONTIER_KINDS = (AggKind.WORST_FRONTIER, AggKind.BEST_FRONTIER, AggKind.MIN, AggKind.MAX)
@@ -352,10 +352,11 @@ def test_packed_valuations_follow_the_class_rule(case):
 @given(_spec_and_pool(), st.integers(1, 64), st.data())
 def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
     """The stacked matrix, each pool witness, ``witnesses`` and ``best_on``,
-    on the pool and on a ``take`` of it, equal the pairwise reading of the
-    definition, whether the pool fits one row block or spans many; ``take``
-    gives the class rows, signed sums and ties of a fresh pool over its rows
-    (its ids may differ: a fresh table numbers only the classes it holds)."""
+    on the pool and on a pool of some rows of its table (``of_rows``), equal
+    the pairwise reading of the definition, whether the pool fits one row
+    block or spans many; ``of_rows`` gives the class rows, signed sums and
+    ties of a fresh pool over its rows (its ids may differ: a fresh table
+    numbers only the classes it holds)."""
     spec, pool = case
     with mock.patch.object(dominance, "BLOCK_CELLS", block_cells):
         packed = PackedPool(spec, pool)
@@ -366,7 +367,8 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
                 assert witnesses(spec, u, v) == every
                 assert packed.witness(a, b) == (every[0] if every else -1)
         rows = data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=8)) if pool else []
-        taken, fresh = packed.take(rows), PackedPool(spec, [pool[j] for j in rows])
+        taken = PackedPool.of_rows(spec, dominance.pack_valuations(spec, pool), rows, [pool[j] for j in rows])
+        fresh = PackedPool(spec, [pool[j] for j in rows])
         assert taken.valuations == fresh.valuations
         for name in ("stack", "signed"):
             assert np.array_equal(getattr(taken, name), getattr(fresh, name))
@@ -383,24 +385,30 @@ def test_stacked_relations_equal_the_plain_reading(case, block_cells, data):
 def test_a4_packs_its_state_table_once(monkeypatch):
     """On a tree shaped like the benchmark's (r=200, m=8, partial value
     orders, interval importance, aggregated), the tree's builder packs its
-    one table; a4 gathers one pool of the whole table before its first round
-    and packs nothing.  No algorithm calls ``pack_valuations`` or
-    ``packed_table``: a1, a2 and a3 then each gather one pool of the
+    one table; each a4 round gathers one pool, of its working list's rows of
+    that table, and packs nothing.  No algorithm calls ``pack_valuations``
+    or ``packed_table``: a1, a2 and a3 then each gather one pool of the
     feasible rows of the same table."""
     tables = counting_tables(monkeypatch)
     packs, gathers = counting_packs(monkeypatch)
-    rounds = []  # the number of tables packed before each round's filter
-    filter_dominance = algorithms._filter_dominance
+    rounds = []  # per round's filter: the tables packed before it, and its working list's size
+    sources = []  # the table of every gathered pool
+    filter_dominance, of_rows = algorithms._filter_dominance, PackedPool.of_rows.__func__
 
-    def counted_filter(*args):
-        rounds.append(len(tables))
-        return filter_dominance(*args)
+    def counted_filter(pool, comps):
+        rounds.append((len(tables), len(comps)))
+        return filter_dominance(pool, comps)
+
+    def sourced_of_rows(cls, spec, table, rows, valuations):
+        sources.append(table)
+        return of_rows(cls, spec, table, rows, valuations)
 
     monkeypatch.setattr(algorithms, "_filter_dominance", counted_filter)
+    monkeypatch.setattr(PackedPool, "of_rows", classmethod(sourced_of_rows))
     config = SimConfig(repo_size=200, attr_count=8, domain_size=6, intra_kind="po", importance_kind="io",
                        valuation_mode="aggregated")
     for seed in range(3):
-        for found in (tables, rounds, packs, gathers):
+        for found in (tables, rounds, packs, gathers, sources):
             found.clear()
         rng = np.random.default_rng(seed)
         spec = random_spec(config, rng)
@@ -408,12 +416,14 @@ def test_a4_packs_its_state_table_once(monkeypatch):
         assert tables == [tree.node_count]
         interleave_compose(spec, tree_provider(tree))
         assert len(rounds) > 1
-        assert set(rounds) == {1}
-        assert packs == [] and gathers == [tree.node_count]
+        assert {packed for packed, _ in rounds} == {1}
+        a4_gathers = [size for _, size in rounds]
+        assert packs == [] and gathers == a4_gathers
         for name in ("a1", "a2", "a3"):
             algorithms.ALGORITHMS[name](spec, tree_provider(tree))
         assert tables == [tree.node_count]
-        assert packs == [] and gathers == [tree.node_count] + [len(tree.feasible_leaves)] * 3
+        assert packs == [] and gathers == a4_gathers + [len(tree.feasible_leaves)] * 3
+        assert all(table is tree.packed for table in sources)
 
 
 def test_replaced_spec_starts_with_fresh_state(rng):
@@ -511,14 +521,14 @@ def test_the_lowest_bad_attribute_raises_the_oracle_error(sum_first):
     expected = str(info.value)
     assert expected == ("attribute cost: sum nan is not finite" if sum_first
                         else "attribute x0: value id 7 outside domain of size 3")
-    states = {0: Composition((), good, 0), 1: Composition((0,), bad, 1)}
+    states = [Composition((), good, 0), Composition((0,), bad, 1)]
     for u, v in ((good, bad), (bad, good)):
         readings = [
             lambda: dominates(spec, u, v),
             lambda: witnesses(spec, u, v),
             lambda: nondominated(spec, [(0, u), (1, v)]),
             lambda: PackedPool(spec, [u, v]),
-            lambda: FeasibilityProvider(states, {}, [], 0).pool(spec, list(states.values())),
+            lambda: FeasibilityProvider(states, [], []).pool(spec, states),
         ]
         for reading in readings:
             with pytest.raises(DomainError) as info:
